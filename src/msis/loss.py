@@ -1,11 +1,20 @@
 """Training objective: masked supervised cross-entropy per target, an
 entropy penalty on unlabeled rows, and the stage-weighted total.
 
-Supervised terms only ever index rows whose mask is set, so the NaN
-poison on unobserved labels can never leak into a gradient. The entropy
-term reads probabilities alone: pushing unlabeled predictions away from
-0.5 is what lets the selection-censored stages say something about the
-rows they never got labels for.
+The whole objective is one weighted sum over a (batch, n_targets) matrix
+of probabilities: each labeled row weights log p and log(1-p) by its
+label, each unlabeled row weights the binary entropy, and every
+normalizer (labeled count, gamma, unlabeled reduction, targets per stage,
+stage weight) is folded into the weights. `loss_weights` builds them once
+per batch, for the tape loss and the fast value-only loss alike, so the
+graph's shapes depend on the batch size alone, never on its label
+pattern. Labels enter through np.where(mask, labels, 0): the NaN poison
+behind a zero mask never reaches a product, so it cannot leak into a
+gradient, while a NaN under a set mask raises ContractError.
+
+The entropy term reads probabilities alone: pushing unlabeled predictions
+away from 0.5 is what lets the selection-censored stages say something
+about the rows they never got labels for.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import numpy as np
 from . import numerics as nm
 from .dataset import Batch
 from .errors import ConfigError, ContractError
-from .model import MsisConfig, forward_values, make_fused_forward
+from .model import MsisConfig, make_fused_forward
 from .numerics import Node
 
 DEFAULT_GAMMA = 6e-4
@@ -69,201 +78,138 @@ class TargetLoss:
 @dataclass
 class LossBreakdown:
     per_target: dict[str, TargetLoss]
-    per_stage: dict[str, float]
     total: Node
 
 
 # ---------------------------------------------------------------------------
-# graph terms
+# per-row weights
 # ---------------------------------------------------------------------------
 
-def masked_bce(probs: Node, labels: np.ndarray, mask: np.ndarray) -> Node:
-    """Mean negative log likelihood over the rows whose mask is set; exactly
-    zero (with no gradient) when nothing is labeled."""
-    idx = np.flatnonzero(mask == 1.0)
-    if idx.size == 0:
-        return nm.constant([[0.0]])
-    y = labels[idx]
+@dataclass
+class LossWeights:
+    """Per-row weights of one batch's loss terms.
+
+    pos, neg and unl are (batch, n_targets), columns in stage order: the
+    label on labeled rows, one minus it, and one on unlabeled rows, each
+    zero elsewhere. A target's supervised loss is
+    -sum(pos log p + neg log(1-p)) / max(labeled, 1) and its entropy term
+    -sum(unl (p log p + (1-p) log(1-p))) / ent_div."""
+
+    targets: tuple[str, ...]
+    pos: np.ndarray
+    neg: np.ndarray
+    unl: np.ndarray
+    labeled: np.ndarray      # (n_targets,) row counts
+    unlabeled: np.ndarray
+    ent_div: np.ndarray      # (n_targets,) unlabeled count for "mean", 1 for "sum"
+    gamma: np.ndarray
+    stage_coef: np.ndarray   # stage weight / targets in the stage
+
+    def folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weights of log p, log(1-p) and p log p + (1-p) log(1-p) whose
+        weighted sum is the stage-weighted total. The scalar factors are
+        combined in the order the chain rule combines them through a sum of
+        per-target means, which keeps training gradients bit-identical to
+        that formulation."""
+        sup = -self.stage_coef / np.maximum(self.labeled, 1)
+        ent = -(self.stage_coef * self.gamma) / self.ent_div
+        return self.pos * sup, self.neg * sup, self.unl * ent
+
+    @property
+    def needs_entropy(self) -> bool:
+        return bool((self.gamma * self.stage_coef).any())
+
+
+def loss_weights(batch: Batch, config: LossConfig,
+                 stages: tuple[tuple[str, tuple[str, ...]], ...]) -> LossWeights:
+    """The loss weights of one batch; raises ContractError on a non-finite
+    label under a set mask."""
+    config.validate()
+    targets = tuple(t for _, stage_targets in stages for t in stage_targets)
+    masks = np.stack([batch.masks[t] for t in targets], axis=1)
+    obs, unobs = masks == 1.0, masks == 0.0
+    y = np.where(obs, np.stack([batch.labels[t] for t in targets], axis=1), 0.0)
     if not np.isfinite(y).all():
-        raise ContractError("masked_bce consumed a poisoned label")
-    y = y.reshape(-1, 1)
-    p = nm.gather_rows(probs, idx)
-    ll = nm.add(nm.mul_const(nm.log(p), y),
-                nm.mul_const(nm.log(nm.affine(p, -1.0, 1.0)), 1.0 - y))
-    return nm.affine(nm.mean_all(ll), -1.0)
+        bad = [t for t, ok in zip(targets, np.isfinite(y).all(axis=0)) if not ok]
+        raise ContractError(f"poisoned label consumed for targets {bad}")
+    labeled, unlabeled = obs.sum(axis=0), unobs.sum(axis=0)
+    ent_div = (np.maximum(unlabeled, 1.0) if config.unlabeled_reduction == "mean"
+               else np.ones(len(targets)))
+    stage_coef = np.array([(1.0 / len(stage_targets)) * config.stage_weight(sname)
+                           for sname, stage_targets in stages for _ in stage_targets])
+    gamma = np.array([config.gamma(t) for t in targets])
+    return LossWeights(targets, y, np.where(obs, 1.0 - y, 0.0), unobs.astype(np.float64),
+                       labeled, unlabeled, ent_div, gamma, stage_coef)
 
 
-def entropy_regularizer(probs: Node, mask: np.ndarray,
-                        reduction: str = "mean") -> Node:
-    """Binary entropy of the unlabeled rows' predictions, summed or averaged."""
-    idx = np.flatnonzero(mask == 0.0)
-    if idx.size == 0:
-        return nm.constant([[0.0]])
-    p = nm.gather_rows(probs, idx)
-    q = nm.affine(p, -1.0, 1.0)
-    h = nm.add(nm.mul(p, nm.log(p)), nm.mul(q, nm.log(q)))
-    reduce = nm.mean_all if reduction == "mean" else nm.sum_all
-    return nm.affine(reduce(h), -1.0)
-
+# ---------------------------------------------------------------------------
+# tape loss
+# ---------------------------------------------------------------------------
 
 def total_loss(result, batch: Batch, config: LossConfig,
                stages: tuple[tuple[str, tuple[str, ...]], ...]) -> LossBreakdown:
     """Per target: supervised + gamma * entropy; targets average within their
     stage; stages combine under the configured weights."""
-    config.validate()
-    per_target: dict[str, TargetLoss] = {}
-    per_stage: dict[str, float] = {}
-    total: Node | None = None
-    for sname, targets in stages:
-        stage_node: Node | None = None
-        for t in targets:
-            probs = result.probs[t]
-            mask = batch.masks[t]
-            sup = masked_bce(probs, batch.labels[t], mask)
-            ent = entropy_regularizer(probs, mask, config.unlabeled_reduction)
-            gamma = config.gamma(t)
-            term = nm.add(sup, nm.affine(ent, gamma)) if gamma != 0.0 else sup
-            stage_node = term if stage_node is None else nm.add(stage_node, term)
-            per_target[t] = TargetLoss(
-                supervised=float(sup.value[0, 0]), entropy=float(ent.value[0, 0]),
-                labeled=int((mask == 1.0).sum()), unlabeled=int((mask == 0.0).sum()))
-        stage_node = nm.affine(stage_node, 1.0 / len(targets))
-        per_stage[sname] = float(stage_node.value[0, 0])
-        weighted = nm.affine(stage_node, config.stage_weight(sname))
-        total = weighted if total is None else nm.add(total, weighted)
-    return LossBreakdown(per_target, per_stage, total)
+    w = loss_weights(batch, config, stages)
+    w_p, w_q, w_ent = w.folded()
+    p = nm.hstack([result.probs[t] for t in w.targets])
+    q = nm.affine(p, -1.0, 1.0)
+    log_p, log_q = nm.log(p), nm.log(q)
+    terms = nm.add(nm.mul_const(log_p, w_p), nm.mul_const(log_q, w_q))
+    if w.needs_entropy:
+        h = nm.add(nm.mul(p, log_p), nm.mul(q, log_q))
+        terms = nm.add(terms, nm.mul_const(h, w_ent))
+    total = nm.sum_all(terms)
+
+    # the training log's per-target numbers, from values outside the tape
+    supervised = -(w.pos * log_p.value + w.neg * log_q.value).sum(axis=0) \
+        / np.maximum(w.labeled, 1)
+    entropy = -(w.unl * (p.value * log_p.value + q.value * log_q.value)).sum(axis=0) \
+        / w.ent_div
+    per_target = {t: TargetLoss(float(supervised[i]), float(entropy[i]),
+                                int(w.labeled[i]), int(w.unlabeled[i]))
+                  for i, t in enumerate(w.targets)}
+    return LossBreakdown(per_target, total)
 
 
 # ---------------------------------------------------------------------------
-# value-only path (evaluation diagnostics, finite differences)
+# value-only loss (finite differences)
 # ---------------------------------------------------------------------------
-
-def total_loss_value(params, model_cfg: MsisConfig, loss_cfg: LossConfig,
-                     batch: Batch) -> float:
-    return make_loss_value_fn(params, model_cfg, loss_cfg, batch)()
-
-
-def make_loss_value_fn(params, model_cfg: MsisConfig, loss_cfg: LossConfig,
-                       batch: Batch):
-    """Build a fast scalar evaluator of the total loss at the current
-    parameter values; index bookkeeping happens once, up front, and the
-    arithmetic mirrors the graph terms operation for operation so the
-    scalar is bit-identical to the tape's."""
-    loss_cfg.validate()
-    stages = model_cfg.stages
-    plan = []
-    for sname, targets in stages:
-        weight = loss_cfg.stage_weight(sname)
-        rows = []
-        for t in targets:
-            mask = batch.masks[t]
-            obs = np.flatnonzero(mask == 1.0)
-            y = batch.labels[t][obs].reshape(-1, 1)
-            if obs.size and not np.isfinite(y).all():
-                raise ContractError("poisoned label in loss evaluation")
-            unobs = np.flatnonzero(mask == 0.0)
-            rows.append((t, obs, y, unobs, loss_cfg.gamma(t)))
-        plan.append((weight, 1.0 / len(rows), rows))
-    reduction = loss_cfg.unlabeled_reduction
-
-    def value() -> float:
-        result = forward_values(params, model_cfg, batch.features)
-        total = 0.0
-        for weight, inv_len, rows in plan:
-            stage = 0.0
-            for t, obs, y, unobs, gamma in rows:
-                p = result.probs[t]
-                term = 0.0
-                if obs.size:
-                    po = p[obs]
-                    term = -float((np.log(po) * y + np.log(-1.0 * po + 1.0) * (1.0 - y)).mean())
-                if gamma != 0.0 and unobs.size:
-                    pu = p[unobs]
-                    q = -1.0 * pu + 1.0
-                    term += gamma * -float((pu * np.log(pu) + q * np.log(q)).mean()
-                                           if reduction == "mean"
-                                           else (pu * np.log(pu) + q * np.log(q)).sum())
-                stage += term
-            total += weight * (stage * inv_len)
-        return total
-
-    return value
-
 
 def make_fast_loss_value_fn(params, model_cfg: MsisConfig, loss_cfg: LossConfig,
                             batch: Batch):
-    """Like make_loss_value_fn but built on the fused forward and a fully
-    vectorized loss: about a dozen numpy calls per evaluation.
+    """Build a scalar evaluator of the total loss at the current parameter
+    values, on the fused forward and the same weights as total_loss: about
+    a dozen numpy calls per evaluation.
 
     Agrees with the tape total to float rounding (tested at 1e-12 relative),
     not bit for bit, because sums run in a different association order.
     Gradient checking over every scalar of the default model needs roughly
     a hundred thousand loss evaluations; this is the path that makes that
     affordable."""
-    loss_cfg.validate()
-    targets = model_cfg.all_targets()
-    nt = len(targets)
-    n = len(batch)
-    w_pos = np.zeros((nt, n))
-    w_neg = np.zeros((nt, n))
-    w_unl = np.zeros((nt, n))
-    n_obs = np.zeros(nt)
-    n_unl = np.zeros(nt)
-    gammas = np.array([loss_cfg.gamma(t) for t in targets])
-    for i, t in enumerate(targets):
-        mask = batch.masks[t]
-        obs = mask == 1.0
-        y = np.where(obs, batch.labels[t], 0.0)
-        if obs.any() and not np.isfinite(batch.labels[t][obs]).all():
-            raise ContractError("poisoned label in loss evaluation")
-        w_pos[i] = mask * y
-        w_neg[i] = mask * (1.0 - y)
-        w_unl[i] = 1.0 - mask
-        n_obs[i] = obs.sum()
-        n_unl[i] = (mask == 0.0).sum()
-    stage_slices = []
-    offset = 0
-    for sname, stage_targets in model_cfg.stages:
-        ns = len(stage_targets)
-        stage_slices.append((loss_cfg.stage_weight(sname) / ns,
-                             slice(offset, offset + ns)))
-        offset += ns
-    # fold the per-target normalizers into the mask weights once
-    sup_scale = -1.0 / np.maximum(n_obs, 1.0)
-    w_pos *= sup_scale[:, None]
-    w_neg *= sup_scale[:, None]
-    ent_scale = -gammas.copy()
-    if loss_cfg.unlabeled_reduction == "mean":
-        ent_scale /= np.maximum(n_unl, 1.0)
-    w_unl *= ent_scale[:, None]
-    need_entropy = bool(((gammas > 0) & (n_unl > 0)).any())
-
+    w = loss_weights(batch, loss_cfg, model_cfg.stages)
+    # the fused forward returns (n_targets, batch)
+    w_p, w_q, w_ent = (np.ascontiguousarray(a.T) for a in w.folded())
+    need_entropy = w.needs_entropy
     forward_plan = make_fused_forward(params, model_cfg, batch.features)
-    logp = np.empty((nt, n))
-    q = np.empty((nt, n))
-    logq = np.empty((nt, n))
-    terms = np.empty((nt, n))
-
-    scratch = np.empty((nt, n))
+    shape = w_p.shape
+    logp, q, logq = np.empty(shape), np.empty(shape), np.empty(shape)
+    terms, scratch = np.empty(shape), np.empty(shape)
 
     def value() -> float:
         p = forward_plan()
         np.log(p, out=logp)
         np.subtract(1.0, p, out=q)
         np.log(q, out=logq)
-        np.multiply(w_pos, logp, out=terms)
-        np.multiply(w_neg, logq, out=scratch)
+        np.multiply(w_p, logp, out=terms)
+        np.multiply(w_q, logq, out=scratch)
         np.add(terms, scratch, out=terms)
         if need_entropy:
             np.multiply(p, logp, out=logp)
             np.multiply(q, logq, out=logq)
             np.add(logp, logq, out=logp)
-            np.multiply(w_unl, logp, out=logp)
+            np.multiply(w_ent, logp, out=logp)
             np.add(terms, logp, out=terms)
-        per_target = terms.sum(axis=1)
-        total = 0.0
-        for weight, sl in stage_slices:
-            total += weight * per_target[sl].sum()
-        return float(total)
+        return float(terms.sum())
 
     return value

@@ -7,9 +7,11 @@ and fused into every target of the next stage by inter-stage attention,
 so later stages can read earlier interaction signals but never the other
 way around.
 
-All wiring below is written once against a small backend protocol and
-executed either on tape nodes (training) or on raw arrays (evaluation,
-finite differences); both paths perform the identical float operations.
+The wiring exists twice, each form written for its job: `forward` builds
+tape nodes target by target (training, attention inspection), and
+`make_fused_forward` compiles the same math into batched matmuls over
+stacked parameter buffers (scoring via `predict_probs`, gradient-check
+loss evaluations). Tests hold the two to 1e-12 relative agreement.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from scipy.special import expit
 
 from . import numerics as nm
 from .dataset import TARGETS
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, DomainError
 from .numerics import ParamStore
 
 DEFAULT_STAGES = (
@@ -134,70 +136,6 @@ class ForwardResult:
 
 
 # ---------------------------------------------------------------------------
-# backends: the same wiring runs on tape nodes or raw arrays
-# ---------------------------------------------------------------------------
-
-class _GraphBackend:
-    def __init__(self, params: ParamStore):
-        self._params = params
-
-    def param(self, name: str):
-        return self._params[name]
-
-    def constant(self, arr: np.ndarray):
-        return nm.constant(arr)
-
-    dense = staticmethod(nm.dense_forward)
-    relu = staticmethod(nm.relu)
-    leaky_relu = staticmethod(nm.leaky_relu)
-    sigmoid = staticmethod(nm.sigmoid)
-    scaled_row_dot = staticmethod(nm.scaled_row_dot)
-    hstack = staticmethod(nm.hstack)
-    softmax_rows = staticmethod(nm.softmax_rows)
-    column = staticmethod(nm.column)
-    mul = staticmethod(nm.mul)
-    add = staticmethod(nm.add)
-
-
-class _ValueBackend:
-    def __init__(self, params: ParamStore):
-        self._params = params
-
-    def param(self, name: str):
-        return self._params[name].value
-
-    @staticmethod
-    def constant(arr):
-        return arr
-
-    dense = staticmethod(nm.dense_values)
-    relu = staticmethod(nm.relu_values)
-    leaky_relu = staticmethod(nm.leaky_relu_values)
-    sigmoid = staticmethod(nm.sigmoid_values)
-    softmax_rows = staticmethod(nm.softmax_rows_values)
-
-    @staticmethod
-    def scaled_row_dot(a, b, scale):
-        return (a * b).sum(axis=1, keepdims=True) * scale
-
-    @staticmethod
-    def hstack(cols):
-        return np.concatenate(cols, axis=1)
-
-    @staticmethod
-    def column(x, j):
-        return np.ascontiguousarray(x[:, j:j + 1])
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-
-# ---------------------------------------------------------------------------
 # attention primitives
 # ---------------------------------------------------------------------------
 
@@ -209,30 +147,29 @@ class FusionProjections:
     score_self: tuple[Callable, Callable]
 
 
-def intra_stage_attention(reps, g1, g2, g3, dim: int, ops=None):
+def intra_stage_attention(reps, g1, g2, g3, dim: int):
     """Aggregate one stage's tower representations into a corridor vector.
 
     Each representation scores itself via <g1(h), g2(h)> / sqrt(dim); the
     softmax of those scores weights the g3-projected representations. A
     single-target stage has nothing to attend over: alpha is exactly [1]
     and the output is just g3(h)."""
-    ops = ops or _DEFAULT_GRAPH_OPS
     rows = reps[0].shape[0]
     if len(reps) == 1:
-        alpha = ops.constant(np.ones((rows, 1)))
+        alpha = nm.constant(np.ones((rows, 1)))
         return g3(reps[0]), alpha
     scale = 1.0 / math.sqrt(dim)
-    scores = [ops.scaled_row_dot(g1(r), g2(r), scale) for r in reps]
-    alpha = ops.softmax_rows(ops.hstack(scores))
+    scores = [nm.scaled_row_dot(g1(r), g2(r), scale) for r in reps]
+    alpha = nm.softmax_rows(nm.hstack(scores))
     combined = None
     for m, r in enumerate(reps):
-        term = ops.mul(ops.column(alpha, m), g3(r))
-        combined = term if combined is None else ops.add(combined, term)
+        term = nm.mul(nm.column(alpha, m), g3(r))
+        combined = term if combined is None else nm.add(combined, term)
     return combined, alpha
 
 
 def inter_stage_fusion(e_in, h_target, projections: FusionProjections, dim: int,
-                       ops=None, beta_override=None):
+                       beta_override=None):
     """Fuse the incoming corridor vector with one destination tower.
 
     Both candidates score themselves the same way the source stage scores
@@ -240,28 +177,19 @@ def inter_stage_fusion(e_in, h_target, projections: FusionProjections, dim: int,
     representation is beta_0 * proj(e_in) + beta_1 * proj(h). The two
     projections are separate parameter sets. `beta_override` is a test
     hook pinning beta to a fixed pair."""
-    ops = ops or _DEFAULT_GRAPH_OPS
     if beta_override is not None:
         rows = e_in.shape[0]
-        beta = ops.constant(np.tile(np.asarray(beta_override, dtype=np.float64), (rows, 1)))
+        beta = nm.constant(np.tile(np.asarray(beta_override, dtype=np.float64), (rows, 1)))
     else:
         scale = 1.0 / math.sqrt(dim)
-        s_in = ops.scaled_row_dot(projections.score_in[0](e_in),
-                                  projections.score_in[1](e_in), scale)
-        s_self = ops.scaled_row_dot(projections.score_self[0](h_target),
-                                    projections.score_self[1](h_target), scale)
-        beta = ops.softmax_rows(ops.hstack([s_in, s_self]))
-    fused = ops.add(ops.mul(ops.column(beta, 0), projections.proj_in(e_in)),
-                    ops.mul(ops.column(beta, 1), projections.proj_self(h_target)))
+        s_in = nm.scaled_row_dot(projections.score_in[0](e_in),
+                                 projections.score_in[1](e_in), scale)
+        s_self = nm.scaled_row_dot(projections.score_self[0](h_target),
+                                   projections.score_self[1](h_target), scale)
+        beta = nm.softmax_rows(nm.hstack([s_in, s_self]))
+    fused = nm.add(nm.mul(nm.column(beta, 0), projections.proj_in(e_in)),
+                   nm.mul(nm.column(beta, 1), projections.proj_self(h_target)))
     return fused, beta
-
-
-class _BareGraphOps(_GraphBackend):
-    def __init__(self):
-        pass
-
-
-_DEFAULT_GRAPH_OPS = _BareGraphOps()
 
 
 # ---------------------------------------------------------------------------
@@ -346,28 +274,40 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
 # forward pass
 # ---------------------------------------------------------------------------
 
-def forward(params: ParamStore, config: MsisConfig, features: np.ndarray,
-            ops=None) -> ForwardResult:
-    """Run the full pipeline on a (batch, input_dim) feature matrix.
+# rows per fused-forward evaluation in predict_probs: the evaluator's scratch
+# buffers stay at a few MB, and compiling it is paid once, not per chunk
+PREDICT_CHUNK_ROWS = 1024
 
-    With the default backend the result holds tape nodes ready for a
-    backward sweep; pass a value backend (see forward_values) for plain
-    arrays."""
+
+def check_features(config: MsisConfig, features: np.ndarray) -> None:
+    """Reject a feature matrix the model cannot score: it must be a
+    non-empty, finite (batch, input_dim) array."""
     if features.ndim != 2 or features.shape[1] != config.input_dim:
         raise DimensionError(
             f"features {features.shape} do not match input_dim {config.input_dim}")
-    ops = ops or _GraphBackend(params)
-    P = ops.param
+    if features.shape[0] == 0:
+        raise DimensionError("features hold no rows")
+    if not np.isfinite(features).all():
+        raise DomainError("features hold NaN or infinite values")
+
+
+def forward(params: ParamStore, config: MsisConfig,
+            features: np.ndarray) -> ForwardResult:
+    """Run the full pipeline on a (batch, input_dim) feature matrix; the
+    result holds tape nodes ready for a backward sweep."""
+    check_features(config, features)
+    P = params.__getitem__
 
     def projection(name: str) -> Callable:
         # corridor projections rectify leakily: an exact-zero output row
         # would park every downstream pre-activation on its kink
         w, b = P(name + ".w"), P(name + ".b")
-        return lambda v: ops.leaky_relu(ops.dense(v, w, b))
+        return lambda v: nm.leaky_relu(nm.dense_forward(v, w, b))
 
-    shared = ops.constant(features)
+    shared = nm.constant(features)
     for i in range(len(config.shared_widths)):
-        shared = ops.relu(ops.dense(shared, P(f"shared.{i}.w"), P(f"shared.{i}.b")))
+        shared = nm.relu(nm.dense_forward(shared, P(f"shared.{i}.w"),
+                                          P(f"shared.{i}.b")))
 
     towers: dict[str, object] = {}
     for _, targets in config.stages:
@@ -375,9 +315,9 @@ def forward(params: ParamStore, config: MsisConfig, features: np.ndarray,
             v = shared
             last = len(config.tower_widths) - 1
             for i in range(len(config.tower_widths)):
-                v = ops.dense(v, P(f"tower.{t}.{i}.w"), P(f"tower.{t}.{i}.b"))
+                v = nm.dense_forward(v, P(f"tower.{t}.{i}.w"), P(f"tower.{t}.{i}.b"))
                 if i < last:
-                    v = ops.relu(v)
+                    v = nm.relu(v)
             towers[t] = v
 
     use_corridor = config.corridor_enabled and len(config.stages) > 1
@@ -401,14 +341,14 @@ def forward(params: ParamStore, config: MsisConfig, features: np.ndarray,
                     score_self=(projection(f"fuse.{t}.score_self.g1"),
                                 projection(f"fuse.{t}.score_self.g2")))
                 fused[t], betas[t] = inter_stage_fusion(
-                    e_in, towers[t], fp, config.corridor_dim, ops)
+                    e_in, towers[t], fp, config.corridor_dim)
             corridor[(prev_name, sname)] = CorridorState(
                 prev_name, sname, prev_e_ou, e_in, prev_alpha, betas)
         else:
             fused = {t: towers[t] for t in targets}
         for t in targets:
-            logits = ops.dense(fused[t], P(f"head.{t}.w"), P(f"head.{t}.b"))
-            probs[t] = ops.sigmoid(logits)
+            logits = nm.dense_forward(fused[t], P(f"head.{t}.w"), P(f"head.{t}.b"))
+            probs[t] = nm.sigmoid(logits)
             top[t] = fused[t]
         if use_corridor and si < len(config.stages) - 1:
             reps = [fused[t] if config.attention_input == "post_fusion" else towers[t]
@@ -420,53 +360,65 @@ def forward(params: ParamStore, config: MsisConfig, features: np.ndarray,
                 g1 = g2 = None
             prev_e_ou, prev_alpha = intra_stage_attention(
                 reps, g1, g2, projection(f"intra.{sname}.g3"),
-                config.corridor_dim, ops)
+                config.corridor_dim)
             prev_name = sname
     return ForwardResult(probs, corridor, top)
 
 
-def forward_values(params: ParamStore, config: MsisConfig,
-                   features: np.ndarray) -> ForwardResult:
-    """Forward pass on raw arrays: no tape, bit-identical values."""
-    return forward(params, config, features, ops=_ValueBackend(params))
+def predict_probs(params: ParamStore, config: MsisConfig,
+                  features: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-target probabilities as flat vectors, scored through the fused
+    forward PREDICT_CHUNK_ROWS rows at a time.
 
-
-def predict_probs(params: ParamStore, config: MsisConfig, features: np.ndarray,
-                  chunk: int = 8192) -> dict[str, np.ndarray]:
-    """Per-target probabilities as flat vectors, evaluated in chunks."""
-    outs: dict[str, list[np.ndarray]] = {t: [] for t in config.all_targets()}
-    for start in range(0, features.shape[0], chunk):
-        result = forward_values(params, config, features[start:start + chunk])
-        for t, p in result.probs.items():
-            outs[t].append(p.ravel())
-    return {t: np.concatenate(parts) for t, parts in outs.items()}
+    One evaluator is compiled over a chunk buffer and re-run as each chunk
+    is copied in, so the scratch memory stays small and is reused whatever
+    the input size; only a shorter final chunk compiles a second one."""
+    check_features(config, features)
+    n = features.shape[0]
+    probs = np.empty((len(config.all_targets()), n))
+    chunk = np.empty((min(n, PREDICT_CHUNK_ROWS), features.shape[1]))
+    run = None
+    for start in range(0, n, PREDICT_CHUNK_ROWS):
+        stop = min(start + PREDICT_CHUNK_ROWS, n)
+        if stop - start < chunk.shape[0]:
+            chunk, run = chunk[:stop - start], None
+        chunk[...] = features[start:stop]
+        if run is None:
+            run = make_fused_forward(params, config, chunk)
+        probs[:, start:stop] = run()
+    return {t: probs[i] for i, t in enumerate(config.all_targets())}
 
 
 def make_fused_forward(params: ParamStore, config: MsisConfig,
                        features: np.ndarray):
     """Compile a zero-argument evaluator of per-target probabilities for a
-    fixed feature matrix, returning a (n_targets, batch) array.
+    feature matrix of fixed shape, returning a (n_targets, batch) array.
+    Each call reads the matrix in place (unless it had to be copied to a
+    C-contiguous float64 array), so refilling it re-scores new rows.
 
     Same math as forward(), but all parameter lookups happen once, here:
     per-target projections run as batched matmuls over the stacked group
     buffers laid out by init_params (kept live by in-place parameter
     updates), and every intermediate writes into a preallocated buffer.
-    Gradient checking re-evaluates the loss twice per scalar parameter,
-    which makes this path worth its weight; agreement with the tape
-    forward is enforced by tests at 1e-12 relative."""
+    This is the path for every value-only evaluation: scoring through
+    predict_probs, and the gradient check, which re-evaluates the loss
+    twice per scalar parameter. Agreement with the tape forward is
+    enforced by tests at 1e-12 relative."""
     config.validate()
+    check_features(config, features)
     if f"head.w.{config.stages[0][0]}" not in params.groups:
         raise ContractError(
             "make_fused_forward needs group-buffered parameters from init_params")
     P = lambda name: params[name].value
     G = params.groups
     mm, add, mul, sub = np.matmul, np.add, np.multiply, np.subtract
-    x = np.ascontiguousarray(features)
+    x = np.ascontiguousarray(features, dtype=np.float64)
     b = x.shape[0]
     nt = len(config.all_targets())
     widths = config.tower_widths
     d = config.corridor_dim
     scale = 1.0 / math.sqrt(d)
+    ones_d = np.ones(d)  # row sums over d as matmuls: axis-2 .sum() is several times slower
     use_corridor = config.corridor_enabled and len(config.stages) > 1
     probs = np.empty((nt, b))
 
@@ -554,9 +506,9 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
                 add(h_proj, fself_b, out=h_proj)
                 leaky(h_proj, h_proj_s)
                 mul(e_proj[1::3], e_proj[2::3], out=prod)
-                prod.sum(axis=2, out=s_in)
+                mm(prod, ones_d, out=s_in)
                 mul(h_proj[:, 1], h_proj[:, 2], out=prod)
-                prod.sum(axis=2, out=s_self)
+                mm(prod, ones_d, out=s_self)
                 sub(s_in, s_self, out=s_in)
                 mul(s_in, scale, out=s_in)
                 expit(s_in, out=s_in)
@@ -587,7 +539,7 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
             add(g2, g2_b, out=g2)
             leaky(g2, g3_s)
             mul(g1, g2, out=g1)
-            g1.sum(axis=2, out=score)
+            mm(g1, ones_d, out=score)
             mul(score, scale, out=score)
             sub(score, score.max(axis=0), out=score)
             np.exp(score, out=score)
@@ -644,5 +596,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, MsisConfig]:
     values = {}
     for name, shape, flat in payload["params"]:
         values[name] = np.array(flat, dtype=np.float64).reshape(shape)
+        if not np.isfinite(values[name]).all():
+            raise ContractError(f"{path}: parameter {name!r} holds non-finite values")
     params.load_values(values)
     return params, config

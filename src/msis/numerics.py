@@ -3,9 +3,9 @@
 Everything is 64-bit and strictly two-dimensional: row vectors are (1, n),
 column vectors (n, 1), scalars (1, 1). The tape is rebuilt on every forward
 pass (dynamic graph); `backward_sweep` walks it once in reverse topological
-order. Plain-array `*_values` helpers mirror each graph op so that callers
-needing values only (evaluation, finite differences) can skip node
-construction entirely while producing bit-identical numbers.
+order. Each graph op computes its own forward value; value-only
+evaluation of the model skips the tape altogether and runs the model's
+fused forward (`model.make_fused_forward`).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from scipy.special import expit
 from .errors import ContractError, DimensionError, DomainError
 
 CLAMP_EPS = 1e-12
+LEAKY_SLOPE = 0.01
 
 
 def tensor2d(data) -> np.ndarray:
@@ -51,42 +52,6 @@ def constant(data) -> Node:
     return Node(tensor2d(data))
 
 
-# ---------------------------------------------------------------------------
-# value-level helpers (shared by graph ops and the fast value-only path)
-# ---------------------------------------------------------------------------
-
-def dense_values(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if x.shape[1] != w.shape[0]:
-        raise DimensionError(
-            f"dense: input {x.shape} does not conform with weight {w.shape}")
-    if b.shape != (1, w.shape[1]):
-        raise DimensionError(
-            f"dense: bias {b.shape} does not match weight {w.shape}")
-    return x @ w + b
-
-
-def relu_values(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-LEAKY_SLOPE = 0.01
-
-
-def leaky_relu_values(x: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
-    return np.maximum(x, slope * x)
-
-
-def sigmoid_values(x: np.ndarray) -> np.ndarray:
-    """Stable logistic, clamped to [eps, 1-eps] so downstream logs are safe."""
-    return np.clip(expit(x), CLAMP_EPS, 1.0 - CLAMP_EPS)
-
-
-def softmax_rows_values(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_vec(scores) -> np.ndarray:
     """Softmax of a 1-D score vector, computed with max-subtraction."""
     arr = np.asarray(scores, dtype=np.float64)
@@ -104,7 +69,13 @@ def softmax_vec(scores) -> np.ndarray:
 
 def dense_forward(x: Node, w: Node, b: Node) -> Node:
     """out = x @ w + b with b broadcast across rows."""
-    out = Node(dense_values(x.value, w.value, b.value), (x, w, b))
+    if x.shape[1] != w.shape[0]:
+        raise DimensionError(
+            f"dense: input {x.shape} does not conform with weight {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise DimensionError(
+            f"dense: bias {b.shape} does not match weight {w.shape}")
+    out = Node(x.value @ w.value + b.value, (x, w, b))
 
     def backward(g: np.ndarray) -> None:
         x.adjoint += g @ w.value.T
@@ -116,7 +87,7 @@ def dense_forward(x: Node, w: Node, b: Node) -> Node:
 
 
 def relu(x: Node) -> Node:
-    out = Node(relu_values(x.value), (x,))
+    out = Node(np.maximum(x.value, 0.0), (x,))
 
     def backward(g: np.ndarray) -> None:
         # symmetric subgradient 1/2 at exactly zero, where the central
@@ -130,7 +101,7 @@ def relu(x: Node) -> Node:
 def leaky_relu(x: Node, slope: float = LEAKY_SLOPE) -> Node:
     """max(x, slope*x): rectification that never flattens to an exact zero,
     so downstream layers cannot sit on a kink for whole rows."""
-    out = Node(leaky_relu_values(x.value, slope), (x,))
+    out = Node(np.maximum(x.value, slope * x.value), (x,))
 
     def backward(g: np.ndarray) -> None:
         base = (np.sign(x.value) + 1.0) * 0.5
@@ -141,7 +112,8 @@ def leaky_relu(x: Node, slope: float = LEAKY_SLOPE) -> Node:
 
 
 def sigmoid(x: Node) -> Node:
-    out = Node(sigmoid_values(x.value), (x,))
+    """Stable logistic, clamped to [eps, 1-eps] so downstream logs are safe."""
+    out = Node(np.clip(expit(x.value), CLAMP_EPS, 1.0 - CLAMP_EPS), (x,))
 
     def backward(g: np.ndarray) -> None:
         x.adjoint += g * (out.value * (1.0 - out.value))
@@ -229,17 +201,6 @@ def sum_all(x: Node) -> Node:
     return out
 
 
-def mean_all(x: Node) -> Node:
-    n = x.value.size
-    out = Node(np.array([[x.value.sum() / n]]), (x,))
-
-    def backward(g: np.ndarray) -> None:
-        x.adjoint += g[0, 0] / n
-
-    out.backward_fn = backward
-    return out
-
-
 def scaled_row_dot(a: Node, b: Node, scale: float) -> Node:
     """Per-row dot product scale * <a_i, b_i>, returned as a column."""
     if a.value.shape != b.value.shape:
@@ -280,22 +241,12 @@ def column(x: Node, j: int) -> Node:
 
 
 def softmax_rows(x: Node) -> Node:
-    s = softmax_rows_values(x.value)
+    e = np.exp(x.value - x.value.max(axis=1, keepdims=True))
+    s = e / e.sum(axis=1, keepdims=True)
     out = Node(s, (x,))
 
     def backward(g: np.ndarray) -> None:
         x.adjoint += s * (g - (g * s).sum(axis=1, keepdims=True))
-
-    out.backward_fn = backward
-    return out
-
-
-def gather_rows(x: Node, idx: np.ndarray) -> Node:
-    """Select rows by index; indices must be unique."""
-    out = Node(np.ascontiguousarray(x.value[idx]), (x,))
-
-    def backward(g: np.ndarray) -> None:
-        x.adjoint[idx] += g
 
     out.backward_fn = backward
     return out
@@ -362,7 +313,7 @@ class ParamStore:
         self._params: dict[str, Node] = {}
         # optional stacked storage: a parameter's value may be a contiguous
         # view into one of these buffers, letting vectorized forward paths
-        # read whole groups without restacking (see model.fused_forward_probs)
+        # read whole groups without restacking (see model.make_fused_forward)
         self.groups: dict[str, np.ndarray] = {}
 
     def add(self, name: str, value: np.ndarray) -> Node:

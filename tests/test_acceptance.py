@@ -2,11 +2,15 @@
 
 Each test prints a single PASS/FAIL line (run pytest with -s or check the
 captured output). The experiment criteria train real models at full scale
-and dominate the suite's runtime; everything is deterministic, so a green
+and dominate the suite's runtime, so their independent training runs are
+spread over two worker processes; everything is deterministic, so a green
 run stays green.
 """
 
+import dataclasses
+import functools
 import json
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -163,10 +167,18 @@ def test_criterion_4_attention_contracts():
 # ---------------------------------------------------------------------------
 
 ACCEPT_SEEDS = (0, 1, 2, 3, 4)
+ACCEPT_TRAIN_CFG = tr.TrainConfig(epochs=25, batch_size=64, patience=5,
+                                  seeds=ACCEPT_SEEDS)
+ACCEPT_LOSS_CFG = lo.LossConfig(unlabeled_reduction="sum")
+ABLATIONS = (ev.AblationVariant.NO_SEMI_SUPERVISED,
+             ev.AblationVariant.SINGLE_INTRA_TARGET,
+             ev.AblationVariant.ONE_AUXILIARY_STAGE,
+             ev.AblationVariant.NO_CORRIDOR)
+ABLATION_WINS_NEEDED = 3
 
 
-@pytest.fixture(scope="session")
-def funnel_world():
+@functools.lru_cache(maxsize=1)
+def _funnel_world():
     cfg = fs.SimConfig(n=100000, seed=0)
     population = fs.generate(cfg)
     counterfactuals = fs.counterfactual_table(population)
@@ -178,42 +190,53 @@ def funnel_world():
     return splits, counterfactuals
 
 
-@pytest.fixture(scope="session")
-def accept_train_cfg():
-    return tr.TrainConfig(epochs=25, batch_size=64, patience=5, seeds=ACCEPT_SEEDS)
-
-
 def _gb_row(params, model_cfg, splits, counterfactuals):
     out = ev.evaluate(params, model_cfg, splits.test, ev.FULL_POPULATION,
                       counterfactuals)
-    return {t: out[t] for t in GB_TARGETS}
+    return {t: out[t] for t in GB_TARGETS if t in out}
+
+
+def _experiment_run(job):
+    """One training run of the experiment, scored on the full out-of-time
+    population. ``job`` is ``(kind, seed index, target)``: kind "msis" is the
+    staged model (returns its GB row and history), "single" the single-task
+    baseline for ``target`` (returns its AUC), and an ablation variant's
+    value that variant's GB row. Runs are independent, so they are spread
+    over worker processes; each worker builds the (deterministic) world once."""
+    kind, si, target = job
+    splits, counterfactuals = _funnel_world()
+    seed = ACCEPT_SEEDS[si]
+    if kind == "msis":
+        model_cfg = mo.MsisConfig()
+        params, history = tr.train_run(model_cfg, ACCEPT_LOSS_CFG,
+                                       ACCEPT_TRAIN_CFG, splits, seed)
+        return si, (_gb_row(params, model_cfg, splits, counterfactuals), history)
+    if kind == "single":
+        params, _, cfg = bl.train_baseline(bl.BaselineKind.SINGLE_TASK, target,
+                                           splits, ACCEPT_TRAIN_CFG, seed)
+        return si, _gb_row(params, cfg, splits, counterfactuals)[target]
+    result = ev.ablate(ev.AblationVariant(kind), mo.MsisConfig(), ACCEPT_LOSS_CFG,
+                       dataclasses.replace(ACCEPT_TRAIN_CFG, seeds=(seed,)),
+                       splits, splits.test, counterfactuals)
+    return si, result.rows[0]
 
 
 @pytest.fixture(scope="session")
-def bias_experiment(funnel_world, accept_train_cfg):
+def bias_experiment():
     """Criterion 5's experiment: staged model and single-task baseline, five
     seeds each, scored on the full out-of-time population. Also feeds
     criteria 6 and 7 (histories, full-model rows)."""
-    splits, counterfactuals = funnel_world
-    model_cfg = mo.MsisConfig()
-    loss_cfg = lo.LossConfig(unlabeled_reduction="sum")
+    n = len(ACCEPT_SEEDS)
+    jobs = [("msis", si, None) for si in range(n)]
+    jobs += [("single", si, t) for si in range(n) for t in GB_TARGETS]
     start = time.perf_counter()
-    msis_rows = []
-    histories = []
-    for seed in ACCEPT_SEEDS:
-        params, history = tr.train_run(model_cfg, loss_cfg, accept_train_cfg,
-                                       splits, seed)
-        msis_rows.append(_gb_row(params, model_cfg, splits, counterfactuals))
-        histories.append(history)
-    single_rows = []
-    for seed in ACCEPT_SEEDS:
-        row = {}
-        for t in GB_TARGETS:
-            params, _, cfg = bl.train_baseline(bl.BaselineKind.SINGLE_TASK, t,
-                                               splits, accept_train_cfg, seed)
-            row[t] = _gb_row(params, cfg, splits, counterfactuals)[t]
-        single_rows.append(row)
+    with multiprocessing.Pool(2) as pool:
+        results = [r for _, r in pool.map(_experiment_run, jobs, chunksize=1)]
     elapsed = time.perf_counter() - start
+    msis_rows = [row for row, _ in results[:n]]
+    histories = [history for _, history in results[:n]]
+    singles = iter(results[n:])
+    single_rows = [{t: next(singles) for t in GB_TARGETS} for _ in range(n)]
     return msis_rows, single_rows, histories, elapsed
 
 
@@ -230,26 +253,39 @@ def test_criterion_5_bias_remediation(bias_experiment):
              f"(budget 600s)")
 
 
-def test_criterion_6_ablation_direction(bias_experiment, funnel_world,
-                                        accept_train_cfg):
-    splits, counterfactuals = funnel_world
-    msis_rows = bias_experiment[0]
-    full_means = np.array([np.mean(list(r.values())) for r in msis_rows])
-    model_cfg = mo.MsisConfig()
-    loss_cfg = lo.LossConfig(unlabeled_reduction="sum")
+def test_criterion_6_ablation_direction(bias_experiment):
+    """Every variant must lose to the full model on at least 3 of 5 seeds.
+    Once a variant has lost on 3 seeds the verdict is settled, so the
+    remaining runs are not trained."""
+    full_means = [np.mean(list(r.values())) for r in bias_experiment[0]]
+    n = len(ACCEPT_SEEDS)
     wins = {}
-    for variant in (ev.AblationVariant.NO_SEMI_SUPERVISED,
-                    ev.AblationVariant.SINGLE_INTRA_TARGET,
-                    ev.AblationVariant.ONE_AUXILIARY_STAGE,
-                    ev.AblationVariant.NO_CORRIDOR):
-        result = ev.ablate(variant, model_cfg, loss_cfg, accept_train_cfg,
-                           splits, splits.test, counterfactuals)
-        variant_means = np.array([np.mean(list(r.values())) for r in result.rows])
-        wins[variant.value] = int((full_means >= variant_means).sum())
+    settled_by = None
+    with multiprocessing.Pool(2) as pool:  # exiting terminates unneeded runs
+        for variant in ABLATIONS:
+            jobs = [(variant.value, si, None) for si in range(n)]
+            won = lost = 0
+            for si, row in pool.imap_unordered(_experiment_run, jobs):
+                if full_means[si] >= np.mean(list(row.values())):
+                    won += 1
+                else:
+                    lost += 1
+                if n - lost < ABLATION_WINS_NEEDED:
+                    break
+            wins[variant.value] = (won, won + lost)
+            if n - lost < ABLATION_WINS_NEEDED:
+                settled_by = variant.value
+                break
+    detail = ", ".join(f"{k} {w}/{d}" + ("" if d == n else " seeds run")
+                       for k, (w, d) in wins.items())
+    if settled_by is not None:
+        detail += (f"; {settled_by} can no longer reach {ABLATION_WINS_NEEDED}/{n},"
+                   " later variants not run")
     _verdict("criterion 6 (ablation direction)",
-             all(w >= 3 for w in wins.values()),
+             settled_by is None and all(w >= ABLATION_WINS_NEEDED
+                                        for w, _ in wins.values()),
              "full >= variant (mean full-population GB AUC, per seed): "
-             + ", ".join(f"{k} {v}/5" for k, v in wins.items()) + " (need 3/5)")
+             + detail + f" (need {ABLATION_WINS_NEEDED}/{n})")
 
 
 def test_criterion_7_entropy_minimization(bias_experiment):

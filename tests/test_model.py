@@ -5,12 +5,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from msis import baselines as bl
 from msis import dataset as ds
 from msis import funnel_sim as fs
 from msis import loss as ls
 from msis import model as M
 from msis import numerics as nm
-from msis.errors import ConfigError, ContractError, DimensionError
+from msis.errors import ConfigError, ContractError, DimensionError, DomainError
 
 
 def expected_param_count(cfg: M.MsisConfig) -> int:
@@ -142,13 +143,6 @@ class TestForward:
         with pytest.raises(DimensionError):
             M.forward(params, default_cfg, np.zeros((3, 31)))
 
-    def test_value_path_bit_identical(self, default_cfg, batch_64):
-        params = M.init_params(default_cfg, seed=6)
-        graph = M.forward(params, default_cfg, batch_64.features)
-        values = M.forward_values(params, default_cfg, batch_64.features)
-        for t in default_cfg.all_targets():
-            npt.assert_array_equal(graph.probs[t].value, values.probs[t])
-
     def test_fused_plan_matches_tape(self, batch_64):
         variants = [
             M.MsisConfig(),
@@ -160,6 +154,8 @@ class TestForward:
                                         ("gb", ("mob6",)))),
             dataclasses.replace(M.MsisConfig(), attention_input="pre_fusion"),
             M.MsisConfig().with_corridor_dim(4),
+            dataclasses.replace(M.MsisConfig(), shared_widths=()),
+            bl.baseline_model_config(bl.BaselineKind.SINGLE_TASK, "mob3"),
         ]
         for cfg in variants:
             params = M.init_params(cfg, seed=7)
@@ -169,6 +165,43 @@ class TestForward:
             for i, t in enumerate(cfg.all_targets()):
                 ref = tape.probs[t].value.ravel()
                 assert np.abs(fused[i] - ref).max() < 1e-12, (cfg, t)
+
+    def test_predict_probs_matches_tape(self, default_cfg):
+        params = M.init_params(default_cfg, seed=8)
+        rng = np.random.default_rng(3)
+        # one row; then two full chunks (the compiled evaluator is reused) and a tail
+        for rows in (1, 2 * M.PREDICT_CHUNK_ROWS + 37):
+            x = rng.normal(size=(rows, 32))
+            served = M.predict_probs(params, default_cfg, x)
+            tape = M.forward(params, default_cfg, x).probs
+            assert served.keys() == tape.keys()
+            for t, p in served.items():
+                ref = tape[t].value.ravel()
+                assert p.shape == (rows,)
+                assert (np.abs(p - ref) / ref).max() <= 1e-12, (rows, t)
+
+
+class TestFeatureChecks:
+    def _entry_points(self, params, cfg):
+        return (lambda x: M.forward(params, cfg, x),
+                lambda x: M.make_fused_forward(params, cfg, x),
+                lambda x: M.predict_probs(params, cfg, x))
+
+    def test_wrong_shape_is_dimension_error(self, default_cfg):
+        params = M.init_params(default_cfg, seed=0)
+        for call in self._entry_points(params, default_cfg):
+            for x in (np.zeros(32), np.zeros((3, 31)), np.zeros((0, 32))):
+                with pytest.raises(DimensionError):
+                    call(x)
+
+    def test_non_finite_features_are_domain_error(self, default_cfg):
+        params = M.init_params(default_cfg, seed=0)
+        for call in self._entry_points(params, default_cfg):
+            for bad in (np.nan, np.inf, -np.inf):
+                x = np.zeros((4, 32))
+                x[2, 5] = bad
+                with pytest.raises(DomainError):
+                    call(x)
 
 
 class TestInformationFlow:
@@ -310,6 +343,18 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ContractError):
             M.load_checkpoint(path)
+
+    def test_rejects_non_finite_values(self, default_cfg, tmp_path):
+        import json
+        params = M.init_params(default_cfg, seed=0)
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(params, default_cfg, path)
+        payload = json.loads(path.read_text())
+        for bad in (float("nan"), float("inf")):
+            payload["params"][2][2][0] = bad
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ContractError):
+                M.load_checkpoint(path)
 
     def test_rejects_name_mismatch(self, default_cfg, tmp_path):
         import json
