@@ -20,8 +20,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import baselines as bl
 from . import dataset as ds
 from . import evaluation as ev
@@ -458,10 +456,7 @@ def cmd_gradcheck(args) -> int:
     worst = 0.0
     lines = []
     for seed in cfg.train.seeds:
-        rng = np.random.default_rng(seed)
-        rows = [examples[i] for i in rng.choice(len(examples), args.batch,
-                                                replace=False)]
-        batch = ds.make_batch(rows)
+        batch = ds.covering_batch(examples, args.batch, seed)
         params = mo.init_params(cfg.model, seed)
         loss_fn = lambda: lo.total_loss(
             mo.forward(params, cfg.model, batch.features), batch, cfg.loss,
@@ -470,8 +465,11 @@ def cmd_gradcheck(args) -> int:
         report = nm.finite_diff_check(params, loss_fn, tol=args.tol,
                                       value_fn=value_fn)
         worst = max(worst, report.worst_rel_error)
+        labeled = {t: int(batch.masks[t].sum()) for t in ds.TARGETS}
+        coverage = " ".join(f"{t} {n}/{len(batch) - n}" for t, n in labeled.items())
+        lines.append(f"seed {seed}: rows labeled/unlabeled per target: {coverage}")
         lines.append(f"seed {seed}: {report}")
-        print(lines[-1])
+        print("\n".join(lines[-2:]))
     passed = worst < args.tol
     summary = f"worst over seeds: {worst:.3e} (tol {args.tol:g}) -> " \
         + ("PASS" if passed else "FAIL")

@@ -228,3 +228,33 @@ def batches(examples: list[Example], batch_size: int, seed: int,
         chunk = [examples[i] for i in order[start:start + batch_size]]
         out.append(make_batch(chunk))
     return out
+
+
+def covering_batch(examples: list[Example], size: int, seed: int) -> Batch:
+    """A seeded batch of `size` distinct rows that holds, for every target,
+    at least one labeled and one unlabeled row wherever `examples` has one.
+
+    Rows are taken in the order of one seeded permutation: first, for each
+    (target, labeled or unlabeled) class the batch still lacks, the earliest
+    row of that class; then the earliest rows not yet taken, until the
+    batch is full. Without the first step this is a uniform draw, and a
+    uniform draw of 64 rows often holds no labeled mob6 row at all (few
+    applicants are accepted, draw and reach month six), so a gradient check
+    on it never exercises that target's supervised term."""
+    if not 0 < size <= len(examples):
+        raise ConfigError(f"batch size must lie in [1, {len(examples)}], got {size}")
+    order = np.random.default_rng(seed).permutation(len(examples))
+    labeled = np.array([[ex.labels[t] is not None for t in TARGETS] for ex in examples])
+    chosen: list[int] = []
+    for j in range(len(TARGETS)):
+        for want in (True, False):
+            if not (labeled[chosen, j] == want).any():
+                hits = order[labeled[order, j] == want]
+                chosen.extend(hits[:1].tolist())
+    if len(chosen) > size:
+        raise ConfigError(
+            f"{size} rows cannot hold a labeled and an unlabeled row of every target; "
+            f"{len(chosen)} are needed")
+    taken = set(chosen)
+    chosen += [int(i) for i in order if i not in taken][:size - len(chosen)]
+    return make_batch([examples[i] for i in chosen])

@@ -10,8 +10,9 @@ way around.
 The wiring exists twice, each form written for its job: `forward` builds
 tape nodes target by target (training, attention inspection), and
 `make_fused_forward` compiles the same math into batched matmuls over
-stacked parameter buffers (scoring via `predict_probs`, gradient-check
-loss evaluations). Tests hold the two to 1e-12 relative agreement.
+stacked views of the flat parameter vector (scoring via `predict_probs`,
+gradient-check loss evaluations). Tests hold the two to 1e-12 relative
+agreement.
 """
 
 from __future__ import annotations
@@ -204,49 +205,27 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
     g1/g2 pair only when that stage has multiple targets), fusion
     parameters for every stage but the first.
 
-    Per-target tensors that vectorized paths consume together (tower
-    layers, heads, fusion projections) are laid out as contiguous views
-    into stacked group buffers; the parameters behave as ordinary named
-    2-D tensors everywhere else."""
+    The store is then packed into one flat vector. Per-target tensors that
+    vectorized paths consume together (tower layers, heads, fusion
+    projections) sit next to each other in it, and their stacked views are
+    the store's groups; the parameters behave as ordinary named 2-D
+    tensors everywhere else."""
     config.validate()
     ps = ParamStore(seed)
     targets = config.all_targets()
-    nt = len(targets)
     d = config.corridor_dim
-    rep_dim = config.rep_dim
     use_corridor = config.corridor_enabled and len(config.stages) > 1
-
-    dims = (rep_dim,) + config.tower_widths
-    for i in range(len(config.tower_widths)):
-        ps.groups[f"tower.w.{i}"] = np.empty((nt, dims[i], dims[i + 1]))
-        ps.groups[f"tower.b.{i}"] = np.empty((nt, 1, dims[i + 1]))
-    for sname, stargets in config.stages:
-        ns = len(stargets)
-        ps.groups[f"head.w.{sname}"] = np.empty((ns, config.tower_out_dim, 1))
-        ps.groups[f"head.b.{sname}"] = np.empty((ns, 1, 1))
-        if use_corridor and sname != config.stages[0][0]:
-            ps.groups[f"fuse_in.w.{sname}"] = np.empty((3 * ns, d, d))
-            ps.groups[f"fuse_in.b.{sname}"] = np.empty((3 * ns, 1, d))
-            ps.groups[f"fuse_self.w.{sname}"] = np.empty((ns, 3, d, d))
-            ps.groups[f"fuse_self.b.{sname}"] = np.empty((ns, 3, 1, d))
 
     prev = config.input_dim
     for i, width in enumerate(config.shared_widths):
         ps.add_dense(f"shared.{i}", prev, width)
         prev = width
-    ti = 0
-    for _, stargets in config.stages:
-        for t in stargets:
-            for i, width in enumerate(config.tower_widths):
-                ps.add_dense(f"tower.{t}.{i}", dims[i], width,
-                             slots=(ps.groups[f"tower.w.{i}"][ti],
-                                    ps.groups[f"tower.b.{i}"][ti]))
-            ti += 1
-    for sname, stargets in config.stages:
-        for j, t in enumerate(stargets):
-            ps.add_dense(f"head.{t}", config.tower_out_dim, 1,
-                         slots=(ps.groups[f"head.w.{sname}"][j],
-                                ps.groups[f"head.b.{sname}"][j]))
+    dims = (config.rep_dim,) + config.tower_widths
+    for t in targets:
+        for i, width in enumerate(config.tower_widths):
+            ps.add_dense(f"tower.{t}.{i}", dims[i], width)
+    for t in targets:
+        ps.add_dense(f"head.{t}", config.tower_out_dim, 1)
     if use_corridor:
         for si in range(len(config.stages) - 1):
             sname, stargets = config.stages[si]
@@ -255,18 +234,27 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
                 ps.add_dense(f"intra.{sname}.g2", d, d)
             ps.add_dense(f"intra.{sname}.g3", d, d)
             ps.add_dense(f"corridor.{sname}-{config.stages[si + 1][0]}.f", d, d)
-        for sname, stargets in config.stages[1:]:
-            wi, bi = ps.groups[f"fuse_in.w.{sname}"], ps.groups[f"fuse_in.b.{sname}"]
-            ws, bs = ps.groups[f"fuse_self.w.{sname}"], ps.groups[f"fuse_self.b.{sname}"]
-            for j, t in enumerate(stargets):
-                ps.add_dense(f"fuse.{t}.proj_in", d, d, slots=(wi[3 * j], bi[3 * j]))
-                ps.add_dense(f"fuse.{t}.proj_self", d, d, slots=(ws[j, 0], bs[j, 0]))
-                ps.add_dense(f"fuse.{t}.score_in.g1", d, d,
-                             slots=(wi[3 * j + 1], bi[3 * j + 1]))
-                ps.add_dense(f"fuse.{t}.score_in.g2", d, d,
-                             slots=(wi[3 * j + 2], bi[3 * j + 2]))
-                ps.add_dense(f"fuse.{t}.score_self.g1", d, d, slots=(ws[j, 1], bs[j, 1]))
-                ps.add_dense(f"fuse.{t}.score_self.g2", d, d, slots=(ws[j, 2], bs[j, 2]))
+        for _, stargets in config.stages[1:]:
+            for t in stargets:
+                for part in ("proj_in", "proj_self", "score_in.g1", "score_in.g2",
+                             "score_self.g1", "score_self.g2"):
+                    ps.add_dense(f"fuse.{t}.{part}", d, d)
+
+    stacks = {}
+    for p in ("w", "b"):
+        for i in range(len(config.tower_widths)):
+            stacks[f"tower.{p}.{i}"] = [f"tower.{t}.{i}.{p}" for t in targets]
+        for si, (sname, stargets) in enumerate(config.stages):
+            stacks[f"head.{p}.{sname}"] = [f"head.{t}.{p}" for t in stargets]
+            if use_corridor and si > 0:
+                stacks[f"fuse_in.{p}.{sname}"] = [
+                    f"fuse.{t}.{part}.{p}" for t in stargets
+                    for part in ("proj_in", "score_in.g1", "score_in.g2")]
+                stacks[f"fuse_self.{p}.{sname}"] = [
+                    [f"fuse.{t}.{part}.{p}" for part in
+                     ("proj_self", "score_self.g1", "score_self.g2")]
+                    for t in stargets]
+    ps.pack(stacks)
     return ps
 
 
@@ -397,9 +385,10 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
     C-contiguous float64 array), so refilling it re-scores new rows.
 
     Same math as forward(), but all parameter lookups happen once, here:
-    per-target projections run as batched matmuls over the stacked group
-    buffers laid out by init_params (kept live by in-place parameter
-    updates), and every intermediate writes into a preallocated buffer.
+    per-target projections run as batched matmuls over the store's groups,
+    the stacked views into its flat parameter vector that init_params lays
+    out (kept live because training updates that vector in place), and
+    every intermediate writes into a preallocated buffer.
     This is the path for every value-only evaluation: scoring through
     predict_probs, and the gradient check, which re-evaluates the loss
     twice per scalar parameter. Agreement with the tape forward is
@@ -408,7 +397,7 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
     check_features(config, features)
     if f"head.w.{config.stages[0][0]}" not in params.groups:
         raise ContractError(
-            "make_fused_forward needs group-buffered parameters from init_params")
+            "make_fused_forward needs the stacked parameter groups of init_params")
     P = lambda name: params[name].value
     G = params.groups
     mm, add, mul, sub = np.matmul, np.add, np.multiply, np.subtract

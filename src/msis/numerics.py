@@ -6,6 +6,11 @@ pass (dynamic graph); `backward_sweep` walks it once in reverse topological
 order. Each graph op computes its own forward value; value-only
 evaluation of the model skips the tape altogether and runs the model's
 fused forward (`model.make_fused_forward`).
+
+Trainable tensors live in a `ParamStore`, which packs all of them into
+one contiguous parameter vector and one gradient vector: each tensor's
+value and adjoint are reshaped views into those, so the optimizer updates
+the whole model with a few vector operations.
 """
 
 from __future__ import annotations
@@ -280,14 +285,19 @@ def backward_sweep(root: Node) -> None:
 
     Adjoints of all reachable nodes are zeroed first, then accumulated
     additively in reverse topological order, so after the sweep each node
-    holds exactly d(root)/d(node) for this graph.
+    holds exactly d(root)/d(node) for this graph. An adjoint that already
+    exists is zeroed in place: a parameter's adjoint is a view into its
+    store's gradient vector and must stay one.
     """
     if root.value.shape != (1, 1):
         raise ContractError(
             f"backward_sweep root must be a 1x1 scalar, got shape {root.value.shape}")
     order = _toposort(root)
     for node in order:
-        node.adjoint = np.zeros_like(node.value)
+        if node.adjoint is None:
+            node.adjoint = np.zeros_like(node.value)
+        else:
+            node.adjoint.fill(0.0)
     root.adjoint[0, 0] = 1.0
     for node in reversed(order):
         if node.backward_fn is not None:
@@ -299,46 +309,120 @@ def backward_sweep(root: Node) -> None:
 # ---------------------------------------------------------------------------
 
 class ParamStore:
-    """Named trainable tensors with deterministic, seeded initialization.
+    """Named trainable tensors with deterministic, seeded initialization,
+    stored in two contiguous float64 vectors.
 
     Weight matrices are drawn uniform(+-sqrt(6/(fan_in+fan_out))), biases
     start at zero. Insertion order is preserved and is part of the
     determinism contract: the same creation sequence under the same seed
     yields identical parameters.
+
+    Tensors are created one by one (`add`, `add_dense`), then `pack` lays
+    them all out in `values`, with their gradients at the same offsets in
+    `grads`. From then on every tensor's `Node.value` and `Node.adjoint`
+    are reshaped views into those two vectors, so a whole-model update
+    (`trainer.Adam`), zeroing, snapshot or restore is one vector operation.
+    `pack` can also stack runs of same-shaped tensors into `groups`, one
+    (*lead, *shape) view per run, which vectorized paths read without
+    restacking (see model.make_fused_forward). A store that was never
+    packed explicitly is packed on first use of its vectors.
+
+    Checkpoints keep the v1 per-name format: `load_values` copies each
+    named tensor into its view, whatever the layout.
     """
 
     def __init__(self, seed: int):
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self._params: dict[str, Node] = {}
-        # optional stacked storage: a parameter's value may be a contiguous
-        # view into one of these buffers, letting vectorized forward paths
-        # read whole groups without restacking (see model.make_fused_forward)
+        self._slices: dict[str, slice] = {}
+        self._values: np.ndarray | None = None
+        self._grads: np.ndarray | None = None
         self.groups: dict[str, np.ndarray] = {}
 
     def add(self, name: str, value: np.ndarray) -> Node:
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
+        if self._values is not None:
+            raise ContractError(f"cannot add {name!r}: the store is already packed")
         node = Node(tensor2d(value))
         self._params[name] = node
         return node
 
-    def add_dense(self, name: str, fan_in: int, fan_out: int,
-                  slots: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[Node, Node]:
-        """Create an initialized weight/bias pair; when group-buffer slots are
-        given, the parameters live inside them as views."""
+    def add_dense(self, name: str, fan_in: int, fan_out: int) -> tuple[Node, Node]:
+        """Create an initialized weight/bias pair."""
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         w = self._rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        if slots is None:
-            weight = self.add(name + ".w", w)
-            bias = self.add(name + ".b", np.zeros((1, fan_out)))
-        else:
-            w_slot, b_slot = slots
-            w_slot[...] = w
-            b_slot[...] = 0.0
-            weight = self.add(name + ".w", w_slot)
-            bias = self.add(name + ".b", b_slot)
+        weight = self.add(name + ".w", w)
+        bias = self.add(name + ".b", np.zeros((1, fan_out)))
         return weight, bias
+
+    def pack(self, stacks: dict[str, Sequence] | None = None) -> None:
+        """Move every tensor into the flat `values`/`grads` vectors.
+
+        stacks maps a group name to a (possibly nested) list of member
+        names of one shape; the members are laid out next to each other in
+        list order, and groups[name] becomes their (*lead, *shape) view,
+        lead being the nesting shape. The remaining tensors follow in
+        insertion order. Packing an already packed store without stacks
+        does nothing."""
+        if self._values is not None:
+            if stacks:
+                raise ContractError("the store is already packed")
+            return
+        order: list[str] = []
+        runs: dict[str, tuple[int, tuple[int, ...]]] = {}  # first index in order, lead
+        for group, members in (stacks or {}).items():
+            names = np.asarray(members, dtype=object)
+            shapes = {self._params[m].value.shape for m in names.flat}
+            if len(shapes) != 1:
+                raise ContractError(f"group {group!r} mixes shapes {sorted(shapes)}")
+            runs[group] = (len(order), names.shape)
+            order.extend(names.flat)
+        grouped = set(order)
+        if len(grouped) != len(order):
+            raise ContractError("a parameter is listed in more than one group")
+        order += [name for name in self._params if name not in grouped]
+
+        offset = 0
+        for name in order:
+            size = self._params[name].value.size
+            self._slices[name] = slice(offset, offset + size)
+            offset += size
+        self._values = np.empty(offset)
+        self._grads = np.zeros(offset)
+        for name in order:
+            node = self._params[name]
+            value = self._values[self._slices[name]].reshape(node.value.shape)
+            value[...] = node.value
+            adjoint = self._grads[self._slices[name]].reshape(node.value.shape)
+            if node.adjoint is not None:
+                adjoint[...] = node.adjoint
+            node.value, node.adjoint = value, adjoint
+
+        for group, (first, lead) in runs.items():
+            last = first + math.prod(lead) - 1
+            span = slice(self._slices[order[first]].start, self._slices[order[last]].stop)
+            shape = self._params[order[first]].value.shape
+            self.groups[group] = self._values[span].reshape(lead + shape)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every parameter scalar, one contiguous vector in layout order."""
+        self.pack()
+        return self._values
+
+    @property
+    def grads(self) -> np.ndarray:
+        """The adjoint of every parameter scalar, laid out like `values`."""
+        self.pack()
+        return self._grads
+
+    def as_named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-name views of a vector laid out like `values`."""
+        self.pack()
+        return {name: flat[self._slices[name]].reshape(node.value.shape)
+                for name, node in self._params.items()}
 
     def __getitem__(self, name: str) -> Node:
         return self._params[name]
@@ -359,11 +443,7 @@ class ParamStore:
         return sum(node.value.size for node in self._params.values())
 
     def zero_adjoints(self) -> None:
-        for node in self._params.values():
-            node.adjoint = np.zeros_like(node.value)
-
-    def copy_values(self) -> dict[str, np.ndarray]:
-        return {name: node.value.copy() for name, node in self._params.items()}
+        self.grads.fill(0.0)
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         if set(values) != set(self._params):
@@ -377,7 +457,7 @@ class ParamStore:
             if arr.shape != node.value.shape:
                 raise ContractError(
                     f"parameter {name!r}: shape {arr.shape} does not match {node.value.shape}")
-            # copy in place: values may be views into stacked group buffers
+            # copy in place: values are views into the flat vector
             node.value[...] = arr
 
 
@@ -422,7 +502,7 @@ def finite_diff_check(params: ParamStore, loss_fn: Callable[[], Node],
 
     params.zero_adjoints()
     backward_sweep(loss_fn())
-    adjoints = {name: node.adjoint.copy() for name, node in params.items()}
+    adjoints = params.as_named(params.grads.copy())
 
     worst = 0.0
     worst_name = ""

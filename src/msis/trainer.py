@@ -59,32 +59,31 @@ class TrainingDiverged(RuntimeError):
 
 
 class Adam:
-    """Adaptive-moment updates applied in place, so parameters aliased into
-    group buffers stay live."""
+    """Adaptive-moment updates over the store's flat parameter and gradient
+    vectors: one step is the same five element-wise updates, applied once
+    to the whole model, in place, so every view of the parameter vector
+    (named tensors, stacked groups) stays live."""
 
     def __init__(self, params: ParamStore, cfg: TrainConfig):
         self.params = params
         self.cfg = cfg
         self.t = 0
-        self._m = {name: np.zeros_like(node.value) for name, node in params.items()}
-        self._v = {name: np.zeros_like(node.value) for name, node in params.items()}
+        # a packed store keeps its two vectors for life
+        self._values, self._grads = params.values, params.grads
+        self._m = np.zeros_like(self._values)
+        self._v = np.zeros_like(self._values)
 
     def step(self) -> None:
         self.t += 1
         cfg = self.cfg
         bc1 = 1.0 - cfg.beta1 ** self.t
         bc2 = 1.0 - cfg.beta2 ** self.t
-        for name, node in self.params.items():
-            g = node.adjoint
-            if g is None:
-                continue
-            m = self._m[name]
-            v = self._v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            node.value -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+        g, m, v = self._grads, self._m, self._v
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        self._values -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
 
 
 @dataclass
@@ -148,7 +147,7 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
 
     history = TrainHistory()
     best_metric = -math.inf
-    best_values: dict[str, np.ndarray] | None = None
+    best_values = params.values.copy()
     for epoch in range(1, train_cfg.epochs + 1):
         loss_sum = 0.0
         sup_sums = {t: 0.0 for t in targets}
@@ -187,10 +186,10 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
         if metric > best_metric:
             best_metric = metric
             history.best_epoch = epoch
-            best_values = params.copy_values()
+            best_values[...] = params.values
         elif epoch - history.best_epoch >= train_cfg.patience:
             break
-    params.load_values(best_values)
+    params.values[...] = best_values
     return params, history
 
 

@@ -42,9 +42,7 @@ def _verdict(name: str, passed: bool, detail: str) -> None:
 def _gradcheck_worst(seed: int) -> float:
     examples = fs.observe(fs.generate(fs.SimConfig(n=400, seed=12)))
     examples = ds.Standardizer.fit(examples).apply(examples)
-    rng = np.random.default_rng(seed)
-    rows = [examples[i] for i in rng.choice(len(examples), 64, replace=False)]
-    batch = ds.make_batch(rows)
+    batch = ds.covering_batch(examples, 64, seed)
     labeled = int((batch.masks["mob6"] == 1.0).sum())
     assert 0 < labeled < 64, "batch must mix labeled and unlabeled rows"
     model_cfg = mo.MsisConfig()

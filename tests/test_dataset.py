@@ -168,3 +168,45 @@ class TestBatches:
     def test_bad_batch_size(self, examples_1k):
         with pytest.raises(ConfigError):
             ds.batches(examples_1k[:10], 0, seed=0)
+
+
+class TestCoveringBatch:
+    @pytest.fixture(scope="class")
+    def sparse_world(self):
+        # few rows reach a mob6 label: a uniform 64-row draw often has none
+        return fs.observe(fs.generate(fs.SimConfig(n=400, seed=12)))
+
+    def test_covers_every_target(self, sparse_world):
+        labeled = {t: sum(ex.labels[t] is not None for ex in sparse_world)
+                   for t in ds.TARGETS}
+        for seed in range(5):
+            batch = ds.covering_batch(sparse_world, 64, seed)
+            assert len(batch) == 64
+            for t in ds.TARGETS:
+                n_lab = int(batch.masks[t].sum())
+                assert n_lab >= min(1, labeled[t]), (seed, t)
+                assert 64 - n_lab >= min(1, len(sparse_world) - labeled[t]), (seed, t)
+
+    def test_distinct_rows_and_seeded(self, sparse_world):
+        a = ds.covering_batch(sparse_world, 64, seed=3)
+        b = ds.covering_batch(sparse_world, 64, seed=3)
+        c = ds.covering_batch(sparse_world, 64, seed=4)
+        npt.assert_array_equal(a.features, b.features)
+        assert not np.array_equal(a.features, c.features)
+        assert len(np.unique(a.features, axis=0)) == 64
+
+    def test_missing_class_is_skipped(self):
+        rejected = [ds.Example(i, 0, np.full(3, float(i)),
+                               {"credit": False, **{t: None for t in ds.TARGETS[1:]}})
+                    for i in range(5)]
+        batch = ds.covering_batch(rejected, 3, seed=0)
+        assert len(batch) == 3
+        for t in ds.TARGETS[1:]:
+            assert batch.masks[t].sum() == 0.0
+
+    def test_bad_sizes(self, sparse_world):
+        for size in (0, len(sparse_world) + 1):
+            with pytest.raises(ConfigError):
+                ds.covering_batch(sparse_world, size, seed=0)
+        with pytest.raises(ConfigError, match="are needed"):
+            ds.covering_batch(sparse_world, 1, seed=0)

@@ -87,6 +87,62 @@ class TestInitParams:
             M.init_params(dataclasses.replace(M.MsisConfig(), tower_widths=(16, 4)), 0)
 
 
+def _offset(flat: np.ndarray, view: np.ndarray) -> int:
+    """Index in `flat` of the first scalar of `view`, a view into it."""
+    start = view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]
+    return start // flat.itemsize
+
+
+LAYOUT_VARIANTS = [
+    M.MsisConfig(),
+    dataclasses.replace(M.MsisConfig(), corridor_enabled=False),
+    dataclasses.replace(M.MsisConfig(), shared_widths=()),
+    bl.baseline_model_config(bl.BaselineKind.SINGLE_TASK, "mob6"),
+]
+
+
+class TestParamLayout:
+    @pytest.mark.parametrize("cfg", LAYOUT_VARIANTS)
+    def test_views_tile_the_flat_vectors(self, cfg):
+        params = M.init_params(cfg, seed=3)
+        values, grads = params.values, params.grads
+        tensors = {}
+        for name, node in params.items():
+            assert np.shares_memory(node.value, values), name
+            assert np.shares_memory(node.adjoint, grads), name
+            start = _offset(values, node.value)
+            assert _offset(grads, node.adjoint) == start, name
+            assert node.value.flags.c_contiguous and node.adjoint.flags.c_contiguous
+            tensors[start] = (name, node.value.shape, node.value.size)
+        # no two tensors overlap and together they fill both vectors exactly
+        spans = sorted((start, start + size) for start, (_, _, size) in tensors.items())
+        assert spans[0][0] == 0
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        assert spans[-1][1] == values.size == grads.size == params.n_scalars() \
+            == expected_param_count(cfg)
+        # every group stacks whole named tensors of the store
+        assert params.groups
+        for key, group in params.groups.items():
+            assert np.shares_memory(group, values), key
+            lead = group.shape[:-2]
+            for idx in np.ndindex(lead):
+                member = group[idx]
+                name, shape, _ = tensors[_offset(values, member)]
+                assert member.shape == shape, (key, idx, name)
+
+    def test_load_values_reaches_the_fused_path(self, default_cfg):
+        params = M.init_params(default_cfg, seed=0)
+        source = M.init_params(default_cfg, seed=1)
+        params.load_values({name: node.value for name, node in source.items()})
+        assert params.values.tobytes() == source.values.tobytes()
+        x = np.random.default_rng(4).normal(size=(50, 32))
+        served = M.predict_probs(params, default_cfg, x)
+        tape = M.forward(source, default_cfg, x).probs
+        for t, p in served.items():
+            ref = tape[t].value.ravel()
+            assert (np.abs(p - ref) / ref).max() <= 1e-12, t
+
+
 class TestForward:
     def test_probabilities_and_simplices(self, default_cfg, batch_64):
         params = M.init_params(default_cfg, seed=1)
@@ -331,6 +387,21 @@ class TestCheckpoint:
         npt.assert_array_equal(
             M.predict_probs(params, default_cfg, x)["mob6"],
             M.predict_probs(loaded, cfg, x)["mob6"])
+
+    def test_reversed_entries_load_identically(self, default_cfg, tmp_path):
+        import json
+        params = M.init_params(default_cfg, seed=13)
+        params.values[...] = np.random.default_rng(2).normal(size=params.values.size)
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(params, default_cfg, path)
+        payload = json.loads(path.read_text())
+        payload["params"].reverse()
+        path.write_text(json.dumps(payload))
+        loaded, _ = M.load_checkpoint(path)
+        assert loaded.names() == params.names()
+        assert loaded.values.tobytes() == params.values.tobytes()
+        for (_, a), (_, b) in zip(params.items(), loaded.items()):
+            assert a.value.tobytes() == b.value.tobytes()
 
     def test_rejects_shape_mismatch(self, default_cfg, tmp_path):
         import json

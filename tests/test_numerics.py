@@ -205,6 +205,31 @@ class TestParamStore:
         with pytest.raises(ContractError):
             ps.load_values({"y": np.zeros((2, 2))})
 
+    def test_pack_rejects_mixed_groups_and_late_adds(self):
+        ps = nm.ParamStore(0)
+        ps.add_dense("a", 2, 3)
+        ps.add_dense("b", 3, 3)
+        with pytest.raises(ContractError, match="mixes shapes"):
+            ps.pack({"g": ["a.w", "b.w"]})
+        with pytest.raises(ContractError, match="more than one group"):
+            ps.pack({"g": ["a.b", "b.b"], "h": ["b.b"]})
+        ps.pack({"g": ["a.b", "b.b"]})
+        assert ps.groups["g"].shape == (2, 1, 3)
+        with pytest.raises(ContractError, match="already packed"):
+            ps.add("c", np.zeros((1, 1)))
+
+    def test_sweep_writes_into_the_gradient_vector(self):
+        ps = nm.ParamStore(0)
+        w, b = ps.add_dense("l", 3, 2)
+        ps.pack()
+        x = nm.constant(np.ones((4, 3)))
+        for _ in range(2):  # the second sweep zeroes the views in place
+            nm.backward_sweep(nm.sum_all(nm.dense_forward(x, w, b)))
+        assert np.shares_memory(w.adjoint, ps.grads)
+        assert np.shares_memory(b.adjoint, ps.grads)
+        npt.assert_array_equal(ps.as_named(ps.grads)["l.b"], [[4.0, 4.0]])
+        npt.assert_array_equal(ps.grads, np.full(8, 4.0))
+
 
 class TestFiniteDiffCheck:
     def test_square_function(self):

@@ -130,6 +130,69 @@ class TestTrainRun:
             T.TrainConfig(seeds=()).validate()
 
 
+class LoopAdam:
+    """The per-tensor Adam loop that the flat-vector step replaced: the
+    oracle for Adam.step."""
+
+    def __init__(self, params, cfg):
+        self.params, self.cfg, self.t = params, cfg, 0
+        self.m = {name: np.zeros_like(node.value) for name, node in params.items()}
+        self.v = {name: np.zeros_like(node.value) for name, node in params.items()}
+
+    def step(self):
+        self.t += 1
+        cfg = self.cfg
+        bc1 = 1.0 - cfg.beta1 ** self.t
+        bc2 = 1.0 - cfg.beta2 ** self.t
+        for name, node in self.params.items():
+            g, m, v = node.adjoint, self.m[name], self.v[name]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * (g * g)
+            node.value -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+
+
+class TestAdam:
+    def test_flat_step_matches_per_tensor_loop(self):
+        cfg = T.TrainConfig(learning_rate=3e-3)
+        fused, looped = M.init_params(M.MsisConfig(), 4), M.init_params(M.MsisConfig(), 4)
+        adam, oracle = T.Adam(fused, cfg), LoopAdam(looped, cfg)
+        frozen = "intra.ws.g1.w"  # its gradient stays zero throughout
+        frozen_start = fused[frozen].value.copy()
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            for name, node in fused.items():
+                g = 0.0 if name == frozen else rng.normal(size=node.value.shape)
+                node.adjoint[...] = g
+                looped[name].adjoint[...] = g
+            adam.step()
+            oracle.step()
+        m, v = fused.as_named(adam._m), fused.as_named(adam._v)
+        for name, node in fused.items():
+            assert node.value.tobytes() == looped[name].value.tobytes(), name
+            assert m[name].tobytes() == oracle.m[name].tobytes(), name
+            assert v[name].tobytes() == oracle.v[name].tobytes(), name
+        assert fused[frozen].value.tobytes() == frozen_start.tobytes()
+        assert not np.array_equal(fused["intra.ws.g2.w"].value,
+                                  M.init_params(M.MsisConfig(), 4)["intra.ws.g2.w"].value)
+
+
+# per-epoch train_loss of the run below, recorded with the per-tensor Adam
+# loop and per-tensor parameter storage that the flat store replaced
+PINNED_TRAIN_LOSS = [1.4612907511614064, 1.0130146986410151,
+                     0.8143424145260282, 0.8152919226820146]
+
+
+def test_loss_trajectory_pinned(sim_splits):
+    # a relative tolerance, not a digest: a change that only reorders a sum
+    # moves the last digits, a broken gradient or update moves far more
+    cfg = T.TrainConfig(epochs=4, patience=3, batch_size=64, seeds=(0,))
+    _, history = T.train_run(M.MsisConfig(), L.LossConfig(), cfg, sim_splits, seed=5)
+    npt.assert_allclose([rec.train_loss for rec in history.epochs],
+                        PINNED_TRAIN_LOSS, rtol=1e-9, atol=0.0)
+
+
 class TestRepeatExperiment:
     def test_five_seeds_five_rows(self, sim_splits):
         cfg = T.TrainConfig(epochs=2, patience=1, batch_size=512,
