@@ -1,16 +1,17 @@
 """Training objective: masked supervised cross-entropy per target, an
 entropy penalty on unlabeled rows, and the stage-weighted total.
 
-The whole objective is one weighted sum over a (batch, n_targets) matrix
-of probabilities: each labeled row weights log p and log(1-p) by its
-label, each unlabeled row weights the binary entropy, and every
-normalizer (labeled count, gamma, unlabeled reduction, targets per stage,
-stage weight) is folded into the weights. `loss_weights` builds them once
-per batch, for the tape loss and the fast value-only loss alike, so the
-graph's shapes depend on the batch size alone, never on its label
-pattern. Labels enter through np.where(mask, labels, 0): the NaN poison
-behind a zero mask never reaches a product, so it cannot leak into a
-gradient, while a NaN under a set mask raises ContractError.
+The whole objective is one weighted sum over the (n_targets, batch)
+matrix of probabilities that the forward pass stacks: each labeled row
+weights log p and log(1-p) by its label, each unlabeled row weights the
+binary entropy, and every normalizer (labeled count, gamma, unlabeled
+reduction, targets per stage, stage weight) is folded into the weights.
+`loss_weights` builds them once per batch, for the tape loss and the fast
+value-only loss alike, so the graph's shapes depend on the batch size
+alone, never on its label pattern. Labels enter through
+np.where(mask, labels, 0): the NaN poison behind a zero mask never
+reaches a product, so it cannot leak into a gradient, while a NaN under
+a set mask raises ContractError.
 
 The entropy term reads probabilities alone: pushing unlabeled predictions
 away from 0.5 is what lets the selection-censored stages say something
@@ -89,9 +90,10 @@ class LossBreakdown:
 class LossWeights:
     """Per-row weights of one batch's loss terms.
 
-    pos, neg and unl are (batch, n_targets), columns in stage order: the
-    label on labeled rows, one minus it, and one on unlabeled rows, each
-    zero elsewhere. A target's supervised loss is
+    pos, neg and unl are (n_targets, batch), targets in stage order as in
+    the forward pass's stacked probabilities: the label on labeled rows,
+    one minus it, and one on unlabeled rows, each zero elsewhere. A
+    target's supervised loss is
     -sum(pos log p + neg log(1-p)) / max(labeled, 1) and its entropy term
     -sum(unl (p log p + (1-p) log(1-p))) / ent_div."""
 
@@ -111,8 +113,8 @@ class LossWeights:
         combined in the order the chain rule combines them through a sum of
         per-target means, which keeps training gradients bit-identical to
         that formulation."""
-        sup = -self.stage_coef / np.maximum(self.labeled, 1)
-        ent = -(self.stage_coef * self.gamma) / self.ent_div
+        sup = (-self.stage_coef / np.maximum(self.labeled, 1))[:, None]
+        ent = (-(self.stage_coef * self.gamma) / self.ent_div)[:, None]
         return self.pos * sup, self.neg * sup, self.unl * ent
 
     @property
@@ -126,13 +128,13 @@ def loss_weights(batch: Batch, config: LossConfig,
     label under a set mask."""
     config.validate()
     targets = tuple(t for _, stage_targets in stages for t in stage_targets)
-    masks = np.stack([batch.masks[t] for t in targets], axis=1)
+    masks = np.stack([batch.masks[t] for t in targets])
     obs, unobs = masks == 1.0, masks == 0.0
-    y = np.where(obs, np.stack([batch.labels[t] for t in targets], axis=1), 0.0)
+    y = np.where(obs, np.stack([batch.labels[t] for t in targets]), 0.0)
     if not np.isfinite(y).all():
-        bad = [t for t, ok in zip(targets, np.isfinite(y).all(axis=0)) if not ok]
+        bad = [t for t, ok in zip(targets, np.isfinite(y).all(axis=1)) if not ok]
         raise ContractError(f"poisoned label consumed for targets {bad}")
-    labeled, unlabeled = obs.sum(axis=0), unobs.sum(axis=0)
+    labeled, unlabeled = obs.sum(axis=1), unobs.sum(axis=1)
     ent_div = (np.maximum(unlabeled, 1.0) if config.unlabeled_reduction == "mean"
                else np.ones(len(targets)))
     stage_coef = np.array([(1.0 / len(stage_targets)) * config.stage_weight(sname)
@@ -149,10 +151,11 @@ def loss_weights(batch: Batch, config: LossConfig,
 def total_loss(result, batch: Batch, config: LossConfig,
                stages: tuple[tuple[str, tuple[str, ...]], ...]) -> LossBreakdown:
     """Per target: supervised + gamma * entropy; targets average within their
-    stage; stages combine under the configured weights."""
+    stage; stages combine under the configured weights. Reads the forward
+    result's stacked (n_targets, batch) probabilities."""
     w = loss_weights(batch, config, stages)
     w_p, w_q, w_ent = w.folded()
-    p = nm.hstack([result.probs[t] for t in w.targets])
+    p = result.stacked
     q = nm.affine(p, -1.0, 1.0)
     log_p, log_q = nm.log(p), nm.log(q)
     terms = nm.add(nm.mul_const(log_p, w_p), nm.mul_const(log_q, w_q))
@@ -162,9 +165,9 @@ def total_loss(result, batch: Batch, config: LossConfig,
     total = nm.sum_all(terms)
 
     # the training log's per-target numbers, from values outside the tape
-    supervised = -(w.pos * log_p.value + w.neg * log_q.value).sum(axis=0) \
+    supervised = -(w.pos * log_p.value + w.neg * log_q.value).sum(axis=1) \
         / np.maximum(w.labeled, 1)
-    entropy = -(w.unl * (p.value * log_p.value + q.value * log_q.value)).sum(axis=0) \
+    entropy = -(w.unl * (p.value * log_p.value + q.value * log_q.value)).sum(axis=1) \
         / w.ent_div
     per_target = {t: TargetLoss(float(supervised[i]), float(entropy[i]),
                                 int(w.labeled[i]), int(w.unlabeled[i]))
@@ -188,8 +191,7 @@ def make_fast_loss_value_fn(params, model_cfg: MsisConfig, loss_cfg: LossConfig,
     a hundred thousand loss evaluations; this is the path that makes that
     affordable."""
     w = loss_weights(batch, loss_cfg, model_cfg.stages)
-    # the fused forward returns (n_targets, batch)
-    w_p, w_q, w_ent = (np.ascontiguousarray(a.T) for a in w.folded())
+    w_p, w_q, w_ent = w.folded()
     need_entropy = w.needs_entropy
     forward_plan = make_fused_forward(params, model_cfg, batch.features)
     shape = w_p.shape

@@ -7,12 +7,14 @@ and fused into every target of the next stage by inter-stage attention,
 so later stages can read earlier interaction signals but never the other
 way around.
 
-The wiring exists twice, each form written for its job: `forward` builds
-tape nodes target by target (training, attention inspection), and
-`make_fused_forward` compiles the same math into batched matmuls over
-stacked views of the flat parameter vector (scoring via `predict_probs`,
-gradient-check loss evaluations). Tests hold the two to 1e-12 relative
-agreement.
+Both passes compute on stacked tensors: every target's tower, head and
+fusion is one batched matmul over a group of the flat parameter store,
+with activations shaped (n_targets, batch, d). `forward` records that on
+the tape (training, attention inspection); `make_fused_forward` compiles
+the same math into preallocated buffers with no tape (scoring via
+`predict_probs`, gradient-check loss evaluations), because a value-only
+evaluation there costs a fraction of building tape nodes. Tests hold the
+two to 1e-12 relative agreement.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -117,9 +118,12 @@ class MsisConfig:
 class CorridorState:
     """Attention bookkeeping for one stage pair, batch-shaped.
 
-    alpha has one column per source-stage target; betas holds one (rows, 2)
-    simplex per destination target, column 0 weighting the incoming
-    corridor vector and column 1 the target's own tower."""
+    e_ou (the source stage's corridor vector) and e_in (its transform) are
+    tape nodes. alpha has one column per source-stage target; betas holds
+    one (rows, 2) simplex per destination target, column 0 weighting the
+    incoming corridor vector and column 1 the target's own tower. alpha
+    and betas are batch-major copies of the stacked attention weights on
+    the tape, for reading only."""
 
     src: str
     dst: str
@@ -131,71 +135,33 @@ class CorridorState:
 
 @dataclass
 class ForwardResult:
-    probs: dict[str, object]
+    probs: dict[str, object]   # target -> (rows, 1) node
     corridor: dict[tuple[str, str], CorridorState]
-    top: dict[str, object]
+    stacked: object            # (n_targets, rows) node, targets in stage order
 
 
-# ---------------------------------------------------------------------------
-# attention primitives
-# ---------------------------------------------------------------------------
+def attend(keys, queries, values, dim: int):
+    """Attention over the leading axis of stacked candidates.
 
-@dataclass
-class FusionProjections:
-    proj_in: Callable       # applied to the incoming corridor vector
-    proj_self: Callable     # applied to the target's own tower
-    score_in: tuple[Callable, Callable]
-    score_self: tuple[Callable, Callable]
-
-
-def intra_stage_attention(reps, g1, g2, g3, dim: int):
-    """Aggregate one stage's tower representations into a corridor vector.
-
-    Each representation scores itself via <g1(h), g2(h)> / sqrt(dim); the
-    softmax of those scores weights the g3-projected representations. A
-    single-target stage has nothing to attend over: alpha is exactly [1]
-    and the output is just g3(h)."""
-    rows = reps[0].shape[0]
-    if len(reps) == 1:
-        alpha = nm.constant(np.ones((rows, 1)))
-        return g3(reps[0]), alpha
-    scale = 1.0 / math.sqrt(dim)
-    scores = [nm.scaled_row_dot(g1(r), g2(r), scale) for r in reps]
-    alpha = nm.softmax_rows(nm.hstack(scores))
-    combined = None
-    for m, r in enumerate(reps):
-        term = nm.mul(nm.column(alpha, m), g3(r))
-        combined = term if combined is None else nm.add(combined, term)
-    return combined, alpha
-
-
-def inter_stage_fusion(e_in, h_target, projections: FusionProjections, dim: int,
-                       beta_override=None):
-    """Fuse the incoming corridor vector with one destination tower.
-
-    Both candidates score themselves the same way the source stage scores
-    its towers; the softmax over the two scores gives beta, and the fused
-    representation is beta_0 * proj(e_in) + beta_1 * proj(h). The two
-    projections are separate parameter sets. `beta_override` is a test
-    hook pinning beta to a fixed pair."""
-    if beta_override is not None:
-        rows = e_in.shape[0]
-        beta = nm.constant(np.tile(np.asarray(beta_override, dtype=np.float64), (rows, 1)))
-    else:
-        scale = 1.0 / math.sqrt(dim)
-        s_in = nm.scaled_row_dot(projections.score_in[0](e_in),
-                                 projections.score_in[1](e_in), scale)
-        s_self = nm.scaled_row_dot(projections.score_self[0](h_target),
-                                   projections.score_self[1](h_target), scale)
-        beta = nm.softmax_rows(nm.hstack([s_in, s_self]))
-    fused = nm.add(nm.mul(nm.column(beta, 0), projections.proj_in(e_in)),
-                   nm.mul(nm.column(beta, 1), projections.proj_self(h_target)))
-    return fused, beta
+    Candidate i scores each row by <keys_i, queries_i> / sqrt(dim); the
+    softmax of the scores over the candidates weights the values_i. Returns
+    the weighted sum and the (n_candidates, ..., 1) weights. Intra-stage
+    attention runs it over a stage's targets, inter-stage fusion over the
+    pair (incoming corridor vector, own tower) of every destination target
+    at once."""
+    weights = nm.softmax(nm.row_dot(keys, queries, 1.0 / math.sqrt(dim)), axis=0)
+    return nm.sum_axis(nm.mul(weights, values), axis=0), weights
 
 
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
+
+# each fusion side's three projections, in the order of their group's lead
+# axis: the candidate itself, then the two that score it
+FUSE_IN_PARTS = ("proj_in", "score_in.g1", "score_in.g2")
+FUSE_SELF_PARTS = ("proj_self", "score_self.g1", "score_self.g2")
+
 
 def init_params(config: MsisConfig, seed: int) -> ParamStore:
     """Create every trainable tensor, in a fixed order, from one seed.
@@ -206,10 +172,11 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
     parameters for every stage but the first.
 
     The store is then packed into one flat vector. Per-target tensors that
-    vectorized paths consume together (tower layers, heads, fusion
-    projections) sit next to each other in it, and their stacked views are
-    the store's groups; the parameters behave as ordinary named 2-D
-    tensors everywhere else."""
+    the forward passes consume together sit next to each other in it, and
+    their stacked views are the store's groups: tower layer i and the
+    heads over all targets, (n_targets, ...); each fusion side of a stage,
+    (3 parts, n_stage_targets, ...). Checkpoints and every other reader
+    see ordinary named 2-D tensors."""
     config.validate()
     ps = ParamStore(seed)
     targets = config.all_targets()
@@ -244,16 +211,12 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
     for p in ("w", "b"):
         for i in range(len(config.tower_widths)):
             stacks[f"tower.{p}.{i}"] = [f"tower.{t}.{i}.{p}" for t in targets]
-        for si, (sname, stargets) in enumerate(config.stages):
-            stacks[f"head.{p}.{sname}"] = [f"head.{t}.{p}" for t in stargets]
-            if use_corridor and si > 0:
-                stacks[f"fuse_in.{p}.{sname}"] = [
-                    f"fuse.{t}.{part}.{p}" for t in stargets
-                    for part in ("proj_in", "score_in.g1", "score_in.g2")]
-                stacks[f"fuse_self.{p}.{sname}"] = [
-                    [f"fuse.{t}.{part}.{p}" for part in
-                     ("proj_self", "score_self.g1", "score_self.g2")]
-                    for t in stargets]
+        stacks[f"head.{p}"] = [f"head.{t}.{p}" for t in targets]
+        if use_corridor:
+            for sname, stargets in config.stages[1:]:
+                for side, parts in (("in", FUSE_IN_PARTS), ("self", FUSE_SELF_PARTS)):
+                    stacks[f"fuse_{side}.{p}.{sname}"] = [
+                        [f"fuse.{t}.{part}.{p}" for t in stargets] for part in parts]
     ps.pack(stacks)
     return ps
 
@@ -282,75 +245,68 @@ def check_features(config: MsisConfig, features: np.ndarray) -> None:
 def forward(params: ParamStore, config: MsisConfig,
             features: np.ndarray) -> ForwardResult:
     """Run the full pipeline on a (batch, input_dim) feature matrix; the
-    result holds tape nodes ready for a backward sweep."""
-    check_features(config, features)
-    P = params.__getitem__
+    result holds tape nodes ready for a backward sweep.
 
-    def projection(name: str) -> Callable:
+    Every target's tower, head and fusion runs in one op over the store's
+    groups, as (n_targets, batch, d) tensors."""
+    check_features(config, features)
+    P, G = params.__getitem__, params.groups
+    d = config.corridor_dim
+
+    def projection(name: str, v):
         # corridor projections rectify leakily: an exact-zero output row
         # would park every downstream pre-activation on its kink
-        w, b = P(name + ".w"), P(name + ".b")
-        return lambda v: nm.leaky_relu(nm.dense_forward(v, w, b))
+        return nm.leaky_relu(nm.dense_forward(v, P(name + ".w"), P(name + ".b")))
 
     shared = nm.constant(features)
     for i in range(len(config.shared_widths)):
         shared = nm.relu(nm.dense_forward(shared, P(f"shared.{i}.w"),
                                           P(f"shared.{i}.b")))
+    towers = shared  # without tower layers, every head reads the shared rep
+    for i in range(len(config.tower_widths)):
+        if i > 0:
+            towers = nm.relu(towers)
+        towers = nm.dense_forward(towers, G[f"tower.w.{i}"], G[f"tower.b.{i}"])
 
-    towers: dict[str, object] = {}
-    for _, targets in config.stages:
-        for t in targets:
-            v = shared
-            last = len(config.tower_widths) - 1
-            for i in range(len(config.tower_widths)):
-                v = nm.dense_forward(v, P(f"tower.{t}.{i}.w"), P(f"tower.{t}.{i}.b"))
-                if i < last:
-                    v = nm.relu(v)
-            towers[t] = v
-
-    use_corridor = config.corridor_enabled and len(config.stages) > 1
-    probs: dict[str, object] = {}
-    top: dict[str, object] = {}
     corridor: dict[tuple[str, str], CorridorState] = {}
-    prev_name = None
-    prev_e_ou = None
-    prev_alpha = None
-    for si, (sname, targets) in enumerate(config.stages):
-        if use_corridor and prev_e_ou is not None:
-            e_in = projection(f"corridor.{prev_name}-{sname}.f")(prev_e_ou)
-            fused: dict[str, object] = {}
-            betas: dict[str, object] = {}
-            for t in targets:
-                fp = FusionProjections(
-                    proj_in=projection(f"fuse.{t}.proj_in"),
-                    proj_self=projection(f"fuse.{t}.proj_self"),
-                    score_in=(projection(f"fuse.{t}.score_in.g1"),
-                              projection(f"fuse.{t}.score_in.g2")),
-                    score_self=(projection(f"fuse.{t}.score_self.g1"),
-                                projection(f"fuse.{t}.score_self.g2")))
-                fused[t], betas[t] = inter_stage_fusion(
-                    e_in, towers[t], fp, config.corridor_dim)
-            corridor[(prev_name, sname)] = CorridorState(
-                prev_name, sname, prev_e_ou, e_in, prev_alpha, betas)
-        else:
-            fused = {t: towers[t] for t in targets}
-        for t in targets:
-            logits = nm.dense_forward(fused[t], P(f"head.{t}.w"), P(f"head.{t}.b"))
-            probs[t] = nm.sigmoid(logits)
-            top[t] = fused[t]
-        if use_corridor and si < len(config.stages) - 1:
-            reps = [fused[t] if config.attention_input == "post_fusion" else towers[t]
-                    for t in targets]
-            if len(targets) > 1:
-                g1 = projection(f"intra.{sname}.g1")
-                g2 = projection(f"intra.{sname}.g2")
-            else:
-                g1 = g2 = None
-            prev_e_ou, prev_alpha = intra_stage_attention(
-                reps, g1, g2, projection(f"intra.{sname}.g3"),
-                config.corridor_dim)
-            prev_name = sname
-    return ForwardResult(probs, corridor, top)
+    top = towers
+    if config.corridor_enabled and len(config.stages) > 1:
+        outs = []
+        start = 0
+        e_ou = alpha = None
+        for si, (sname, targets) in enumerate(config.stages):
+            own = nm.index(towers, slice(start, start + len(targets)))
+            start += len(targets)
+            out = own
+            if si > 0:
+                prev = config.stages[si - 1][0]
+                e_in = projection(f"corridor.{prev}-{sname}.f", e_ou)
+                # (candidate: incoming, own) x (part: value, key, query)
+                sides = [nm.index(nm.dense_forward(v, G[f"fuse_{side}.w.{sname}"],
+                                                   G[f"fuse_{side}.b.{sname}"]), None)
+                         for v, side in ((e_in, "in"), (own, "self"))]
+                cand = nm.leaky_relu(nm.concat(sides, axis=0))
+                value, key, query = (nm.index(cand, (slice(None), k)) for k in range(3))
+                out, beta = attend(key, query, value, d)
+                corridor[(prev, sname)] = CorridorState(
+                    prev, sname, e_ou, e_in, alpha,
+                    {t: nm.Node(beta.value[:, j, :, 0].T) for j, t in enumerate(targets)})
+            outs.append(out)
+            if si < len(config.stages) - 1:
+                reps = out if config.attention_input == "post_fusion" else own
+                g3 = projection(f"intra.{sname}.g3", reps)
+                if len(targets) == 1:  # nothing to attend over: alpha is exactly [1]
+                    e_ou = nm.index(g3, 0)
+                    alpha = nm.constant(np.ones((features.shape[0], 1)))
+                else:
+                    e_ou, weights = attend(projection(f"intra.{sname}.g1", reps),
+                                           projection(f"intra.{sname}.g2", reps), g3, d)
+                    alpha = nm.Node(weights.value[:, :, 0].T)
+        top = nm.concat(outs, axis=0)
+
+    probs = nm.sigmoid(nm.dense_forward(top, G["head.w"], G["head.b"]))
+    per_target = {t: nm.index(probs, i) for i, t in enumerate(config.all_targets())}
+    return ForwardResult(per_target, corridor, nm.index(probs, (Ellipsis, 0)))
 
 
 def predict_probs(params: ParamStore, config: MsisConfig,
@@ -384,10 +340,9 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
     Each call reads the matrix in place (unless it had to be copied to a
     C-contiguous float64 array), so refilling it re-scores new rows.
 
-    Same math as forward(), but all parameter lookups happen once, here:
-    per-target projections run as batched matmuls over the store's groups,
-    the stacked views into its flat parameter vector that init_params lays
-    out (kept live because training updates that vector in place), and
+    Same math as forward(), on the same groups of the store (views into
+    its flat parameter vector, kept live because training updates that
+    vector in place), but every parameter lookup happens once, here, and
     every intermediate writes into a preallocated buffer.
     This is the path for every value-only evaluation: scoring through
     predict_probs, and the gradient check, which re-evaluates the loss
@@ -395,11 +350,11 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
     enforced by tests at 1e-12 relative."""
     config.validate()
     check_features(config, features)
-    if f"head.w.{config.stages[0][0]}" not in params.groups:
+    if "head.w" not in params.groups:
         raise ContractError(
             "make_fused_forward needs the stacked parameter groups of init_params")
     P = lambda name: params[name].value
-    G = params.groups
+    G = lambda name: params.groups[name].value
     mm, add, mul, sub = np.matmul, np.add, np.multiply, np.subtract
     x = np.ascontiguousarray(features, dtype=np.float64)
     b = x.shape[0]
@@ -415,7 +370,7 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
     shared_ws = [(P(f"shared.{i}.w"), P(f"shared.{i}.b"))
                  for i in range(len(config.shared_widths))]
     tower_bufs = [np.empty((nt, b, w)) for w in widths]
-    tower_ws = [(G[f"tower.w.{i}"], G[f"tower.b.{i}"]) for i in range(len(widths))]
+    tower_ws = [(G(f"tower.w.{i}"), G(f"tower.b.{i}")) for i in range(len(widths))]
 
     def bottom():
         src = x
@@ -437,7 +392,7 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
         return tower_bufs[-1]
 
     def compile_stage(si: int, sname: str, ns: int, sl: slice):
-        head_w, head_b = G[f"head.w.{sname}"], G[f"head.b.{sname}"]
+        head_w, head_b = G("head.w")[sl], G("head.b")[sl]
         logits = np.empty((ns, b, 1))
         fuse = use_corridor and si > 0
         emit = use_corridor and si < len(config.stages) - 1
@@ -445,11 +400,11 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
             prev_name = config.stages[si - 1][0]
             f_w = P(f"corridor.{prev_name}-{sname}.f.w")
             f_b = P(f"corridor.{prev_name}-{sname}.f.b")
-            fin_w, fin_b = G[f"fuse_in.w.{sname}"], G[f"fuse_in.b.{sname}"]
-            fself_w, fself_b = G[f"fuse_self.w.{sname}"], G[f"fuse_self.b.{sname}"]
+            fin_w, fin_b = G(f"fuse_in.w.{sname}"), G(f"fuse_in.b.{sname}")
+            fself_w, fself_b = G(f"fuse_self.w.{sname}"), G(f"fuse_self.b.{sname}")
             e_in = np.empty((b, d))
-            e_proj = np.empty((3 * ns, b, d))
-            h_proj = np.empty((ns, 3, b, d))
+            e_proj = np.empty((3, ns, b, d))  # (part, target, ...), as the groups
+            h_proj = np.empty((3, ns, b, d))
             prod = np.empty((ns, b, d))
             s_in = np.empty((ns, b))
             s_self = np.empty((ns, b))
@@ -488,22 +443,22 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
                 mm(prev_e, f_w, out=e_in)
                 add(e_in, f_b, out=e_in)
                 leaky(e_in, e_in_s)
-                mm(e_in[None], fin_w, out=e_proj)
+                mm(e_in, fin_w, out=e_proj)
                 add(e_proj, fin_b, out=e_proj)
                 leaky(e_proj, e_proj_s)
-                mm(hs[:, None], fself_w, out=h_proj)
+                mm(hs, fself_w, out=h_proj)
                 add(h_proj, fself_b, out=h_proj)
                 leaky(h_proj, h_proj_s)
-                mul(e_proj[1::3], e_proj[2::3], out=prod)
+                mul(e_proj[1], e_proj[2], out=prod)
                 mm(prod, ones_d, out=s_in)
-                mul(h_proj[:, 1], h_proj[:, 2], out=prod)
+                mul(h_proj[1], h_proj[2], out=prod)
                 mm(prod, ones_d, out=s_self)
                 sub(s_in, s_self, out=s_in)
                 mul(s_in, scale, out=s_in)
                 expit(s_in, out=s_in)
                 sub(1.0, s_in, out=beta1)
-                mul(s_in[:, :, None], e_proj[0::3], out=fused)
-                mul(beta1[:, :, None], h_proj[:, 0], out=ftmp)
+                mul(s_in[:, :, None], e_proj[0], out=fused)
+                mul(beta1[:, :, None], h_proj[0], out=ftmp)
                 add(fused, ftmp, out=fused)
                 hs = fused
             mm(hs, head_w, out=logits)

@@ -1,11 +1,15 @@
-"""Dense 2-D matrix math with a reverse-mode tape.
+"""Dense float64 tensors with a reverse-mode tape.
 
-Everything is 64-bit and strictly two-dimensional: row vectors are (1, n),
-column vectors (n, 1), scalars (1, 1). The tape is rebuilt on every forward
-pass (dynamic graph); `backward_sweep` walks it once in reverse topological
-order. Each graph op computes its own forward value; value-only
-evaluation of the model skips the tape altogether and runs the model's
-fused forward (`model.make_fused_forward`).
+Tape values are arrays of any rank. The model stacks per-target tensors
+on a leading axis, (n_targets, batch, d) activations against
+(n_targets, d_in, d_out) weights, so one op runs every target:
+`dense_forward`, `add` and `mul` broadcast like NumPy, and their backward
+passes sum each adjoint back to its operand's shape (`unbroadcast`).
+`index`, `row_dot`, `softmax`, `sum_axis` and `concat` work along an axis.
+The tape is rebuilt on every forward pass (dynamic graph);
+`backward_sweep` walks it once in reverse topological order from a (1, 1)
+root. Value-only evaluation of the model skips the tape altogether and
+runs the model's fused forward (`model.make_fused_forward`).
 
 Trainable tensors live in a `ParamStore`, which packs all of them into
 one contiguous parameter vector and one gradient vector: each tensor's
@@ -49,23 +53,24 @@ class Node:
         self.backward_fn = backward_fn
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
 
 def constant(data) -> Node:
-    return Node(tensor2d(data))
+    return Node(np.ascontiguousarray(data, dtype=np.float64))
 
 
-def softmax_vec(scores) -> np.ndarray:
-    """Softmax of a 1-D score vector, computed with max-subtraction."""
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DimensionError(f"softmax_vec expects a 1-D vector, got shape {arr.shape}")
-    if arr.size == 0:
-        raise DomainError("softmax_vec of an empty vector is undefined")
-    e = np.exp(arr - arr.max())
-    return e / e.sum()
+def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum the adjoint of a broadcast result back down to an operand's
+    shape: over the leading axes the operand lacks, and over its size-1
+    axes that the result stretched."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=axes).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -73,22 +78,24 @@ def softmax_vec(scores) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dense_forward(x: Node, w: Node, b: Node) -> Node:
-    """out = x @ w + b with b broadcast across rows."""
-    if x.shape[1] != w.shape[0]:
-        raise DimensionError(
-            f"dense: input {x.shape} does not conform with weight {w.shape}")
-    if b.shape != (1, w.shape[1]):
-        raise DimensionError(
-            f"dense: bias {b.shape} does not match weight {w.shape}")
-    out = Node(x.value @ w.value + b.value, (x, w, b))
+    """out = x @ w + b over the last two axes. Leading axes broadcast, so a
+    (batch, d_in) input against stacked (n, d_in, d_out) weights and
+    (n, 1, d_out) biases runs n layers in one op."""
+    if x.shape[-1] != w.shape[-2] or b.shape[-2:] != (1, w.shape[-1]):
+        raise DimensionError(f"dense: input {x.shape}, weight {w.shape} and bias "
+                             f"{b.shape} do not conform")
+    try:
+        value = x.value @ w.value + b.value
+    except ValueError as exc:
+        raise DimensionError(f"dense: lead axes of input {x.shape}, weight {w.shape} "
+                             f"and bias {b.shape} do not broadcast") from exc
 
     def backward(g: np.ndarray) -> None:
-        x.adjoint += g @ w.value.T
-        w.adjoint += x.value.T @ g
-        b.adjoint += g.sum(axis=0, keepdims=True)
+        x.adjoint += unbroadcast(g @ np.swapaxes(w.value, -1, -2), x.shape)
+        w.adjoint += unbroadcast(np.swapaxes(x.value, -1, -2) @ g, w.shape)
+        b.adjoint += unbroadcast(g, b.shape)
 
-    out.backward_fn = backward
-    return out
+    return Node(value, (x, w, b), backward)
 
 
 def relu(x: Node) -> Node:
@@ -118,13 +125,15 @@ def leaky_relu(x: Node, slope: float = LEAKY_SLOPE) -> Node:
 
 def sigmoid(x: Node) -> Node:
     """Stable logistic, clamped to [eps, 1-eps] so downstream logs are safe."""
-    out = Node(np.clip(expit(x.value), CLAMP_EPS, 1.0 - CLAMP_EPS), (x,))
+    # the backward pass reads the value array, never the output node: a
+    # node reachable from its own closure is a reference cycle that keeps
+    # the whole tape alive until the cyclic garbage collector runs
+    s = np.clip(expit(x.value), CLAMP_EPS, 1.0 - CLAMP_EPS)
 
     def backward(g: np.ndarray) -> None:
-        x.adjoint += g * (out.value * (1.0 - out.value))
+        x.adjoint += g * (s * (1.0 - s))
 
-    out.backward_fn = backward
-    return out
+    return Node(s, (x,), backward)
 
 
 def log(x: Node) -> Node:
@@ -137,39 +146,33 @@ def log(x: Node) -> Node:
     return out
 
 
+def _broadcast(op, a: Node, b: Node) -> np.ndarray:
+    try:
+        return op(a.value, b.value)
+    except ValueError as exc:
+        raise DimensionError(
+            f"{op.__name__}: shapes {a.shape} and {b.shape} do not broadcast") from exc
+
+
 def add(a: Node, b: Node) -> Node:
-    if a.value.shape != b.value.shape:
-        raise DimensionError(f"add: shapes {a.value.shape} and {b.value.shape} differ")
-    out = Node(a.value + b.value, (a, b))
+    """Elementwise sum of operands that broadcast against each other."""
 
     def backward(g: np.ndarray) -> None:
-        a.adjoint += g
-        b.adjoint += g
+        a.adjoint += unbroadcast(g, a.shape)
+        b.adjoint += unbroadcast(g, b.shape)
 
-    out.backward_fn = backward
-    return out
+    return Node(_broadcast(np.add, a, b), (a, b), backward)
 
 
 def mul(a: Node, b: Node) -> Node:
-    """Elementwise product; either operand may be a (rows, 1) column that
-    broadcasts across the other's columns."""
-    try:
-        value = a.value * b.value
-    except ValueError as exc:
-        raise DimensionError(
-            f"mul: shapes {a.value.shape} and {b.value.shape} do not broadcast") from exc
+    """Elementwise product of operands that broadcast against each other,
+    such as (n, batch, 1) weights against (n, batch, d) vectors."""
 
     def backward(g: np.ndarray) -> None:
-        ga = g * b.value
-        gb = g * a.value
-        if ga.shape != a.value.shape:
-            ga = ga.sum(axis=1, keepdims=True)
-        if gb.shape != b.value.shape:
-            gb = gb.sum(axis=1, keepdims=True)
-        a.adjoint += ga
-        b.adjoint += gb
+        a.adjoint += unbroadcast(g * b.value, a.shape)
+        b.adjoint += unbroadcast(g * a.value, b.shape)
 
-    return Node(value, (a, b), backward)
+    return Node(_broadcast(np.multiply, a, b), (a, b), backward)
 
 
 def affine(x: Node, scale: float, shift: float = 0.0) -> Node:
@@ -197,6 +200,7 @@ def mul_const(x: Node, c: np.ndarray) -> Node:
 
 
 def sum_all(x: Node) -> Node:
+    """The sum of every entry, as a (1, 1) scalar."""
     out = Node(np.array([[x.value.sum()]]), (x,))
 
     def backward(g: np.ndarray) -> None:
@@ -206,55 +210,60 @@ def sum_all(x: Node) -> Node:
     return out
 
 
-def scaled_row_dot(a: Node, b: Node, scale: float) -> Node:
-    """Per-row dot product scale * <a_i, b_i>, returned as a column."""
-    if a.value.shape != b.value.shape:
-        raise DimensionError(
-            f"scaled_row_dot: shapes {a.value.shape} and {b.value.shape} differ")
-    value = (a.value * b.value).sum(axis=1, keepdims=True) * scale
-    out = Node(value, (a, b))
+def sum_axis(x: Node, axis: int) -> Node:
+    """Sum over one axis, which the result drops."""
+
+    def backward(g: np.ndarray) -> None:
+        x.adjoint += np.expand_dims(g, axis)
+
+    return Node(x.value.sum(axis=axis), (x,), backward)
+
+
+def index(x: Node, key) -> Node:
+    """Basic indexing: integers, slices (strided too), None and Ellipsis.
+    The value is a view; each entry of x appears at most once in it."""
+
+    def backward(g: np.ndarray) -> None:
+        x.adjoint[key] += g
+
+    return Node(x.value[key], (x,), backward)
+
+
+def row_dot(a: Node, b: Node, scale: float) -> Node:
+    """scale * <a, b> along the last axis, which is kept with size 1."""
+    if a.shape != b.shape:
+        raise DimensionError(f"row_dot: shapes {a.shape} and {b.shape} differ")
 
     def backward(g: np.ndarray) -> None:
         a.adjoint += (g * scale) * b.value
         b.adjoint += (g * scale) * a.value
 
-    out.backward_fn = backward
-    return out
+    return Node((a.value * b.value).sum(axis=-1, keepdims=True) * scale, (a, b), backward)
 
 
-def hstack(columns: Sequence[Node]) -> Node:
-    """Concatenate (rows, 1) columns into a (rows, m) matrix."""
-    value = np.concatenate([c.value for c in columns], axis=1)
-    out = Node(value, tuple(columns))
-
-    def backward(g: np.ndarray) -> None:
-        for j, c in enumerate(columns):
-            c.adjoint += g[:, j:j + 1]
-
-    out.backward_fn = backward
-    return out
-
-
-def column(x: Node, j: int) -> Node:
-    out = Node(np.ascontiguousarray(x.value[:, j:j + 1]), (x,))
+def softmax(x: Node, axis: int) -> Node:
+    """Softmax along one axis, computed with max-subtraction."""
+    if x.shape[axis] == 0:
+        raise DomainError(f"softmax over an empty axis of a {x.shape} tensor")
+    e = np.exp(x.value - x.value.max(axis=axis, keepdims=True))
+    s = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
-        x.adjoint[:, j:j + 1] += g
+        x.adjoint += s * (g - (g * s).sum(axis=axis, keepdims=True))
 
-    out.backward_fn = backward
-    return out
+    return Node(s, (x,), backward)
 
 
-def softmax_rows(x: Node) -> Node:
-    e = np.exp(x.value - x.value.max(axis=1, keepdims=True))
-    s = e / e.sum(axis=1, keepdims=True)
-    out = Node(s, (x,))
+def concat(parts: Sequence[Node], axis: int) -> Node:
+    """Join tensors along an existing axis."""
+    value = np.concatenate([p.value for p in parts], axis=axis)
+    bounds = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def backward(g: np.ndarray) -> None:
-        x.adjoint += s * (g - (g * s).sum(axis=1, keepdims=True))
+        for p, piece in zip(parts, np.split(g, bounds, axis=axis)):
+            p.adjoint += piece
 
-    out.backward_fn = backward
-    return out
+    return Node(value, tuple(parts), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +331,12 @@ class ParamStore:
     `grads`. From then on every tensor's `Node.value` and `Node.adjoint`
     are reshaped views into those two vectors, so a whole-model update
     (`trainer.Adam`), zeroing, snapshot or restore is one vector operation.
-    `pack` can also stack runs of same-shaped tensors into `groups`, one
-    (*lead, *shape) view per run, which vectorized paths read without
-    restacking (see model.make_fused_forward). A store that was never
-    packed explicitly is packed on first use of its vectors.
+    `pack` can also stack runs of same-shaped tensors into `groups`: one
+    Node per run whose value and adjoint are (*lead, *shape) views of the
+    run in the two vectors. The model's stacked forward puts a group on
+    the tape as one tensor, so its gradient lands in the members' adjoints
+    too. A store that was never packed explicitly is packed on first use
+    of its vectors.
 
     Checkpoints keep the v1 per-name format: `load_values` copies each
     named tensor into its view, whatever the layout.
@@ -338,7 +349,7 @@ class ParamStore:
         self._slices: dict[str, slice] = {}
         self._values: np.ndarray | None = None
         self._grads: np.ndarray | None = None
-        self.groups: dict[str, np.ndarray] = {}
+        self.groups: dict[str, Node] = {}
 
     def add(self, name: str, value: np.ndarray) -> Node:
         if name in self._params:
@@ -362,9 +373,9 @@ class ParamStore:
 
         stacks maps a group name to a (possibly nested) list of member
         names of one shape; the members are laid out next to each other in
-        list order, and groups[name] becomes their (*lead, *shape) view,
-        lead being the nesting shape. The remaining tensors follow in
-        insertion order. Packing an already packed store without stacks
+        list order, and groups[name] becomes a Node over their
+        (*lead, *shape) views, lead being the nesting shape. The remaining
+        tensors follow in insertion order. Packing an already packed store without stacks
         does nothing."""
         if self._values is not None:
             if stacks:
@@ -403,8 +414,9 @@ class ParamStore:
         for group, (first, lead) in runs.items():
             last = first + math.prod(lead) - 1
             span = slice(self._slices[order[first]].start, self._slices[order[last]].stop)
-            shape = self._params[order[first]].value.shape
-            self.groups[group] = self._values[span].reshape(lead + shape)
+            shape = lead + self._params[order[first]].value.shape
+            node = self.groups[group] = Node(self._values[span].reshape(shape))
+            node.adjoint = self._grads[span].reshape(shape)
 
     @property
     def values(self) -> np.ndarray:

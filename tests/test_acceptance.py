@@ -263,7 +263,9 @@ def test_criterion_6_ablation_direction(bias_experiment):
         for variant in ABLATIONS:
             jobs = [(variant.value, si, None) for si in range(n)]
             won = lost = 0
-            for si, row in pool.imap_unordered(_experiment_run, jobs):
+            # in seed order, so the early stop and its report do not depend
+            # on which worker finishes first
+            for si, row in pool.imap(_experiment_run, jobs):
                 if full_means[si] >= np.mean(list(row.values())):
                     won += 1
                 else:

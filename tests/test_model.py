@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -123,10 +124,13 @@ class TestParamLayout:
         # every group stacks whole named tensors of the store
         assert params.groups
         for key, group in params.groups.items():
-            assert np.shares_memory(group, values), key
+            assert np.shares_memory(group.value, values), key
+            assert np.shares_memory(group.adjoint, grads), key
+            assert group.adjoint.shape == group.shape, key
+            assert _offset(grads, group.adjoint) == _offset(values, group.value), key
             lead = group.shape[:-2]
             for idx in np.ndindex(lead):
-                member = group[idx]
+                member = group.value[idx]
                 name, shape, _ = tensors[_offset(values, member)]
                 assert member.shape == shape, (key, idx, name)
 
@@ -221,6 +225,23 @@ class TestForward:
             for i, t in enumerate(cfg.all_targets()):
                 ref = tape.probs[t].value.ravel()
                 assert np.abs(fused[i] - ref).max() < 1e-12, (cfg, t)
+
+    def test_tape_is_freed_without_cycle_collection(self, default_cfg, batch_64):
+        # a reference cycle through a backward closure keeps a whole tape's
+        # arrays alive until the cyclic collector runs, which lets memory
+        # grow over a training loop
+        params = M.init_params(default_cfg, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(2):
+                breakdown = ls.total_loss(M.forward(params, default_cfg, batch_64.features),
+                                          batch_64, ls.LossConfig(), default_cfg.stages)
+                nm.backward_sweep(breakdown.total)
+            del breakdown
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_predict_probs_matches_tape(self, default_cfg):
         params = M.init_params(default_cfg, seed=8)
@@ -319,58 +340,58 @@ class TestInformationFlow:
 
 
 class TestAttentionPrimitives:
-    def test_single_input_is_projection_only(self):
-        h = nm.constant(np.random.default_rng(0).normal(size=(3, 4)))
-        g3 = lambda v: nm.affine(v, 2.0)
-        e_ou, alpha = M.intra_stage_attention([h], None, None, g3, dim=4)
-        npt.assert_array_equal(alpha.value, np.ones((3, 1)))
-        npt.assert_array_equal(e_ou.value, 2.0 * h.value)
+    """M.attend: candidates on the leading axis, as the stacked forward
+    calls it for intra-stage attention (n_targets, rows, d) and for fusion
+    (2, n_targets, rows, d)."""
+
+    def test_single_input_is_projection_only(self, default_cfg):
+        h = nm.constant(np.random.default_rng(0).normal(size=(1, 3, 4)))
+        e_ou, alpha = M.attend(h, h, nm.affine(h, 2.0), dim=4)
+        npt.assert_array_equal(alpha.value, np.ones((1, 3, 1)))
+        npt.assert_array_equal(e_ou.value, 2.0 * h.value[0])
+        # in the model, a one-target stage's corridor vector is its g3 projection
+        params = M.init_params(default_cfg, seed=0)
+        x = np.random.default_rng(1).normal(size=(5, 32))
+        state = M.forward(params, default_cfg, x).corridor[("ar", "ws")]
+        P = lambda name: params[name].value
+        h = x
+        for i in range(len(default_cfg.shared_widths)):
+            h = np.maximum(h @ P(f"shared.{i}.w") + P(f"shared.{i}.b"), 0.0)
+        tower = np.maximum(h @ P("tower.credit.0.w") + P("tower.credit.0.b"), 0.0)
+        tower = tower @ P("tower.credit.1.w") + P("tower.credit.1.b")
+        g3 = tower @ P("intra.ar.g3.w") + P("intra.ar.g3.b")
+        npt.assert_allclose(state.e_ou.value, np.maximum(g3, nm.LEAKY_SLOPE * g3),
+                            rtol=1e-14, atol=1e-15)
+        npt.assert_array_equal(state.alpha.value, np.ones((5, 1)))
 
     def test_two_identical_inputs_split_evenly(self):
-        h = nm.constant(np.random.default_rng(1).normal(size=(5, 4)))
-        ident = lambda v: v
-        e_ou, alpha = M.intra_stage_attention([h, h], ident, ident, ident, dim=4)
-        npt.assert_allclose(alpha.value, np.full((5, 2), 0.5), atol=1e-15)
-        npt.assert_allclose(e_ou.value, h.value, atol=1e-12)
+        h = np.random.default_rng(1).normal(size=(5, 4))
+        stacked = nm.constant(np.stack([h, h]))
+        e_ou, alpha = M.attend(stacked, stacked, stacked, dim=4)
+        npt.assert_allclose(alpha.value, np.full((2, 5, 1), 0.5), atol=1e-15)
+        npt.assert_allclose(e_ou.value, h, atol=1e-12)
 
     def test_hand_computed_weights(self):
         # dim=1, identities: norms ln2 and 0 give scores (ln2, 0) -> (2/3, 1/3)
-        h1 = nm.constant([[math.sqrt(math.log(2.0))]])
-        h2 = nm.constant([[0.0]])
-        ident = lambda v: v
-        _, alpha = M.intra_stage_attention([h1, h2], ident, ident, ident, dim=1)
-        npt.assert_allclose(alpha.value, [[2.0 / 3.0, 1.0 / 3.0]], rtol=1e-14)
-
-    def test_fusion_beta_override(self):
-        rng = np.random.default_rng(2)
-        e_in = nm.constant(rng.normal(size=(4, 3)))
-        h = nm.constant(rng.normal(size=(4, 3)))
-        ident = lambda v: v
-        projections = M.FusionProjections(
-            proj_in=lambda v: nm.affine(v, 3.0), proj_self=ident,
-            score_in=(ident, ident), score_self=(ident, ident))
-        fused, beta = M.inter_stage_fusion(e_in, h, projections, dim=3,
-                                           beta_override=(1.0, 0.0))
-        npt.assert_array_equal(beta.value, np.tile([1.0, 0.0], (4, 1)))
-        npt.assert_array_equal(fused.value, 3.0 * e_in.value)
+        h = nm.constant([[[math.sqrt(math.log(2.0))]], [[0.0]]])
+        _, alpha = M.attend(h, h, h, dim=1)
+        npt.assert_allclose(alpha.value.ravel(), [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
 
     def test_fusion_symmetric_candidates(self):
-        v = nm.constant(np.random.default_rng(3).normal(size=(6, 5)))
-        ident = lambda x: x
-        projections = M.FusionProjections(ident, ident, (ident, ident), (ident, ident))
-        _, beta = M.inter_stage_fusion(v, v, projections, dim=5)
-        npt.assert_allclose(beta.value, np.full((6, 2), 0.5), atol=1e-15)
+        v = np.random.default_rng(3).normal(size=(3, 6, 5))
+        both = nm.constant(np.stack([v, v]))  # (incoming, own) per target
+        fused, beta = M.attend(both, both, both, dim=5)
+        npt.assert_allclose(beta.value, np.full((2, 3, 6, 1), 0.5), atol=1e-15)
+        npt.assert_allclose(fused.value, v, atol=1e-12)
 
     def test_fusion_beta_on_simplex(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            e_in = nm.constant(rng.normal(scale=3.0, size=(7, 4)))
-            h = nm.constant(rng.normal(scale=3.0, size=(7, 4)))
-            ident = lambda x: x
-            projections = M.FusionProjections(ident, ident, (ident, ident),
-                                              (ident, ident))
-            _, beta = M.inter_stage_fusion(e_in, h, projections, dim=4)
-            npt.assert_allclose(beta.value.sum(axis=1), 1.0, atol=1e-12)
+            k, q, v = (nm.constant(rng.normal(scale=3.0, size=(2, 3, 7, 4)))
+                       for _ in range(3))
+            _, beta = M.attend(k, q, v, dim=4)
+            assert np.all(beta.value >= 0.0)
+            npt.assert_allclose(beta.value.sum(axis=0), 1.0, atol=1e-12)
 
 
 class TestCheckpoint:

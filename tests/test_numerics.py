@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import numpy.testing as npt
@@ -68,27 +69,33 @@ class TestSigmoid:
 
 
 class TestSoftmaxVec:
+    """softmax over the only axis of a vector"""
+
+    @staticmethod
+    def softmax(scores):
+        return nm.softmax(nm.constant(scores), axis=0).value
+
     def test_symmetry(self):
-        npt.assert_array_equal(nm.softmax_vec([0.0, 0.0]), [0.5, 0.5])
+        npt.assert_array_equal(self.softmax([0.0, 0.0]), [0.5, 0.5])
 
     def test_single_element(self):
         for c in (-100.0, 0.0, 3.7, 1e6):
-            npt.assert_array_equal(nm.softmax_vec([c]), [1.0])
+            npt.assert_array_equal(self.softmax([c]), [1.0])
 
     def test_log_two(self):
-        npt.assert_allclose(nm.softmax_vec([math.log(2.0), 0.0]),
+        npt.assert_allclose(self.softmax([math.log(2.0), 0.0]),
                             [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            nm.softmax_vec([])
+            self.softmax([])
 
     def test_simplex_property(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             m = int(rng.integers(1, 12))
             scores = rng.normal(scale=rng.uniform(0.1, 50.0), size=m)
-            out = nm.softmax_vec(scores)
+            out = self.softmax(scores)
             assert abs(out.sum() - 1.0) < 1e-12
             assert np.all(out > 0.0) and np.all(out < 1.0 + 1e-15)
 
@@ -147,7 +154,7 @@ class TestBackwardSweep:
 
         def build():
             s = nm.Node(scores)
-            sm = nm.softmax_rows(s)
+            sm = nm.softmax(s, axis=1)
             return s, nm.sum_all(nm.mul_const(sm, weights))
 
         weights = rng.normal(size=(4, 3))
@@ -162,7 +169,7 @@ class TestBackwardSweep:
 
         def build():
             xn = nm.Node(x_arr)
-            c = nm.column(xn, 1)
+            c = nm.index(xn, (slice(None), slice(1, 2)))
             return xn, nm.sum_all(nm.mul(c, c))
 
         xn, root = build()
@@ -284,6 +291,44 @@ class TestFiniteDiffCheck:
 
             report = nm.finite_diff_check(ps, loss, tol=1e-4)
             assert report.passed, f"seed {seed}: {report}"
+
+
+# one graph per new or broadcasting op, each reduced to a scalar by fixed
+# random weights; h is (2, 4, 5): a stacked lead axis over a 2-D input
+BROADCAST_CASES = {
+    "dense_stacked": lambda t: t.h,
+    "add_size1_axes": lambda t: nm.add(t.h, t.s),
+    "mul_size1_axes": lambda t: nm.mul(t.c, t.h),
+    "index_none_strided": lambda t: nm.index(t.h, (slice(None), None, slice(0, 4, 2))),
+    "index_ellipsis_none_int": lambda t: nm.index(t.h, (Ellipsis, None, 3)),
+    "row_dot": lambda t: nm.row_dot(t.h, nm.mul(t.h, t.c), 0.5),
+    "softmax_axis0": lambda t: nm.softmax(t.h, axis=0),
+    "sum_axis": lambda t: nm.sum_axis(t.h, axis=1),
+    "concat": lambda t: nm.concat([t.h, nm.index(t.h, (slice(None), slice(1, 3)))], axis=1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROADCAST_CASES))
+def test_broadcast_ops_pass_finite_differences(case):
+    rng = np.random.default_rng(5)
+    ps = nm.ParamStore(0)
+    for name, shape in (("x", (4, 3)), ("w0", (3, 5)), ("w1", (3, 5)),
+                        ("b0", (1, 5)), ("b1", (1, 5)), ("s", (1, 5)), ("c", (4, 1))):
+        ps.add(name, rng.normal(size=shape))
+    ps.pack({"w": ["w0", "w1"], "b": ["b0", "b1"]})
+    t = types.SimpleNamespace(s=ps["s"], c=ps["c"])
+
+    def output():
+        t.h = nm.dense_forward(ps["x"], ps.groups["w"], ps.groups["b"])
+        return BROADCAST_CASES[case](t)
+
+    weights = rng.normal(size=output().shape)
+    report = nm.finite_diff_check(
+        ps, lambda: nm.sum_all(nm.mul_const(output(), weights)), tol=1e-6)
+    assert report.passed, report
+    # every operand the case reads has a gradient, through the group views too
+    for name in ("x", "w0", "w1", "b0", "b1"):
+        assert np.any(ps[name].adjoint != 0.0), name
 
 
 def test_forward_determinism():
