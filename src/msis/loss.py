@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .dataset import Batch
+from .dataset import TARGETS, Batch
 from .errors import ConfigError, ContractError
 from .model import MsisConfig, make_fused_forward
 from .numerics import Node
@@ -34,8 +34,7 @@ DEFAULT_GAMMA = 6e-4
 
 
 def default_gammas() -> dict[str, float]:
-    return {t: 0.0 if t == "credit" else DEFAULT_GAMMA
-            for t in ("credit", "draw_30", "draw_90", "mob1", "mob3", "mob6")}
+    return {t: 0.0 if t == "credit" else DEFAULT_GAMMA for t in TARGETS}
 
 
 @dataclass(frozen=True)

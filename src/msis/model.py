@@ -28,16 +28,10 @@ import numpy as np
 from scipy.special import expit
 
 from . import numerics as nm
-from .dataset import TARGETS
+from .config import from_dict, to_dict
+from .dataset import DEFAULT_STAGES, TARGETS
 from .errors import ConfigError, ContractError, DimensionError, DomainError
 from .numerics import ParamStore
-
-DEFAULT_STAGES = (
-    ("ar", ("credit",)),
-    ("ws", ("draw_30", "draw_90")),
-    ("gb", ("mob1", "mob3", "mob6")),
-)
-
 
 @dataclass(frozen=True)
 class MsisConfig:
@@ -89,29 +83,6 @@ class MsisConfig:
     def with_corridor_dim(self, d: int) -> "MsisConfig":
         widths = self.tower_widths[:-1] + (d,) if self.tower_widths else self.tower_widths
         return replace(self, corridor_dim=d, tower_widths=widths)
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "shared_widths": list(self.shared_widths),
-            "tower_widths": list(self.tower_widths),
-            "corridor_dim": self.corridor_dim,
-            "stages": [[name, list(targets)] for name, targets in self.stages],
-            "corridor_enabled": self.corridor_enabled,
-            "attention_input": self.attention_input,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "MsisConfig":
-        return cls(
-            input_dim=int(obj["input_dim"]),
-            shared_widths=tuple(obj["shared_widths"]),
-            tower_widths=tuple(obj["tower_widths"]),
-            corridor_dim=int(obj["corridor_dim"]),
-            stages=tuple((name, tuple(targets)) for name, targets in obj["stages"]),
-            corridor_enabled=bool(obj["corridor_enabled"]),
-            attention_input=obj["attention_input"],
-        )
 
 
 @dataclass
@@ -522,7 +493,7 @@ def save_checkpoint(params: ParamStore, config: MsisConfig, path: str | Path) ->
     payload = {
         "format": CHECKPOINT_FORMAT,
         "seed": params.seed,
-        "config": config.to_dict(),
+        "config": to_dict(config),
         "params": [[name, list(node.value.shape), node.value.ravel().tolist()]
                    for name, node in params.items()],
     }
@@ -535,7 +506,10 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, MsisConfig]:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ContractError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    config = MsisConfig.from_dict(payload["config"])
+    try:
+        config = from_dict(MsisConfig, payload.get("config"), where="config")
+    except ConfigError as exc:
+        raise ContractError(f"{path}: {exc}") from None
     params = init_params(config, seed=int(payload["seed"]))
     values = {}
     for name, shape, flat in payload["params"]:

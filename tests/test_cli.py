@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,9 +154,13 @@ class TestCommands:
         assert rc == 1
 
     def test_unknown_command_exits_two(self):
+        # the child imports msis from wherever this process found it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "msis.cli", "frobnicate"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
 

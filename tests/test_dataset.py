@@ -41,6 +41,9 @@ def test_parse_errors_carry_line_numbers(tmp_path):
         ("0,5,1.5,abc,1,1,1,,1,1\n", "line 2"),        # non-numeric feature
         ("0,5,1.5,-2.0,,1,1,,1,1\n", "label_credit"),  # credit absent
         ("0,5,1.5,-2.0,2,1,1,,1,1\n", "label_credit"), # bad label value
+        ("0,5,1.5,-2.0,1,1,1,,1,1\n0,6,nan,1,1,1,1,,1,1\n", "line 3: features must be finite"),
+        ("0,5,1.5,inf,1,1,1,,1,1\n", "line 2: features"),
+        ("0,5,-Infinity,1,1,1,1,,1,1\n", "line 2: features"),
     ]
     for body, fragment in cases:
         path = tmp_path / "bad.csv"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,7 +8,7 @@ from msis import dataset as ds
 from msis import evaluation as ev
 from msis import funnel_sim as fs
 from msis import model as M
-from msis.errors import ConfigError
+from msis.errors import ConfigError, ContractError
 
 
 def pairwise_auc(scores, labels):
@@ -103,6 +105,19 @@ class TestEvaluate:
         params = M.init_params(cfg, seed=0)
         with pytest.raises(ConfigError):
             ev.evaluate(params, cfg, examples[:50], scope=ev.FULL_POPULATION)
+
+    def test_full_population_missing_ids_are_contract_errors(self, sim_world):
+        population, examples, _ = sim_world
+        cf = fs.counterfactual_table(population)
+        subset = examples[:50]
+        for ex in subset[10:20]:
+            del cf[ex.id]
+        cfg = M.MsisConfig()
+        params = M.init_params(cfg, seed=0)
+        ids = [ex.id for ex in subset[10:15]]
+        with pytest.raises(ContractError, match="10 of 50 .*" + re.escape(str(ids))):
+            ev.evaluate(params, cfg, subset, scope=ev.FULL_POPULATION,
+                        counterfactuals=cf)
 
     def test_full_population_scores_every_record(self, sim_world):
         population, examples, _ = sim_world

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from msis import funnel_sim as fs
-from msis.errors import ConfigError
+from msis.errors import ConfigError, ParseError
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +124,24 @@ def test_counterfactual_roundtrip(tmp_path, population_10k):
     fs.save_counterfactuals(sample, path)
     table = fs.load_counterfactuals(path)
     assert table == fs.counterfactual_table(sample)
+
+
+def test_counterfactual_parse_errors_carry_line_numbers(tmp_path):
+    header = ",".join(fs.COUNTERFACTUAL_HEADER) + "\n"
+    good = "0,0.5,3,,1,1,1,0,0,0\n"
+    cases = [
+        (good + "1,0.5,3,,1,1,1,0,0\n", "line 3"),                   # missing field
+        (good + "x,0.5,3,,1,1,1,0,0,0\n", "line 3"),                 # bad id
+        (good + "1,0.5,3,,1,1,1,0,0,7\n", "line 3: cf_mob6"),        # label 7
+        (good + "1,0.5,3,,1,,1,0,0,0\n", "line 3: cf_draw_30"),      # empty label
+        (good + "0,0.5,3,,0,0,0,0,0,0\n", "line 3: id 0 repeats"),   # repeated id
+    ]
+    for body, fragment in cases:
+        path = tmp_path / "cf.csv"
+        path.write_text(header + body)
+        with pytest.raises(ParseError, match=fragment):
+            fs.load_counterfactuals(path)
+    path.write_text(header + good)
+    assert fs.load_counterfactuals(path) == {0: {
+        "credit": True, "draw_30": True, "draw_90": True,
+        "mob1": False, "mob3": False, "mob6": False}}

@@ -235,6 +235,25 @@ class TestGradients:
                     value_fn=ls.make_fast_loss_value_fn(params, cfg, lcfg, batch))
                 assert report.passed, f"seed {seed}: {report}"
 
+    def test_full_loss_gradcheck_catches_a_scaled_backward(self, monkeypatch):
+        # the checker's mutation test: every adjoint of the model 0.1% off
+        cfg = M.MsisConfig(input_dim=6, shared_widths=(8,), tower_widths=(4,),
+                           corridor_dim=4)
+        examples = fs.observe(fs.generate(fs.SimConfig(n=500, feature_dim=6, seed=21)))
+        batch = ds.covering_batch(ds.Standardizer.fit(examples).apply(examples), 32, 0)
+        lcfg = ls.LossConfig()
+        params = M.init_params(cfg, seed=0)
+        loss_fn = lambda: ls.total_loss(
+            M.forward(params, cfg, batch.features), batch, lcfg, cfg.stages).total
+        value_fn = ls.make_fast_loss_value_fn(params, cfg, lcfg, batch)
+        assert nm.finite_diff_check(params, loss_fn, value_fn=value_fn).passed
+        sweep = nm.backward_sweep
+        monkeypatch.setattr(nm, "backward_sweep",
+                            lambda root: sweep(nm.affine(root, 1.001)))
+        report = nm.finite_diff_check(params, loss_fn, value_fn=value_fn)
+        assert not report.passed, report
+        assert report.n_remeasured > 0
+
     def test_fast_value_matches_tape_total(self):
         cfg = M.MsisConfig()
         batch = synthetic_batch(seed=31)

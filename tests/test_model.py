@@ -458,3 +458,21 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ContractError):
             M.load_checkpoint(path)
+
+    def test_config_field_mismatch_names_the_file(self, default_cfg, tmp_path):
+        import json
+        params = M.init_params(default_cfg, seed=0)
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(params, default_cfg, path)
+        saved = json.loads(path.read_text())
+        for change in ("drop", "extra", "bool"):
+            payload = json.loads(json.dumps(saved))
+            if change == "drop":
+                del payload["config"]["corridor_dim"]
+            elif change == "extra":
+                payload["config"]["dropout"] = 0.1
+            else:
+                payload["config"]["corridor_enabled"] = "False"
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ContractError, match="model.ckpt"):
+                M.load_checkpoint(path)

@@ -261,6 +261,30 @@ class TestFiniteDiffCheck:
         nm.backward_sweep(loss())
         npt.assert_allclose(p.adjoint, [[0.0]], atol=1e-12)
 
+    def test_kink_inside_the_window_is_remeasured(self):
+        # the pre-activation 1.18 * 0.5 + b sits 1e-7 above the ReLU kink: a
+        # default 1e-6 step in w or b crosses it, a 1e-8 step does not
+        ps = nm.ParamStore(0)
+        w = ps.add("w", np.array([[0.5]]))
+        b = ps.add("b", np.array([[-0.59 + 1e-7]]))
+        x = nm.constant(np.array([[1.18]]))
+        report = nm.finite_diff_check(ps, lambda: nm.relu(nm.dense_forward(x, w, b)))
+        assert report.passed, report
+        assert report.n_remeasured == 2
+        assert "2 re-measured" in str(report)
+
+    def test_wrong_gradient_fails_at_every_step(self, monkeypatch):
+        # every adjoint 0.1% too large: no step size rescues it
+        sweep = nm.backward_sweep
+        monkeypatch.setattr(nm, "backward_sweep",
+                            lambda root: sweep(nm.affine(root, 1.001)))
+        ps = nm.ParamStore(0)
+        x = ps.add("x", np.array([[3.0]]))
+        report = nm.finite_diff_check(ps, lambda: nm.mul(x, x))
+        assert not report.passed
+        assert report.n_remeasured == 1
+        assert report.worst_rel_error == pytest.approx(1e-3, rel=1e-2)
+
     def test_nondeterministic_loss_rejected(self):
         ps = nm.ParamStore(0)
         x = ps.add("x", np.array([[1.0]]))
