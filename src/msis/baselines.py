@@ -32,9 +32,17 @@ class BaselineKind(str, Enum):
     FLAT_MULTITASK = "flat_multitask"
 
 
+def baseline_kind(name: str) -> BaselineKind:
+    try:
+        return BaselineKind(name)
+    except ValueError:
+        raise ConfigError(f"unknown model {name!r}; must be msis or one of "
+                          f"{[k.value for k in BaselineKind]}") from None
+
+
 def baseline_model_config(kind: BaselineKind, target: str | None = None,
                           base: MsisConfig | None = None) -> MsisConfig:
-    kind = BaselineKind(kind)
+    kind = baseline_kind(kind)
     base = base or MsisConfig()
     if kind is BaselineKind.FLAT_MULTITASK:
         return dataclasses.replace(base, corridor_enabled=False)
@@ -59,7 +67,7 @@ def train_baseline(kind: BaselineKind, target: str | None, splits: Splits,
     observed; the entropy variant additionally feeds unlabeled rows to the
     regularizer (with gamma zero it degenerates to the plain one, batch
     for batch)."""
-    kind = BaselineKind(kind)
+    kind = baseline_kind(kind)
     model_cfg = baseline_model_config(kind, target, base)
     if kind is BaselineKind.FLAT_MULTITASK:
         lcfg = loss_cfg or LossConfig()

@@ -4,12 +4,12 @@ and report as reproducible runs.
 Configuration comes from a JSON file with nested sections (sim, model,
 loss, train, split, baselines, sweep) merged over built-in defaults;
 ``--set section.key=value`` overrides single fields from the command line
-(flags > file > defaults). The sim, model, loss and train sections are
-the config dataclasses, defaults included, read back by `msis.config`
+(flags > file > defaults). The sim, model, loss, train and split sections
+are the config dataclasses, defaults included, read back by `msis.config`
 with their annotated types, so ``model.corridor_enabled=False`` (not JSON
-``false``) is a ConfigError. Every command writes a manifest with the
-resolved-config hash, the seed list, and a checksum per artifact, so any
-result can be re-derived.
+``false``) or ``split.cutoff_day=2.5`` is a ConfigError. Every command
+writes a manifest with the resolved-config hash, the seed list, and a
+checksum per artifact, so any result can be re-derived.
 """
 
 from __future__ import annotations
@@ -40,12 +40,19 @@ CONFIG_ENV_VAR = "MSIS_CONFIG"
 SECTIONS = {"sim": fs.SimConfig, "model": mo.MsisConfig, "loss": lo.LossConfig,
             "train": tr.TrainConfig}
 
+
+@dataclasses.dataclass(frozen=True)
+class SplitConfig:
+    seed: int = 0
+    cutoff_day: int | None = None  # None: the simulator's out-of-time cutoff
+
+
 DEFAULTS: dict = {
     "sim": to_dict(fs.SimConfig(n=100000)),
     "model": to_dict(mo.MsisConfig()),
     "loss": to_dict(lo.LossConfig()),
     "train": to_dict(tr.TrainConfig()),
-    "split": {"seed": 0, "cutoff_day": None},
+    "split": to_dict(SplitConfig()),
     "baselines": ["single_task"],
     "sweep": {"corridor_dim": [2, 4, 8, 16, 24],
               "gamma": [6e-5, 2e-4, 6e-4, 2e-3, 6e-3]},
@@ -125,10 +132,12 @@ def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
     for name, cls in SECTIONS.items():
         sections[name] = from_dict(cls, resolved[name], where=name)
         sections[name].validate()
-    cutoff = resolved["split"]["cutoff_day"]
-    cutoff = fs.oot_cutoff_day(sections["sim"]) if cutoff is None else int(cutoff)
+    split = from_dict(SplitConfig, resolved["split"], where="split")
+    cutoff = split.cutoff_day
+    if cutoff is None:
+        cutoff = fs.oot_cutoff_day(sections["sim"])
     return ExperimentConfig(**sections,
-                            split_seed=int(resolved["split"]["seed"]),
+                            split_seed=split.seed,
                             cutoff_day=cutoff,
                             baselines=tuple(resolved["baselines"]),
                             sweep=resolved["sweep"], resolved=resolved)
@@ -501,6 +510,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.set or [])
+        if args.command == "train" and args.model != "msis":  # before any file is written
+            kind, _, target = args.model.partition(":")
+            bl.baseline_model_config(kind, target or None, cfg.model)
         return args.fn(args, cfg, _run_dir(args, cfg))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

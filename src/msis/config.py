@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import types
 import typing
 
 from .errors import ConfigError
@@ -38,6 +39,11 @@ def from_dict(cls, obj, where: str | None = None):
 
 def _coerce(tp, value, where: str):
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType and type(None) in args:  # an optional field, "T | None"
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _coerce(tp, value, where)
     if origin is tuple and isinstance(value, (list, tuple)):
         if args[-1] is Ellipsis:
             args = (args[0],) * len(value)

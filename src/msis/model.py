@@ -11,10 +11,15 @@ Both passes compute on stacked tensors: every target's tower, head and
 fusion is one batched matmul over a group of the flat parameter store,
 with activations shaped (n_targets, batch, d). `forward` records that on
 the tape (training, attention inspection); `make_fused_forward` compiles
-the same math into preallocated buffers with no tape (scoring via
-`predict_probs`, gradient-check loss evaluations), because a value-only
-evaluation there costs a fraction of building tape nodes. Tests hold the
-two to 1e-12 relative agreement.
+the same math into buffers carved from one flat scratch vector, with no
+tape (scoring via `predict_probs`, gradient-check loss evaluations),
+because a value-only evaluation there costs a fraction of building tape
+nodes. Tests hold the two to 1e-12 relative agreement.
+
+Scoring compiles once per store and chunk shape: the parameter store
+keeps the evaluators `predict_probs` has compiled, which read its live
+weights, and all of them share the store's one scratch vector, so
+`predict_probs` is not re-entrant on one store.
 """
 
 from __future__ import annotations
@@ -196,9 +201,9 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
 # forward pass
 # ---------------------------------------------------------------------------
 
-# rows per fused-forward evaluation in predict_probs: the evaluator's scratch
-# buffers stay at a few MB, and compiling it is paid once, not per chunk
-PREDICT_CHUNK_ROWS = 1024
+# rows per fused-forward evaluation in predict_probs: a store's scratch
+# vector, sized to its largest evaluator, stays at about 2 MB
+PREDICT_CHUNK_ROWS = 256
 
 
 def check_features(config: MsisConfig, features: np.ndarray) -> None:
@@ -282,39 +287,88 @@ def forward(params: ParamStore, config: MsisConfig,
 
 def predict_probs(params: ParamStore, config: MsisConfig,
                   features: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-target probabilities as flat vectors, scored through the fused
-    forward PREDICT_CHUNK_ROWS rows at a time.
+    """Per-target probabilities as flat vectors of a fresh array, scored
+    through the fused forward PREDICT_CHUNK_ROWS rows at a time.
 
-    One evaluator is compiled over a chunk buffer and re-run as each chunk
-    is copied in, so the scratch memory stays small and is reused whatever
-    the input size; only a shorter final chunk compiles a second one."""
+    Each chunk runs on the evaluator the store keeps for its (config,
+    rows), compiled on the first call of that shape. All of a store's
+    evaluators carve their buffers from its one scratch vector, from the
+    start, so predict_probs is not re-entrant on one store (msis is
+    single-threaded)."""
     check_features(config, features)
     n = features.shape[0]
     probs = np.empty((len(config.all_targets()), n))
-    chunk = np.empty((min(n, PREDICT_CHUNK_ROWS), features.shape[1]))
-    run = None
     for start in range(0, n, PREDICT_CHUNK_ROWS):
         stop = min(start + PREDICT_CHUNK_ROWS, n)
-        if stop - start < chunk.shape[0]:
-            chunk, run = chunk[:stop - start], None
-        chunk[...] = features[start:stop]
-        if run is None:
-            run = make_fused_forward(params, config, chunk)
-        probs[:, start:stop] = run()
+        probs[:, start:stop] = _score_chunk(params, config, features[start:stop])
     return {t: probs[i] for i, t in enumerate(config.all_targets())}
 
 
+def _score_chunk(params: ParamStore, config: MsisConfig,
+                 features: np.ndarray) -> np.ndarray:
+    """Copy the chunk into its cached evaluator's input and run it. On a
+    miss, compile one; when the scratch must grow to hold it, the
+    evaluators carved from the old vector are dropped, which frees it."""
+    key = (config, features.shape[0])
+    cached = params.evaluators.get(key)
+    if cached is not None:
+        chunk, run = cached
+        chunk[...] = features
+        return run()
+    cut = features.size
+    need = cut + _scratch_size(params, config, features)
+    if params.scratch.size < need:
+        params.evaluators.clear()
+        params.scratch = np.empty(need)
+    chunk = params.scratch[:cut].reshape(features.shape)
+    chunk[...] = features
+    run = make_fused_forward(params, config, chunk, params.scratch[cut:])
+    params.evaluators[key] = chunk, run
+    return run()
+
+
+class _Carver:
+    """Consecutive views, of any shape, of a flat float64 vector from its
+    start. Without a vector it only counts the scalars asked for, which is
+    how a compile measures the scratch it needs."""
+
+    def __init__(self, flat: np.ndarray | None):
+        self.flat, self.used = flat, 0
+
+    def __call__(self, *shape: int) -> np.ndarray | None:
+        start = self.used
+        self.used += math.prod(shape)
+        if self.flat is None:
+            return None
+        return self.flat[start:self.used].reshape(shape)  # ValueError past its end
+
+
+def _scratch_size(params: ParamStore, config: MsisConfig, features: np.ndarray) -> int:
+    """Scalars of scratch that a fused evaluator over this feature shape
+    carves."""
+    count = _Carver(None)
+    _compile_fused(params, config, features, count)
+    return count.used
+
+
 def make_fused_forward(params: ParamStore, config: MsisConfig,
-                       features: np.ndarray):
+                       features: np.ndarray, scratch: np.ndarray | None = None):
     """Compile a zero-argument evaluator of per-target probabilities for a
     feature matrix of fixed shape, returning a (n_targets, batch) array.
     Each call reads the matrix in place (unless it had to be copied to a
     C-contiguous float64 array), so refilling it re-scores new rows.
 
-    Same math as forward(), on the same groups of the store (views into
-    its flat parameter vector, kept live because training updates that
-    vector in place), but every parameter lookup happens once, here, and
-    every intermediate writes into a preallocated buffer.
+    Every intermediate, the returned array included, is a view carved in
+    order from one flat scratch vector: `scratch` when given (predict_probs
+    passes the store's, shared by all its evaluators, so a run overwrites
+    what another evaluator returned), else a vector of its own. Each run
+    writes every buffer before reading it, so sharing is safe as long as
+    evaluators run one at a time. The evaluator holds the store's groups
+    (views into its flat parameter vector, kept live because training,
+    load_values and the best-epoch restore write that vector in place)
+    but not the store itself.
+
+    Same math as forward(), but every parameter lookup happens once, here.
     This is the path for every value-only evaluation: scoring through
     predict_probs, and the gradient check, which re-evaluates the loss
     twice per scalar parameter. Agreement with the tape forward is
@@ -324,10 +378,17 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
     if "head.w" not in params.groups:
         raise ContractError(
             "make_fused_forward needs the stacked parameter groups of init_params")
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    if scratch is None:
+        scratch = np.empty(_scratch_size(params, config, x))
+    return _compile_fused(params, config, x, _Carver(scratch))
+
+
+def _compile_fused(params: ParamStore, config: MsisConfig, x: np.ndarray,
+                   take: _Carver):
     P = lambda name: params[name].value
     G = lambda name: params.groups[name].value
     mm, add, mul, sub = np.matmul, np.add, np.multiply, np.subtract
-    x = np.ascontiguousarray(features, dtype=np.float64)
     b = x.shape[0]
     nt = len(config.all_targets())
     widths = config.tower_widths
@@ -335,12 +396,12 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
     scale = 1.0 / math.sqrt(d)
     ones_d = np.ones(d)  # row sums over d as matmuls: axis-2 .sum() is several times slower
     use_corridor = config.corridor_enabled and len(config.stages) > 1
-    probs = np.empty((nt, b))
+    probs = take(nt, b)
 
-    shared_bufs = [np.empty((b, w)) for w in config.shared_widths]
+    shared_bufs = [take(b, w) for w in config.shared_widths]
     shared_ws = [(P(f"shared.{i}.w"), P(f"shared.{i}.b"))
                  for i in range(len(config.shared_widths))]
-    tower_bufs = [np.empty((nt, b, w)) for w in widths]
+    tower_bufs = [take(nt, b, w) for w in widths]
     tower_ws = [(G(f"tower.w.{i}"), G(f"tower.b.{i}")) for i in range(len(widths))]
 
     def bottom():
@@ -364,7 +425,7 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
 
     def compile_stage(si: int, sname: str, ns: int, sl: slice):
         head_w, head_b = G("head.w")[sl], G("head.b")[sl]
-        logits = np.empty((ns, b, 1))
+        logits = take(ns, b, 1)
         fuse = use_corridor and si > 0
         emit = use_corridor and si < len(config.stages) - 1
         if fuse:
@@ -373,36 +434,36 @@ def make_fused_forward(params: ParamStore, config: MsisConfig,
             f_b = P(f"corridor.{prev_name}-{sname}.f.b")
             fin_w, fin_b = G(f"fuse_in.w.{sname}"), G(f"fuse_in.b.{sname}")
             fself_w, fself_b = G(f"fuse_self.w.{sname}"), G(f"fuse_self.b.{sname}")
-            e_in = np.empty((b, d))
-            e_proj = np.empty((3, ns, b, d))  # (part, target, ...), as the groups
-            h_proj = np.empty((3, ns, b, d))
-            prod = np.empty((ns, b, d))
-            s_in = np.empty((ns, b))
-            s_self = np.empty((ns, b))
-            beta1 = np.empty((ns, b))
-            fused = np.empty((ns, b, d))
-            ftmp = np.empty((ns, b, d))
+            e_in = take(b, d)
+            e_proj = take(3, ns, b, d)  # (part, target, ...), as the groups
+            h_proj = take(3, ns, b, d)
+            prod = take(ns, b, d)
+            s_in = take(ns, b)
+            s_self = take(ns, b)
+            beta1 = take(ns, b)
+            fused = take(ns, b, d)
+            ftmp = take(ns, b, d)
         if emit:
             g3_w, g3_b = P(f"intra.{sname}.g3.w"), P(f"intra.{sname}.g3.b")
-            g3 = np.empty((ns, b, d))
+            g3 = take(ns, b, d)
             if ns > 1:
                 g1_w, g1_b = P(f"intra.{sname}.g1.w"), P(f"intra.{sname}.g1.b")
                 g2_w, g2_b = P(f"intra.{sname}.g2.w"), P(f"intra.{sname}.g2.b")
-                g1 = np.empty((ns, b, d))
-                g2 = np.empty((ns, b, d))
-                score = np.empty((ns, b))
-                zrow = np.empty(b)
-                e_ou = np.empty((b, d))
+                g1 = take(ns, b, d)
+                g2 = take(ns, b, d)
+                score = take(ns, b)
+                zrow = take(b)
+                e_ou = take(b, d)
 
         post_fusion = config.attention_input == "post_fusion"
 
         slope = nm.LEAKY_SLOPE
         if fuse:
-            e_in_s = np.empty_like(e_in)
-            e_proj_s = np.empty_like(e_proj)
-            h_proj_s = np.empty_like(h_proj)
+            e_in_s = take(b, d)
+            e_proj_s = take(3, ns, b, d)
+            h_proj_s = take(3, ns, b, d)
         if emit:
-            g3_s = np.empty_like(g3)
+            g3_s = take(ns, b, d)
 
         def leaky(buf, scratch):
             mul(buf, slope, out=scratch)

@@ -340,6 +340,11 @@ class ParamStore:
 
     Checkpoints keep the v1 per-name format: `load_values` copies each
     named tensor into its view, whatever the layout.
+
+    Because the vectors never move after `pack`, the store can also keep
+    the fused evaluators that `model.predict_probs` compiles over them
+    (`evaluators`, with their shared `scratch`): they read the live
+    weights, and they are freed with the store.
     """
 
     def __init__(self, seed: int):
@@ -350,6 +355,10 @@ class ParamStore:
         self._values: np.ndarray | None = None
         self._grads: np.ndarray | None = None
         self.groups: dict[str, Node] = {}
+        # model.predict_probs's compiled evaluators, keyed by (config, chunk
+        # rows), and the one scratch vector they all carve their buffers from
+        self.evaluators: dict = {}
+        self.scratch = np.empty(0)
 
     def add(self, name: str, value: np.ndarray) -> Node:
         if name in self._params:

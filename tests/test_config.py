@@ -85,3 +85,29 @@ def test_defaults_are_the_dataclass_defaults():
     assert cfg.model == M.MsisConfig()
     assert cfg.loss == ls.LossConfig()
     assert cfg.train == tr.TrainConfig()
+
+
+class TestCliSplit:
+    @pytest.mark.parametrize("assignment, fragment", [
+        ("split.seed=abc", "split.seed must be a whole number"),
+        ("split.cutoff_day=2.5", "split.cutoff_day must be a whole number"),
+    ])
+    def test_bad_split_values_exit_one_without_a_run_dir(self, tmp_path, capsys,
+                                                         assignment, fragment):
+        out = tmp_path / "x"
+        assert cli.main(["simulate", "--set", assignment, "--out", str(out)]) == 1
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_split_values_are_typed(self):
+        cfg = cli.load_config(None, ["split.seed=7", "split.cutoff_day=200"])
+        assert (cfg.split_seed, cfg.cutoff_day) == (7, 200)
+        assert cli.load_config(None, ["split.cutoff_day=null"]).cutoff_day == 292
+
+
+def test_unknown_model_exits_one_without_a_run_dir(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert cli.main(["train", "--data", str(tmp_path / "data"), "--model", "frob",
+                     "--out", str(out)]) == 1
+    assert "unknown model 'frob'" in capsys.readouterr().err
+    assert not out.exists()

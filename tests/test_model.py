@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -246,8 +247,11 @@ class TestForward:
     def test_predict_probs_matches_tape(self, default_cfg):
         params = M.init_params(default_cfg, seed=8)
         rng = np.random.default_rng(3)
-        # one row; then two full chunks (the compiled evaluator is reused) and a tail
-        for rows in (1, 2 * M.PREDICT_CHUNK_ROWS + 37):
+        # one row; a chunk less one, one chunk, a chunk and a one-row tail,
+        # two chunks and a one-row tail (255, 256, 257 and 513 rows at 256
+        # rows per chunk; the cached evaluators are reused)
+        c = M.PREDICT_CHUNK_ROWS
+        for rows in (1, c - 1, c, c + 1, 2 * c + 1):
             x = rng.normal(size=(rows, 32))
             served = M.predict_probs(params, default_cfg, x)
             tape = M.forward(params, default_cfg, x).probs
@@ -256,6 +260,93 @@ class TestForward:
                 ref = tape[t].value.ravel()
                 assert p.shape == (rows,)
                 assert (np.abs(p - ref) / ref).max() <= 1e-12, (rows, t)
+
+
+def _fresh_per_chunk(params, cfg, x) -> np.ndarray:
+    """(n_targets, rows) probabilities with one newly compiled evaluator
+    per predict_probs chunk."""
+    step = M.PREDICT_CHUNK_ROWS
+    return np.concatenate([M.make_fused_forward(params, cfg, x[i:i + step].copy())()
+                           for i in range(0, len(x), step)], axis=1)
+
+
+def _stacked(cfg, served) -> np.ndarray:
+    return np.stack([served[t] for t in cfg.all_targets()])
+
+
+class TestEvaluatorCache:
+    SHAPES = (1, 62, 255, 256, 257, 830, 2536)
+
+    def test_returned_arrays_are_not_overwritten(self, default_cfg):
+        params = M.init_params(default_cfg, seed=11)
+        rng = np.random.default_rng(0)
+        kept = []
+        for rows in (5, 5, 300, 1, 5, 62):
+            served = M.predict_probs(params, default_cfg, rng.normal(size=(rows, 32)))
+            kept.append((served, {t: p.copy() for t, p in served.items()}))
+        for served, copy in kept:
+            for t, p in served.items():
+                assert np.array_equal(p, copy[t]), t
+
+    def test_cached_evaluator_reads_live_weights(self, default_cfg, batch_64):
+        from msis import trainer as tr
+        params = M.init_params(default_cfg, seed=12)
+        x = np.random.default_rng(1).normal(size=(40, 32))
+
+        def agrees():
+            served = _stacked(default_cfg, M.predict_probs(params, default_cfg, x))
+            fresh = M.make_fused_forward(params, default_cfg, x)()
+            tape = M.forward(params, default_cfg, x).stacked.value
+            for other in (fresh, tape):
+                assert (np.abs(served - other) / other).max() <= 1e-12
+            return served
+
+        before = agrees()  # compiles and caches the 40-row evaluator
+        adam = tr.Adam(params, tr.TrainConfig())
+        for _ in range(3):
+            params.zero_adjoints()
+            total = ls.total_loss(M.forward(params, default_cfg, batch_64.features),
+                                  batch_64, ls.LossConfig(), default_cfg.stages).total
+            nm.backward_sweep(total)
+            adam.step()
+        stepped = agrees()
+        assert not np.array_equal(stepped, before)
+        source = M.init_params(default_cfg, seed=13)
+        params.load_values({name: node.value for name, node in source.items()})
+        assert not np.array_equal(agrees(), stepped)
+
+    def test_mixed_shapes_match_fresh_evaluators(self, default_cfg):
+        params = M.init_params(default_cfg, seed=14)
+        rng = np.random.default_rng(2)
+        sequence = self.SHAPES + self.SHAPES[::-1] + self.SHAPES[::2]
+        for rows in sequence:
+            x = rng.normal(size=(rows, 32))
+            served = _stacked(default_cfg, M.predict_probs(params, default_cfg, x))
+            assert served.tobytes() == _fresh_per_chunk(params, default_cfg, x).tobytes()
+
+    def test_scratch_is_one_vector_bounded_by_a_full_chunk(self, default_cfg):
+        params = M.init_params(default_cfg, seed=15)
+        for rows in self.SHAPES:
+            M.predict_probs(params, default_cfg, np.zeros((rows, 32)))
+        full = np.zeros((M.PREDICT_CHUNK_ROWS, 32))
+        assert params.scratch.size == full.size + M._scratch_size(params, default_cfg, full)
+        assert params.evaluators
+        for chunk, run in params.evaluators.values():
+            assert np.shares_memory(chunk, params.scratch)
+            assert np.shares_memory(run(), params.scratch)
+
+    def test_store_is_freed_without_cycle_collection(self, default_cfg):
+        params = M.init_params(default_cfg, seed=16)
+        gc.collect()
+        gc.disable()
+        try:
+            M.predict_probs(params, default_cfg, np.zeros((300, 32)))
+            assert params.evaluators
+            ref = weakref.ref(params)
+            del params
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestFeatureChecks:
