@@ -84,27 +84,3 @@ def train_baseline(kind: BaselineKind, target: str | None, splits: Splits,
     subset = Splits(train, splits.validation, splits.test)
     params, history = train_run(model_cfg, lcfg, train_cfg, subset, seed)
     return params, history, model_cfg
-
-
-def scalar_count(config: MsisConfig) -> int:
-    """Trainable scalar count implied by a config (no allocation)."""
-    def dense(a, b):
-        return a * b + b
-
-    total = 0
-    prev = config.input_dim
-    for w in config.shared_widths:
-        total += dense(prev, w)
-        prev = w
-    nt = len(config.all_targets())
-    t_prev = prev
-    for w in config.tower_widths:
-        total += nt * dense(t_prev, w)
-        t_prev = w
-    total += nt * dense(config.tower_out_dim, 1)
-    if config.corridor_enabled and len(config.stages) > 1:
-        d = config.corridor_dim
-        for _, targets in config.stages[:-1]:
-            total += (4 if len(targets) > 1 else 2) * dense(d, d)
-        total += sum(len(t) for _, t in config.stages[1:]) * 6 * dense(d, d)
-    return total

@@ -77,8 +77,16 @@ class TargetLoss:
 
 @dataclass
 class LossBreakdown:
+    """A batch's loss: the per-target numbers of the training log and the
+    tape's (1, 1) root. A replay of the tape on another batch of the same
+    rows copies that batch's folded weights into `weights`, the arrays
+    the tape's mul_const ops read, and takes the per-target numbers from
+    the replayed `probs`: the nodes of p, log p, 1 - p and log(1 - p)."""
+
     per_target: dict[str, TargetLoss]
     total: Node
+    weights: tuple[np.ndarray, np.ndarray, np.ndarray]
+    probs: tuple[Node, Node, Node, Node]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +161,7 @@ def total_loss(result, batch: Batch, config: LossConfig,
     stage; stages combine under the configured weights. Reads the forward
     result's stacked (n_targets, batch) probabilities."""
     w = loss_weights(batch, config, stages)
-    w_p, w_q, w_ent = w.folded()
+    weights = w_p, w_q, w_ent = w.folded()
     p = result.stacked
     q = nm.affine(p, -1.0, 1.0)
     log_p, log_q = nm.log(p), nm.log(q)
@@ -161,17 +169,20 @@ def total_loss(result, batch: Batch, config: LossConfig,
     if w.needs_entropy:
         h = nm.add(nm.mul(p, log_p), nm.mul(q, log_q))
         terms = nm.add(terms, nm.mul_const(h, w_ent))
-    total = nm.sum_all(terms)
+    probs = (p, log_p, q, log_q)
+    return LossBreakdown(per_target_losses(w, probs), nm.sum_all(terms), weights, probs)
 
-    # the training log's per-target numbers, from values outside the tape
-    supervised = -(w.pos * log_p.value + w.neg * log_q.value).sum(axis=1) \
-        / np.maximum(w.labeled, 1)
-    entropy = -(w.unl * (p.value * log_p.value + q.value * log_q.value)).sum(axis=1) \
-        / w.ent_div
-    per_target = {t: TargetLoss(float(supervised[i]), float(entropy[i]),
-                                int(w.labeled[i]), int(w.unlabeled[i]))
-                  for i, t in enumerate(w.targets)}
-    return LossBreakdown(per_target, total)
+
+def per_target_losses(w: LossWeights, probs: tuple[Node, Node, Node, Node]
+                      ) -> dict[str, TargetLoss]:
+    """The training log's per-target numbers, from the values of the
+    tape's p, log p, 1 - p and log(1 - p) nodes, outside the tape."""
+    p, log_p, q, log_q = (node.value for node in probs)
+    supervised = -(w.pos * log_p + w.neg * log_q).sum(axis=1) / np.maximum(w.labeled, 1)
+    entropy = -(w.unl * (p * log_p + q * log_q)).sum(axis=1) / w.ent_div
+    return {t: TargetLoss(float(supervised[i]), float(entropy[i]),
+                          int(w.labeled[i]), int(w.unlabeled[i]))
+            for i, t in enumerate(w.targets)}
 
 
 # ---------------------------------------------------------------------------

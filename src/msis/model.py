@@ -17,8 +17,8 @@ because a value-only evaluation there costs a fraction of building tape
 nodes. Tests hold the two to 1e-12 relative agreement.
 
 Scoring compiles once per store and chunk shape: the parameter store
-keeps the evaluators `predict_probs` has compiled, which read its live
-weights, and all of them share the store's one scratch vector, so
+keeps the last few evaluators `predict_probs` has used, which read its
+live weights, and all of them share the store's one scratch vector, so
 `predict_probs` is not re-entrant on one store.
 """
 
@@ -114,6 +114,7 @@ class ForwardResult:
     probs: dict[str, object]   # target -> (rows, 1) node
     corridor: dict[tuple[str, str], CorridorState]
     stacked: object            # (n_targets, rows) node, targets in stage order
+    features: object = None    # the (rows, input_dim) constant the tape reads
 
 
 def attend(keys, queries, values, dim: int):
@@ -204,6 +205,10 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
 # rows per fused-forward evaluation in predict_probs: a store's scratch
 # vector, sized to its largest evaluator, stays at about 2 MB
 PREDICT_CHUNK_ROWS = 256
+# evaluators a store keeps, the least recently used dropped first: each
+# holds about 16 kB of views and closures, and a store that serves a few
+# request sizes and one bulk tail keeps all of its shapes
+EVALUATORS_KEPT = 8
 
 
 def check_features(config: MsisConfig, features: np.ndarray) -> None:
@@ -221,7 +226,10 @@ def check_features(config: MsisConfig, features: np.ndarray) -> None:
 def forward(params: ParamStore, config: MsisConfig,
             features: np.ndarray) -> ForwardResult:
     """Run the full pipeline on a (batch, input_dim) feature matrix; the
-    result holds tape nodes ready for a backward sweep.
+    result holds tape nodes ready for a backward sweep. The tape reads its
+    own copy of the features (`result.features`): refill it and
+    `numerics.replay` the recorded tape to run other rows of the same
+    count.
 
     Every target's tower, head and fusion runs in one op over the store's
     groups, as (n_targets, batch, d) tensors."""
@@ -234,7 +242,7 @@ def forward(params: ParamStore, config: MsisConfig,
         # would park every downstream pre-activation on its kink
         return nm.leaky_relu(nm.dense_forward(v, P(name + ".w"), P(name + ".b")))
 
-    shared = nm.constant(features)
+    shared = inputs = nm.constant(features)
     for i in range(len(config.shared_widths)):
         shared = nm.relu(nm.dense_forward(shared, P(f"shared.{i}.w"),
                                           P(f"shared.{i}.b")))
@@ -282,7 +290,7 @@ def forward(params: ParamStore, config: MsisConfig,
 
     probs = nm.sigmoid(nm.dense_forward(top, G["head.w"], G["head.b"]))
     per_target = {t: nm.index(probs, i) for i, t in enumerate(config.all_targets())}
-    return ForwardResult(per_target, corridor, nm.index(probs, (Ellipsis, 0)))
+    return ForwardResult(per_target, corridor, nm.index(probs, (Ellipsis, 0)), inputs)
 
 
 def predict_probs(params: ParamStore, config: MsisConfig,
@@ -291,7 +299,8 @@ def predict_probs(params: ParamStore, config: MsisConfig,
     through the fused forward PREDICT_CHUNK_ROWS rows at a time.
 
     Each chunk runs on the evaluator the store keeps for its (config,
-    rows), compiled on the first call of that shape. All of a store's
+    rows), compiled on the first call of that shape; a store keeps the
+    EVALUATORS_KEPT most recently used. All of a store's
     evaluators carve their buffers from its one scratch vector, from the
     start, so predict_probs is not re-entrant on one store (msis is
     single-threaded)."""
@@ -308,11 +317,12 @@ def _score_chunk(params: ParamStore, config: MsisConfig,
                  features: np.ndarray) -> np.ndarray:
     """Copy the chunk into its cached evaluator's input and run it. On a
     miss, compile one; when the scratch must grow to hold it, the
-    evaluators carved from the old vector are dropped, which frees it."""
+    evaluators carved from the old vector are dropped, which frees it.
+    The cache's insertion order is its recency order."""
     key = (config, features.shape[0])
-    cached = params.evaluators.get(key)
+    cached = params.evaluators.pop(key, None)
     if cached is not None:
-        chunk, run = cached
+        params.evaluators[key] = chunk, run = cached
         chunk[...] = features
         return run()
     cut = features.size
@@ -323,6 +333,8 @@ def _score_chunk(params: ParamStore, config: MsisConfig,
     chunk = params.scratch[:cut].reshape(features.shape)
     chunk[...] = features
     run = make_fused_forward(params, config, chunk, params.scratch[cut:])
+    if len(params.evaluators) == EVALUATORS_KEPT:
+        del params.evaluators[next(iter(params.evaluators))]
     params.evaluators[key] = chunk, run
     return run()
 

@@ -6,10 +6,14 @@ on a leading axis, (n_targets, batch, d) activations against
 `dense_forward`, `add` and `mul` broadcast like NumPy, and their backward
 passes sum each adjoint back to its operand's shape (`unbroadcast`).
 `index`, `row_dot`, `softmax`, `sum_axis` and `concat` work along an axis.
-The tape is rebuilt on every forward pass (dynamic graph);
-`backward_sweep` walks it once in reverse topological order from a (1, 1)
-root. Value-only evaluation of the model skips the tape altogether and
-runs the model's fused forward (`model.make_fused_forward`).
+Calling the ops builds the tape (a dynamic graph). `record` fixes its
+topological order once; `replay` then re-runs the same ops in place on new
+contents of the leaves, so a training loop builds one tape per batch
+shape and replays it on every later batch of that shape. `backward_sweep`
+walks the order in reverse from a (1, 1) root, writing each adjoint's
+first contribution into the buffer it already holds. Value-only
+evaluation of the model skips the tape altogether and runs the model's
+fused forward (`model.make_fused_forward`).
 
 Trainable tensors live in a `ParamStore`, which packs all of them into
 one contiguous parameter vector and one gradient vector: each tensor's
@@ -41,16 +45,23 @@ def tensor2d(data) -> np.ndarray:
 
 
 class Node:
-    """A tape entry: a value, slots for its adjoint, and its provenance."""
+    """A tape entry: a value, slots for its adjoint, and its provenance.
 
-    __slots__ = ("value", "adjoint", "parents", "backward_fn")
+    forward_fn recomputes the value in place (`replay`); backward_fn adds
+    the node's adjoint into its parents' adjoints, `first[i]` telling it
+    that parent i gets its first contribution of the sweep (`record`)."""
+
+    __slots__ = ("value", "adjoint", "parents", "backward_fn", "forward_fn", "first")
 
     def __init__(self, value: np.ndarray, parents: tuple["Node", ...] = (),
-                 backward_fn: Callable[[np.ndarray], None] | None = None):
+                 backward_fn: Callable[[np.ndarray, tuple[bool, ...]], None] | None = None,
+                 forward_fn: Callable[[np.ndarray], np.ndarray] | None = None):
         self.value = value
         self.adjoint: np.ndarray | None = None
         self.parents = parents
         self.backward_fn = backward_fn
+        self.forward_fn = forward_fn
+        self.first: tuple[bool, ...] = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -58,7 +69,9 @@ class Node:
 
 
 def constant(data) -> Node:
-    return Node(np.ascontiguousarray(data, dtype=np.float64))
+    """A leaf holding its own copy of data, which a replayed tape may
+    overwrite with new inputs."""
+    return Node(np.array(data, dtype=np.float64, order="C"))
 
 
 def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -73,9 +86,42 @@ def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=axes).reshape(shape)
 
 
+def _give(node: Node, contribution, first: bool) -> None:
+    """Add one contribution to a node's adjoint; the first of a sweep is
+    written over the buffer instead, which gives the same bytes as adding
+    it to zeros."""
+    if first:
+        np.copyto(node.adjoint, contribution)
+    else:
+        node.adjoint += contribution
+
+
+def _give_product(node: Node, a: np.ndarray, b, first: bool) -> None:
+    """_give(node, a * b, first), with a first product written straight
+    into the adjoint."""
+    if first:
+        np.multiply(a, b, out=node.adjoint)
+    else:
+        node.adjoint += a * b
+
+
+def _op(compute: Callable, parents: tuple[Node, ...], backward: Callable) -> Node:
+    """A tape node whose value compute(out=None) allocates and whose
+    replay re-runs compute(out=value)."""
+    return Node(compute(), parents, backward, compute)
+
+
 # ---------------------------------------------------------------------------
 # graph operations
 # ---------------------------------------------------------------------------
+#
+# Each op computes its value with one function of an optional output
+# buffer: called once without one when the op is recorded, then with the
+# node's own value on every replay. The functions and the backward
+# closures read the operands' value arrays, which stay in place across
+# replays, and never the op's own output node: a node reachable from its
+# own closure is a reference cycle that keeps the whole tape alive until
+# the cyclic garbage collector runs.
 
 def dense_forward(x: Node, w: Node, b: Node) -> Node:
     """out = x @ w + b over the last two axes. Leading axes broadcast, so a
@@ -84,190 +130,288 @@ def dense_forward(x: Node, w: Node, b: Node) -> Node:
     if x.shape[-1] != w.shape[-2] or b.shape[-2:] != (1, w.shape[-1]):
         raise DimensionError(f"dense: input {x.shape}, weight {w.shape} and bias "
                              f"{b.shape} do not conform")
+    xv, wv, bv = x.value, w.value, b.value
+
+    def compute(out=None):
+        out = np.matmul(xv, wv, out=out)
+        return np.add(out, bv, out=out)
+
     try:
-        value = x.value @ w.value + b.value
+        value = compute()
     except ValueError as exc:
         raise DimensionError(f"dense: lead axes of input {x.shape}, weight {w.shape} "
                              f"and bias {b.shape} do not broadcast") from exc
+    w_t, x_t = np.swapaxes(wv, -1, -2), np.swapaxes(xv, -1, -2)
+    # an operand the product does not broadcast gets g @ w^T (or x^T @ g)
+    # written straight into its adjoint on the first contribution
+    x_direct = value.shape[:-1] + (w.shape[-2],) == x.shape and xv.flags.c_contiguous
+    w_direct = value.shape[:-2] + w.shape[-2:] == w.shape and wv.flags.c_contiguous
 
-    def backward(g: np.ndarray) -> None:
-        x.adjoint += unbroadcast(g @ np.swapaxes(w.value, -1, -2), x.shape)
-        w.adjoint += unbroadcast(np.swapaxes(x.value, -1, -2) @ g, w.shape)
-        b.adjoint += unbroadcast(g, b.shape)
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        if x_direct and first[0]:
+            np.matmul(g, w_t, out=x.adjoint)
+        else:
+            _give(x, unbroadcast(g @ w_t, x.shape), first[0])
+        if w_direct and first[1]:
+            np.matmul(x_t, g, out=w.adjoint)
+        else:
+            _give(w, unbroadcast(x_t @ g, w.shape), first[1])
+        _give(b, unbroadcast(g, b.shape), first[2])
 
-    return Node(value, (x, w, b), backward)
+    return Node(value, (x, w, b), backward, compute)
+
+
+def _give_rectified(x: Node, g: np.ndarray, slope: float, first: bool) -> None:
+    """_give(x, g * factor, first), factor being a rectifier's slope at x:
+    1 above zero, `slope` below, and the symmetric subgradient halfway
+    between at exactly zero, where the central difference sees the
+    average of the one-sided slopes. A first contribution builds the
+    factor in the adjoint itself."""
+    factor = x.adjoint if first else np.empty_like(g)
+    np.sign(x.value, out=factor)
+    factor += 1.0
+    factor *= 0.5
+    if slope:
+        factor *= 1.0 - slope
+        factor += slope
+    if first:
+        factor *= g
+    else:
+        x.adjoint += g * factor
 
 
 def relu(x: Node) -> Node:
-    out = Node(np.maximum(x.value, 0.0), (x,))
+    xv = x.value
 
-    def backward(g: np.ndarray) -> None:
-        # symmetric subgradient 1/2 at exactly zero, where the central
-        # difference sees the average of the one-sided slopes
-        x.adjoint += g * ((np.sign(x.value) + 1.0) * 0.5)
+    def compute(out=None):
+        return np.maximum(xv, 0.0, out=out)
 
-    out.backward_fn = backward
-    return out
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        _give_rectified(x, g, 0.0, first[0])
+
+    return _op(compute, (x,), backward)
 
 
 def leaky_relu(x: Node, slope: float = LEAKY_SLOPE) -> Node:
     """max(x, slope*x): rectification that never flattens to an exact zero,
     so downstream layers cannot sit on a kink for whole rows."""
-    out = Node(np.maximum(x.value, slope * x.value), (x,))
+    xv = x.value
 
-    def backward(g: np.ndarray) -> None:
-        base = (np.sign(x.value) + 1.0) * 0.5
-        x.adjoint += g * (slope + (1.0 - slope) * base)
+    def compute(out=None):
+        out = np.multiply(xv, slope, out=out)
+        return np.maximum(xv, out, out=out)
 
-    out.backward_fn = backward
-    return out
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        _give_rectified(x, g, slope, first[0])
+
+    return _op(compute, (x,), backward)
 
 
 def sigmoid(x: Node) -> Node:
     """Stable logistic, clamped to [eps, 1-eps] so downstream logs are safe."""
-    # the backward pass reads the value array, never the output node: a
-    # node reachable from its own closure is a reference cycle that keeps
-    # the whole tape alive until the cyclic garbage collector runs
-    s = np.clip(expit(x.value), CLAMP_EPS, 1.0 - CLAMP_EPS)
+    xv = x.value
 
-    def backward(g: np.ndarray) -> None:
-        x.adjoint += g * (s * (1.0 - s))
+    def compute(out=None):
+        out = expit(xv, out=out)
+        return np.clip(out, CLAMP_EPS, 1.0 - CLAMP_EPS, out=out)
 
-    return Node(s, (x,), backward)
+    s = compute()
+
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        _give_product(x, g, s * (1.0 - s), first[0])
+
+    return Node(s, (x,), backward, compute)
 
 
 def log(x: Node) -> Node:
-    out = Node(np.log(x.value), (x,))
+    xv = x.value
 
-    def backward(g: np.ndarray) -> None:
-        x.adjoint += g / x.value
+    def compute(out=None):
+        return np.log(xv, out=out)
 
-    out.backward_fn = backward
-    return out
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        _give(x, g / xv, first[0])
+
+    return _op(compute, (x,), backward)
 
 
-def _broadcast(op, a: Node, b: Node) -> np.ndarray:
+def _broadcast(ufunc, a: Node, b: Node) -> tuple[np.ndarray, Callable]:
+    """The value and compute function of an elementwise binary op over
+    operands that broadcast against each other."""
+    av, bv = a.value, b.value
+
+    def compute(out=None):
+        return ufunc(av, bv, out=out)
+
     try:
-        return op(a.value, b.value)
+        return compute(), compute
     except ValueError as exc:
         raise DimensionError(
-            f"{op.__name__}: shapes {a.shape} and {b.shape} do not broadcast") from exc
+            f"{ufunc.__name__}: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
 
 def add(a: Node, b: Node) -> Node:
     """Elementwise sum of operands that broadcast against each other."""
+    value, compute = _broadcast(np.add, a, b)
 
-    def backward(g: np.ndarray) -> None:
-        a.adjoint += unbroadcast(g, a.shape)
-        b.adjoint += unbroadcast(g, b.shape)
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        _give(a, unbroadcast(g, a.shape), first[0])
+        _give(b, unbroadcast(g, b.shape), first[1])
 
-    return Node(_broadcast(np.add, a, b), (a, b), backward)
+    return Node(value, (a, b), backward, compute)
 
 
 def mul(a: Node, b: Node) -> Node:
     """Elementwise product of operands that broadcast against each other,
     such as (n, batch, 1) weights against (n, batch, d) vectors."""
+    value, compute = _broadcast(np.multiply, a, b)
+    av, bv = a.value, b.value
 
-    def backward(g: np.ndarray) -> None:
-        a.adjoint += unbroadcast(g * b.value, a.shape)
-        b.adjoint += unbroadcast(g * a.value, b.shape)
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        _give(a, unbroadcast(g * bv, a.shape), first[0])
+        _give(b, unbroadcast(g * av, b.shape), first[1])
 
-    return Node(_broadcast(np.multiply, a, b), (a, b), backward)
+    return Node(value, (a, b), backward, compute)
 
 
 def affine(x: Node, scale: float, shift: float = 0.0) -> Node:
     """scale * x + shift with float constants."""
-    out = Node(scale * x.value + shift, (x,))
+    xv = x.value
 
-    def backward(g: np.ndarray) -> None:
-        x.adjoint += scale * g
+    def compute(out=None):
+        out = np.multiply(scale, xv, out=out)
+        return np.add(out, shift, out=out)
 
-    out.backward_fn = backward
-    return out
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        _give(x, scale * g, first[0])
+
+    return _op(compute, (x,), backward)
 
 
 def mul_const(x: Node, c: np.ndarray) -> Node:
-    """Elementwise product with a constant array of the same shape."""
+    """Elementwise product with a constant array of the same shape. The
+    node reads c in place, so whoever owns c can change it between
+    replays."""
     if c.shape != x.value.shape:
         raise DimensionError(f"mul_const: shapes {x.value.shape} and {c.shape} differ")
-    out = Node(x.value * c, (x,))
+    xv = x.value
 
-    def backward(g: np.ndarray) -> None:
-        x.adjoint += g * c
+    def compute(out=None):
+        return np.multiply(xv, c, out=out)
 
-    out.backward_fn = backward
-    return out
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        _give_product(x, g, c, first[0])
+
+    return _op(compute, (x,), backward)
 
 
 def sum_all(x: Node) -> Node:
     """The sum of every entry, as a (1, 1) scalar."""
-    out = Node(np.array([[x.value.sum()]]), (x,))
+    xv = x.value
 
-    def backward(g: np.ndarray) -> None:
-        x.adjoint += g[0, 0]
+    def compute(out=None):
+        if out is None:
+            return np.array([[xv.sum()]])
+        out[0, 0] = xv.sum()
+        return out
 
-    out.backward_fn = backward
-    return out
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        _give(x, g[0, 0], first[0])
+
+    return _op(compute, (x,), backward)
 
 
 def sum_axis(x: Node, axis: int) -> Node:
     """Sum over one axis, which the result drops."""
+    xv = x.value
 
-    def backward(g: np.ndarray) -> None:
-        x.adjoint += np.expand_dims(g, axis)
+    def compute(out=None):
+        return np.sum(xv, axis=axis, out=out)
 
-    return Node(x.value.sum(axis=axis), (x,), backward)
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        _give(x, np.expand_dims(g, axis), first[0])
+
+    return _op(compute, (x,), backward)
 
 
 def index(x: Node, key) -> Node:
     """Basic indexing: integers, slices (strided too), None and Ellipsis.
-    The value is a view; each entry of x appears at most once in it."""
+    The value is a view, so it follows x through every replay and needs no
+    forward_fn; each entry of x appears at most once in it."""
+    value = x.value[key]
+    whole = value.size == x.value.size
 
-    def backward(g: np.ndarray) -> None:
-        x.adjoint[key] += g
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        if not first[0]:
+            x.adjoint[key] += g
+            return
+        # the one op that can write part of its operand's adjoint: the
+        # first contribution zero-fills the rest
+        if not whole:
+            x.adjoint.fill(0.0)
+        x.adjoint[key] = g
 
-    return Node(x.value[key], (x,), backward)
+    return Node(value, (x,), backward)
 
 
 def row_dot(a: Node, b: Node, scale: float) -> Node:
     """scale * <a, b> along the last axis, which is kept with size 1."""
     if a.shape != b.shape:
         raise DimensionError(f"row_dot: shapes {a.shape} and {b.shape} differ")
+    av, bv = a.value, b.value
+    prod = av * bv
 
-    def backward(g: np.ndarray) -> None:
-        a.adjoint += (g * scale) * b.value
-        b.adjoint += (g * scale) * a.value
+    def compute(out=None):
+        np.multiply(av, bv, out=prod)
+        out = np.sum(prod, axis=-1, keepdims=True, out=out)
+        return np.multiply(out, scale, out=out)
 
-    return Node((a.value * b.value).sum(axis=-1, keepdims=True) * scale, (a, b), backward)
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        gs = g * scale
+        _give_product(a, gs, bv, first[0])
+        _give_product(b, gs, av, first[1])
+
+    return _op(compute, (a, b), backward)
 
 
 def softmax(x: Node, axis: int) -> Node:
     """Softmax along one axis, computed with max-subtraction."""
     if x.shape[axis] == 0:
         raise DomainError(f"softmax over an empty axis of a {x.shape} tensor")
-    e = np.exp(x.value - x.value.max(axis=axis, keepdims=True))
-    s = e / e.sum(axis=axis, keepdims=True)
+    xv = x.value
 
-    def backward(g: np.ndarray) -> None:
-        x.adjoint += s * (g - (g * s).sum(axis=axis, keepdims=True))
+    def compute(out=None):
+        out = np.subtract(xv, xv.max(axis=axis, keepdims=True), out=out)
+        np.exp(out, out=out)
+        return np.divide(out, out.sum(axis=axis, keepdims=True), out=out)
 
-    return Node(s, (x,), backward)
+    s = compute()
+
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        _give_product(x, s, g - (g * s).sum(axis=axis, keepdims=True), first[0])
+
+    return Node(s, (x,), backward, compute)
 
 
 def concat(parts: Sequence[Node], axis: int) -> Node:
     """Join tensors along an existing axis."""
-    value = np.concatenate([p.value for p in parts], axis=axis)
-    bounds = np.cumsum([p.shape[axis] for p in parts])[:-1]
+    values = [p.value for p in parts]
+    stops = np.cumsum([p.shape[axis] for p in parts])
+    lead = (slice(None),) * (axis % values[0].ndim)
+    pieces = [lead + (slice(stop - p.shape[axis], stop),) for p, stop in zip(parts, stops)]
 
-    def backward(g: np.ndarray) -> None:
-        for p, piece in zip(parts, np.split(g, bounds, axis=axis)):
-            p.adjoint += piece
+    def compute(out=None):
+        return np.concatenate(values, axis=axis, out=out)
 
-    return Node(value, tuple(parts), backward)
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        for p, piece, f in zip(parts, pieces, first):
+            _give(p, g[piece], f)
+
+    return _op(compute, tuple(parts), backward)
 
 
 # ---------------------------------------------------------------------------
-# backward sweep
+# recording, replay and the backward sweep
 # ---------------------------------------------------------------------------
 
 def _toposort(root: Node) -> list[Node]:
@@ -289,28 +433,65 @@ def _toposort(root: Node) -> list[Node]:
     return order
 
 
-def backward_sweep(root: Node) -> None:
+def record(root: Node) -> list[Node]:
+    """The topological order of root's graph, for `replay` and
+    `backward_sweep`.
+
+    Recording also readies the graph for sweeps: every node without an
+    adjoint gets an (unfilled) buffer, and every node learns which of its
+    parents it reaches first in a reverse sweep, so that contribution
+    writes the parent's adjoint instead of adding to it. The flags belong
+    to this root: record a graph again before sweeping it from another.
+    Raises ContractError when two leaves share adjoint memory (a store's
+    group and one of its members): each one's first write would clobber
+    the other's."""
+    order = _toposort(root)
+    leaves = [node.adjoint for node in order if not node.parents and node.adjoint is not None]
+    for i, adjoint in enumerate(leaves):
+        if any(np.may_share_memory(adjoint, other) for other in leaves[i + 1:]):
+            raise ContractError("two leaves of one graph share adjoint memory")
+    reached: set[int] = set()
+    for node in reversed(order):
+        if node.adjoint is None:
+            node.adjoint = np.empty_like(node.value)
+        first = []
+        for parent in node.parents:
+            first.append(id(parent) not in reached)
+            reached.add(id(parent))
+        node.first = tuple(first)
+    return order
+
+
+def replay(order: Sequence[Node]) -> None:
+    """Recompute every value of a recorded graph in place, in topological
+    order, from the current contents of its leaves: the parameters and
+    the constants that the caller refilled."""
+    for node in order:
+        if node.forward_fn is not None:
+            node.forward_fn(node.value)
+
+
+def backward_sweep(root: Node, order: Sequence[Node] | None = None) -> None:
     """Populate adjoints of every ancestor of a scalar root.
 
-    Adjoints of all reachable nodes are zeroed first, then accumulated
-    additively in reverse topological order, so after the sweep each node
-    holds exactly d(root)/d(node) for this graph. An adjoint that already
-    exists is zeroed in place: a parameter's adjoint is a view into its
-    store's gradient vector and must stay one.
+    order is root's `record`; without one the graph is recorded here. The
+    sweep walks it in reverse, and each node's first contribution to a
+    parent's adjoint is written over the buffer (`index` zero-fills it
+    first), the rest added, so after the sweep each node holds exactly
+    d(root)/d(node) for this graph whatever its buffer held before. The
+    buffers stay in place: a parameter's adjoint is a view into its
+    store's gradient vector and must stay one, and a replayed tape reuses
+    its own.
     """
     if root.value.shape != (1, 1):
         raise ContractError(
             f"backward_sweep root must be a 1x1 scalar, got shape {root.value.shape}")
-    order = _toposort(root)
-    for node in order:
-        if node.adjoint is None:
-            node.adjoint = np.zeros_like(node.value)
-        else:
-            node.adjoint.fill(0.0)
-    root.adjoint[0, 0] = 1.0
+    if order is None:
+        order = record(root)
+    root.adjoint.fill(1.0)
     for node in reversed(order):
         if node.backward_fn is not None:
-            node.backward_fn(node.adjoint)
+            node.backward_fn(node.adjoint, node.first)
 
 
 # ---------------------------------------------------------------------------

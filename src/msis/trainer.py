@@ -5,6 +5,11 @@ A run is bitwise reproducible from (configs, seed): the seed fixes the
 parameter draw, every epoch's shuffle, and nothing else is random. The
 reported model is the checkpoint of the best validation epoch, scored by
 the mean AUC of the final stage's targets.
+
+A step's tape depends on the batch's row count alone, so a run builds it
+(`model.forward`, `loss.total_loss`) once per row count, typically full
+batches and one tail, and replays it in place on every later batch of
+that count. A replay gives the bytes a freshly built tape would.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from . import numerics as nm
 from .dataset import Batch, Splits, batches, make_batch
 from .errors import ConfigError
 from .evaluation import try_auc
-from .loss import LossBreakdown, LossConfig, total_loss
-from .model import MsisConfig, forward, init_params, predict_probs
+from .loss import LossBreakdown, LossConfig, loss_weights, per_target_losses, total_loss
+from .model import MsisConfig, check_features, forward, init_params, predict_probs
 from .numerics import ParamStore
 
 
@@ -112,6 +117,31 @@ class RunResult:
     history: TrainHistory
 
 
+class _Step:
+    """One training step's tape, built on the first batch of its row count
+    and replayed on every later one: the batch's features and folded loss
+    weights are copied into the constants the tape owns, and its ops re-run
+    in place over the same buffers."""
+
+    def __init__(self, params: ParamStore, model_cfg: MsisConfig, loss_cfg: LossConfig,
+                 batch: Batch):
+        self.model_cfg, self.loss_cfg = model_cfg, loss_cfg
+        result = forward(params, model_cfg, batch.features)
+        self.features = result.features.value
+        self.loss: LossBreakdown = total_loss(result, batch, loss_cfg, model_cfg.stages)
+        self.order = nm.record(self.loss.total)
+
+    def replay(self, batch: Batch) -> None:
+        # the checks a fresh build makes, before the tape is touched
+        check_features(self.model_cfg, batch.features)
+        w = loss_weights(batch, self.loss_cfg, self.model_cfg.stages)
+        np.copyto(self.features, batch.features)
+        for tape_weights, batch_weights in zip(self.loss.weights, w.folded()):
+            np.copyto(tape_weights, batch_weights)
+        nm.replay(self.order)
+        self.loss.per_target = per_target_losses(w, self.loss.probs)
+
+
 def _mean_entropy(probs: np.ndarray) -> float:
     if probs.size == 0:
         return 0.0
@@ -146,6 +176,7 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
     val_eval = make_batch(splits.validation) if splits.validation else None
 
     history = TrainHistory()
+    steps: dict[int, _Step] = {}  # by batch rows
     best_metric = -math.inf
     best_values = params.values.copy()
     for epoch in range(1, train_cfg.epochs + 1):
@@ -154,14 +185,17 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
         ent_sums = {t: 0.0 for t in targets}
         epoch_batches = batches(splits.train, train_cfg.batch_size, seed, epoch)
         for bi, batch in enumerate(epoch_batches):
-            result = forward(params, model_cfg, batch.features)
-            breakdown: LossBreakdown = total_loss(result, batch, loss_cfg,
-                                                  model_cfg.stages)
+            step = steps.get(len(batch))
+            if step is None:
+                step = steps[len(batch)] = _Step(params, model_cfg, loss_cfg, batch)
+            else:
+                step.replay(batch)
+            breakdown = step.loss
             value = float(breakdown.total.value[0, 0])
             if not math.isfinite(value):
                 raise TrainingDiverged(epoch, bi, value)
             params.zero_adjoints()
-            nm.backward_sweep(breakdown.total)
+            nm.backward_sweep(breakdown.total, step.order)
             optimizer.step()
             loss_sum += value
             for t in targets:

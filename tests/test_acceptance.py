@@ -4,7 +4,8 @@ Each test prints a single PASS/FAIL line (run pytest with -s or check the
 captured output). The experiment criteria train real models at full scale
 and dominate the suite's runtime, so their independent training runs are
 spread over two worker processes; everything is deterministic, so a green
-run stays green.
+run stays green. Every test here carries the `acceptance` marker, so
+`pytest -m "not acceptance"` runs the rest of the suite alone.
 """
 
 import dataclasses
@@ -26,6 +27,8 @@ from msis import loss as lo
 from msis import model as mo
 from msis import numerics as nm
 from msis import trainer as tr
+
+pytestmark = pytest.mark.acceptance
 
 GB_TARGETS = ("mob1", "mob3", "mob6")
 

@@ -24,10 +24,11 @@ FAST = T.TrainConfig(epochs=2, patience=1, batch_size=256, seeds=(0,))
 
 
 def test_single_task_capacity_matches_staged_model():
-    staged = bl.scalar_count(M.MsisConfig())
-    single = bl.scalar_count(bl.baseline_model_config(bl.BaselineKind.SINGLE_TASK,
-                                                      "mob6"))
+    staged = M.init_params(M.MsisConfig(), 0).n_scalars()
+    single = M.init_params(bl.baseline_model_config(bl.BaselineKind.SINGLE_TASK, "mob6"),
+                           0).n_scalars()
     assert staged == 10822
+    assert single == 11281
     assert abs(single - staged) / staged <= 0.10
 
 

@@ -335,6 +335,25 @@ class TestEvaluatorCache:
             assert np.shares_memory(chunk, params.scratch)
             assert np.shares_memory(run(), params.scratch)
 
+    def test_cache_keeps_the_most_recently_used_shapes(self, default_cfg):
+        params = M.init_params(default_cfg, seed=17)
+        rng = np.random.default_rng(4)
+        kept = M.EVALUATORS_KEPT
+        # a full chunk first sizes the scratch once, so no miss regrows it
+        M.predict_probs(params, default_cfg, rng.normal(size=(M.PREDICT_CHUNK_ROWS, 32)))
+        for rows in range(1, M.PREDICT_CHUNK_ROWS):
+            x = rng.normal(size=(rows, 32))
+            served = _stacked(default_cfg, M.predict_probs(params, default_cfg, x))
+            assert served.tobytes() == _fresh_per_chunk(params, default_cfg, x).tobytes()
+            assert len(params.evaluators) <= kept
+        last = list(range(M.PREDICT_CHUNK_ROWS - kept, M.PREDICT_CHUNK_ROWS))
+        assert [rows for _, rows in params.evaluators] == last
+        # a hit makes its shape the most recent, so the next miss drops the
+        # shape after it
+        M.predict_probs(params, default_cfg, np.zeros((last[0], 32)))
+        M.predict_probs(params, default_cfg, np.zeros((1, 32)))
+        assert [rows for _, rows in params.evaluators] == last[2:] + [last[0], 1]
+
     def test_store_is_freed_without_cycle_collection(self, default_cfg):
         params = M.init_params(default_cfg, seed=16)
         gc.collect()

@@ -238,6 +238,21 @@ class TestParamStore:
         npt.assert_array_equal(ps.grads, np.full(8, 4.0))
 
 
+    def test_group_and_member_on_one_graph_rejected(self):
+        # each leaf's first contribution is written over its adjoint, so two
+        # leaves whose adjoints overlap would clobber each other
+        ps = nm.ParamStore(0)
+        ps.add("w0", np.ones((3, 2)))
+        ps.add("w1", np.ones((3, 2)))
+        ps.pack({"w": ["w0", "w1"]})
+        x = nm.constant(np.ones((4, 3)))
+        both = nm.add(nm.sum_all(nm.mul_const(ps.groups["w"], np.ones((2, 3, 2)))),
+                      nm.sum_all(nm.mul(x, nm.constant(np.ones((4, 3))))))
+        nm.backward_sweep(both)  # the group alone is fine
+        with pytest.raises(ContractError, match="share adjoint memory"):
+            nm.backward_sweep(nm.add(both, nm.sum_all(ps["w0"])))
+
+
 class TestFiniteDiffCheck:
     def test_square_function(self):
         ps = nm.ParamStore(0)

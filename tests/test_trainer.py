@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,8 +9,9 @@ from msis import evaluation as ev
 from msis import funnel_sim as fs
 from msis import loss as L
 from msis import model as M
+from msis import numerics as nm
 from msis import trainer as T
-from msis.errors import ConfigError
+from msis.errors import ConfigError, ContractError, DomainError
 
 
 def random_label_examples(n, seed=0, dim=32):
@@ -236,3 +239,99 @@ def test_history_csv(tmp_path, sim_splits):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("epoch,target,")
     assert len(lines) == 1 + 2 * 6  # 2 epochs x 6 targets
+
+
+# ---------------------------------------------------------------------------
+# recorded steps: one tape per batch row count, replayed in place
+# ---------------------------------------------------------------------------
+
+def rejected_examples(n, seed=0, dim=32):
+    """Applications the platform turned down: only the credit label exists."""
+    rng = np.random.default_rng(seed)
+    labels = {t: None for t in ds.TARGETS}
+    return [ds.Example(i, 0, rng.normal(size=dim), dict(labels, credit=False))
+            for i in range(n)]
+
+
+class TestReplayedStep:
+    CFG = M.MsisConfig()
+
+    @pytest.fixture(scope="class")
+    def step_batches(self, sim_splits):
+        train = sim_splits.train
+        a, b = ds.make_batch(train[:64]), ds.make_batch(train[64:128])
+        assert any(not np.array_equal(a.masks[t], b.masks[t]) for t in ds.TARGETS)
+        return {"a": a, "b": b, "rejected": ds.make_batch(rejected_examples(64, seed=9))}
+
+    def fresh(self, params, batch, lcfg):
+        params.zero_adjoints()
+        loss = L.total_loss(M.forward(params, self.CFG, batch.features), batch, lcfg,
+                            self.CFG.stages)
+        nm.backward_sweep(loss.total)
+        return loss, params.grads.copy()
+
+    def sweep(self, params, step):
+        params.zero_adjoints()
+        nm.backward_sweep(step.loss.total, step.order)
+        return step.loss, params.grads.copy()
+
+    @pytest.mark.parametrize("lcfg", [L.LossConfig(), L.LossConfig().supervised_only()],
+                             ids=["entropy", "supervised"])
+    @pytest.mark.parametrize("first,replays", [("a", ("b", "rejected", "a")),
+                                               ("rejected", ("a", "rejected"))])
+    def test_replay_equals_a_fresh_tape(self, step_batches, lcfg, first, replays):
+        params = M.init_params(self.CFG, seed=3)
+        step = T._Step(params, self.CFG, lcfg, step_batches[first])
+        self.sweep(params, step)
+        for name in replays:
+            batch = step_batches[name]
+            step.replay(batch)
+            got, got_grads = self.sweep(params, step)
+            want, want_grads = self.fresh(params, batch, lcfg)
+            npt.assert_array_equal(got.total.value, want.total.value, err_msg=name)
+            assert got.per_target == want.per_target, name
+            npt.assert_array_equal(got_grads, want_grads, err_msg=name)
+
+    def test_each_row_count_records_one_tape(self, monkeypatch):
+        examples = random_label_examples(150, seed=5)  # batches of 64, 64 and 22
+        splits = ds.Splits(examples, [], examples[:1])
+        recorded = []
+
+        def recording_forward(params, config, features):
+            recorded.append(features.shape[0])
+            return M.forward(params, config, features)
+
+        monkeypatch.setattr(T, "forward", recording_forward)
+        cfg = T.TrainConfig(epochs=3, patience=2, batch_size=64, seeds=(0,))
+        T.train_run(self.CFG, L.LossConfig(), cfg, splits, seed=0)
+        assert recorded == [64, 22]
+
+
+@pytest.mark.parametrize("poison,error", [("feature", DomainError),
+                                          ("label", ContractError)])
+def test_bad_row_in_a_replayed_batch_raises_its_typed_error(poison, error):
+    # the bad row sits in the second batch of the first epoch: the first
+    # recorded the 64-row tape, so this one replays it
+    examples = random_label_examples(200, seed=4)
+    row = ds.batches(examples, 64, 0, 1)[1].features[0]
+    victim = next(ex for ex in examples if np.array_equal(ex.features, row))
+    if poison == "feature":
+        victim.features[3] = np.nan
+    else:
+        victim.labels["mob3"] = float("nan")  # a NaN label under a set mask
+    splits = ds.Splits(examples, [], examples[:1])
+    cfg = T.TrainConfig(epochs=2, patience=1, batch_size=64, seeds=(0,))
+    with pytest.raises(error) as err:
+        T.train_run(M.MsisConfig(), L.LossConfig(), cfg, splits, seed=0)
+    assert not isinstance(err.value, T.TrainingDiverged)
+
+
+def test_recorded_tapes_leave_no_reference_cycles(sim_splits):
+    cfg = T.TrainConfig(epochs=2, patience=1, batch_size=64, seeds=(0,))
+    gc.collect()
+    gc.disable()
+    try:
+        T.train_run(M.MsisConfig(), L.LossConfig(), cfg, sim_splits, seed=0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
