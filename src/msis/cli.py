@@ -2,7 +2,7 @@
 and report as reproducible runs.
 
 Configuration comes from a JSON file with nested sections (sim, model,
-loss, train, split, baselines, sweep) merged over built-in defaults;
+loss, train, split, sweep) merged over built-in defaults;
 ``--set section.key=value`` overrides single fields from the command line
 (flags > file > defaults). The sim, model, loss, train and split sections
 are the config dataclasses, defaults included, read back by `msis.config`
@@ -15,6 +15,7 @@ checksum per artifact, so any result can be re-derived.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -53,7 +54,6 @@ DEFAULTS: dict = {
     "loss": to_dict(lo.LossConfig()),
     "train": to_dict(tr.TrainConfig()),
     "split": to_dict(SplitConfig()),
-    "baselines": ["single_task"],
     "sweep": {"corridor_dim": [2, 4, 8, 16, 24],
               "gamma": [6e-5, 2e-4, 6e-4, 2e-3, 6e-3]},
 }
@@ -67,7 +67,6 @@ class ExperimentConfig:
     train: tr.TrainConfig
     split_seed: int
     cutoff_day: int
-    baselines: tuple[str, ...]
     sweep: dict
     resolved: dict
 
@@ -139,7 +138,6 @@ def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
     return ExperimentConfig(**sections,
                             split_seed=split.seed,
                             cutoff_day=cutoff,
-                            baselines=tuple(resolved["baselines"]),
                             sweep=resolved["sweep"], resolved=resolved)
 
 
@@ -198,10 +196,17 @@ def _load_counterfactuals(data_dir: Path):
     return fs.load_counterfactuals(path)
 
 
+def _scope(name: str, data_dir: Path):
+    """The evaluation scope named on the command line, with the
+    counterfactual labels that the full-population scope reads."""
+    if name == "full":
+        return ev.FULL_POPULATION, _load_counterfactuals(data_dir)
+    return ev.OBSERVED, None
+
+
 def _write_rows_csv(path: Path, rows: list[dict], seeds) -> None:
     with open(path, "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["seed", "target", "auc"])
         for seed, row in zip(seeds, rows):
             for target, value in row.items():
@@ -210,10 +215,9 @@ def _write_rows_csv(path: Path, rows: list[dict], seeds) -> None:
 
 
 def _read_rows_csv(path: Path) -> list[dict]:
-    import csv as _csv
     by_seed: dict[str, dict] = {}
     with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         next(reader)
         for seed, target, value in reader:
             by_seed.setdefault(seed, {})[target] = float(value) if value else None
@@ -271,9 +275,7 @@ def cmd_evaluate(args, cfg: ExperimentConfig, out: Path) -> int:
     data_dir = Path(args.data)
     run_dir = Path(args.run)
     splits, _ = _load_splits(data_dir, cfg)
-    scope = ev.FULL_POPULATION if args.scope == "full" else ev.OBSERVED
-    counterfactuals = _load_counterfactuals(data_dir) if scope == ev.FULL_POPULATION \
-        else None
+    scope, counterfactuals = _scope(args.scope, data_dir)
     tag = args.model.replace(":", "-")
     rows = []
     seeds = []
@@ -299,9 +301,7 @@ def cmd_evaluate(args, cfg: ExperimentConfig, out: Path) -> int:
 def cmd_ablate(args, cfg: ExperimentConfig, out: Path) -> int:
     data_dir = Path(args.data)
     splits, _ = _load_splits(data_dir, cfg)
-    scope = ev.FULL_POPULATION if args.scope == "full" else ev.OBSERVED
-    counterfactuals = _load_counterfactuals(data_dir) if scope == ev.FULL_POPULATION \
-        else None
+    scope, counterfactuals = _scope(args.scope, data_dir)
     artifacts = []
     results: dict[str, ev.AblationResult] = {}
     variants = [ev.AblationVariant.FULL] + [
@@ -317,8 +317,7 @@ def cmd_ablate(args, cfg: ExperimentConfig, out: Path) -> int:
     full_rows = results["full"].rows
     table_path = out / "ablation-report.csv"
     with open(table_path, "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["variant", "target", "auc_mean", "auc_std",
                          "gap_vs_full"])
         for variant, result in results.items():
@@ -364,8 +363,7 @@ def cmd_sweep(args, cfg: ExperimentConfig, out: Path) -> int:
             if t in rep.per_target))
     csv_path = out / f"sweep-{args.param}.csv"
     with open(csv_path, "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow([args.param, "target", "auc_mean", "auc_std"])
         for value, per_target in table:
             for t, m in per_target.items():
@@ -428,8 +426,7 @@ def cmd_report(args, cfg: ExperimentConfig, out: Path) -> int:
     table_path = out / "comparison.csv"
     lines = []
     with open(table_path, "w", newline="") as fh:
-        import csv as _csv
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["model", "target", "auc_mean", "auc_std", "gain",
                          "baseline"])
         for name, rows in named_rows.items():

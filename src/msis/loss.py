@@ -6,12 +6,13 @@ matrix of probabilities that the forward pass stacks: each labeled row
 weights log p and log(1-p) by its label, each unlabeled row weights the
 binary entropy, and every normalizer (labeled count, gamma, unlabeled
 reduction, targets per stage, stage weight) is folded into the weights.
-`loss_weights` builds them once per batch, for the tape loss and the fast
-value-only loss alike, so the graph's shapes depend on the batch size
-alone, never on its label pattern. Labels enter through
-np.where(mask, labels, 0): the NaN poison behind a zero mask never
-reaches a product, so it cannot leak into a gradient, while a NaN under
-a set mask raises ContractError.
+`loss_weights` builds them once per batch, so the graph's shapes depend
+on the batch size alone, never on its label pattern. Labels enter
+through np.where(mask, labels, 0): the NaN poison behind a zero mask
+never reaches a product, so it cannot leak into a gradient, while a NaN
+under a set mask raises ContractError. The gradient check's value-only
+loss (`make_fast_loss_value_fn`) is this same graph, replayed over the
+fused forward's probabilities.
 
 The entropy term reads probabilities alone: pushing unlabeled predictions
 away from 0.5 is what lets the selection-censored stages say something
@@ -27,7 +28,7 @@ import numpy as np
 from . import numerics as nm
 from .dataset import TARGETS, Batch
 from .errors import ConfigError, ContractError
-from .model import MsisConfig, make_fused_forward
+from .model import ForwardResult, MsisConfig, make_fused_forward
 from .numerics import Node
 
 DEFAULT_GAMMA = 6e-4
@@ -192,36 +193,26 @@ def per_target_losses(w: LossWeights, probs: tuple[Node, Node, Node, Node]
 def make_fast_loss_value_fn(params, model_cfg: MsisConfig, loss_cfg: LossConfig,
                             batch: Batch):
     """Build a scalar evaluator of the total loss at the current parameter
-    values, on the fused forward and the same weights as total_loss: about
-    a dozen numpy calls per evaluation.
+    values: the store's fused evaluator for the batch (make_fused_forward),
+    then total_loss, recorded once over a leaf that holds the evaluator's
+    output and replayed on every call.
 
-    Agrees with the tape total to float rounding (tested at 1e-12 relative),
-    not bit for bit, because sums run in a different association order.
-    Gradient checking over every scalar of the default model needs roughly
-    a hundred thousand loss evaluations; this is the path that makes that
+    Each call copies the batch's features in again and reruns the forward,
+    because the evaluator shares the store's scratch with its others,
+    which predict_probs may run between two calls. The value is
+    total_loss's on the fused probabilities bit for bit, and agrees with
+    the tape total to float rounding (tested at 1e-12 relative). Gradient
+    checking over every scalar of the default model needs roughly a
+    hundred thousand loss evaluations; this is the path that makes that
     affordable."""
-    w = loss_weights(batch, loss_cfg, model_cfg.stages)
-    w_p, w_q, w_ent = w.folded()
-    need_entropy = w.needs_entropy
-    forward_plan = make_fused_forward(params, model_cfg, batch.features)
-    shape = w_p.shape
-    logp, q, logq = np.empty(shape), np.empty(shape), np.empty(shape)
-    terms, scratch = np.empty(shape), np.empty(shape)
+    run = make_fused_forward(params, model_cfg, batch.features)
+    probs = nm.constant(run())
+    total = total_loss(ForwardResult({}, {}, probs), batch, loss_cfg, model_cfg.stages).total
+    order = nm.record(total)
 
     def value() -> float:
-        p = forward_plan()
-        np.log(p, out=logp)
-        np.subtract(1.0, p, out=q)
-        np.log(q, out=logq)
-        np.multiply(w_p, logp, out=terms)
-        np.multiply(w_q, logq, out=scratch)
-        np.add(terms, scratch, out=terms)
-        if need_entropy:
-            np.multiply(p, logp, out=logp)
-            np.multiply(q, logq, out=logq)
-            np.add(logp, logq, out=logp)
-            np.multiply(w_ent, logp, out=logp)
-            np.add(terms, logp, out=terms)
-        return float(terms.sum())
+        probs.value[...] = run()
+        nm.replay(order)
+        return float(total.value[0, 0])
 
     return value

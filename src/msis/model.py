@@ -12,14 +12,15 @@ fusion is one batched matmul over a group of the flat parameter store,
 with activations shaped (n_targets, batch, d). `forward` records that on
 the tape (training, attention inspection); `make_fused_forward` compiles
 the same math into buffers carved from one flat scratch vector, with no
-tape (scoring via `predict_probs`, gradient-check loss evaluations),
-because a value-only evaluation there costs a fraction of building tape
+tape, because a value-only evaluation costs a fraction of building tape
 nodes. Tests hold the two to 1e-12 relative agreement.
 
-Scoring compiles once per store and chunk shape: the parameter store
-keeps the last few evaluators `predict_probs` has used, which read its
-live weights, and all of them share the store's one scratch vector, so
-`predict_probs` is not re-entrant on one store.
+`make_fused_forward` is the one source of compiled evaluators, for
+scoring (`predict_probs`) and the gradient check's loss alike. It
+compiles once per store, config and row count: the parameter store keeps
+the last few evaluators, which read its live weights, and all of them
+share the store's one scratch vector, so evaluators of one store run one
+at a time.
 """
 
 from __future__ import annotations
@@ -296,47 +297,16 @@ def forward(params: ParamStore, config: MsisConfig,
 def predict_probs(params: ParamStore, config: MsisConfig,
                   features: np.ndarray) -> dict[str, np.ndarray]:
     """Per-target probabilities as flat vectors of a fresh array, scored
-    through the fused forward PREDICT_CHUNK_ROWS rows at a time.
-
-    Each chunk runs on the evaluator the store keeps for its (config,
-    rows), compiled on the first call of that shape; a store keeps the
-    EVALUATORS_KEPT most recently used. All of a store's
-    evaluators carve their buffers from its one scratch vector, from the
-    start, so predict_probs is not re-entrant on one store (msis is
-    single-threaded)."""
+    through the fused forward PREDICT_CHUNK_ROWS rows at a time. Each chunk
+    runs on the store's evaluator for its row count (make_fused_forward), so
+    calls on one store must not overlap."""
     check_features(config, features)
     n = features.shape[0]
     probs = np.empty((len(config.all_targets()), n))
     for start in range(0, n, PREDICT_CHUNK_ROWS):
         stop = min(start + PREDICT_CHUNK_ROWS, n)
-        probs[:, start:stop] = _score_chunk(params, config, features[start:stop])
+        probs[:, start:stop] = make_fused_forward(params, config, features[start:stop])()
     return {t: probs[i] for i, t in enumerate(config.all_targets())}
-
-
-def _score_chunk(params: ParamStore, config: MsisConfig,
-                 features: np.ndarray) -> np.ndarray:
-    """Copy the chunk into its cached evaluator's input and run it. On a
-    miss, compile one; when the scratch must grow to hold it, the
-    evaluators carved from the old vector are dropped, which frees it.
-    The cache's insertion order is its recency order."""
-    key = (config, features.shape[0])
-    cached = params.evaluators.pop(key, None)
-    if cached is not None:
-        params.evaluators[key] = chunk, run = cached
-        chunk[...] = features
-        return run()
-    cut = features.size
-    need = cut + _scratch_size(params, config, features)
-    if params.scratch.size < need:
-        params.evaluators.clear()
-        params.scratch = np.empty(need)
-    chunk = params.scratch[:cut].reshape(features.shape)
-    chunk[...] = features
-    run = make_fused_forward(params, config, chunk, params.scratch[cut:])
-    if len(params.evaluators) == EVALUATORS_KEPT:
-        del params.evaluators[next(iter(params.evaluators))]
-    params.evaluators[key] = chunk, run
-    return run()
 
 
 class _Carver:
@@ -355,53 +325,71 @@ class _Carver:
         return self.flat[start:self.used].reshape(shape)  # ValueError past its end
 
 
-def _scratch_size(params: ParamStore, config: MsisConfig, features: np.ndarray) -> int:
-    """Scalars of scratch that a fused evaluator over this feature shape
-    carves."""
+def _scratch_size(params: ParamStore, config: MsisConfig, rows: int) -> int:
+    """Scalars of scratch that a fused evaluator of this many rows carves,
+    its input included."""
     count = _Carver(None)
-    _compile_fused(params, config, features, count)
+    _compile_fused(params, config, rows, count)
     return count.used
 
 
-def make_fused_forward(params: ParamStore, config: MsisConfig,
-                       features: np.ndarray, scratch: np.ndarray | None = None):
-    """Compile a zero-argument evaluator of per-target probabilities for a
-    feature matrix of fixed shape, returning a (n_targets, batch) array.
-    Each call reads the matrix in place (unless it had to be copied to a
-    C-contiguous float64 array), so refilling it re-scores new rows.
+def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndarray):
+    """A zero-argument evaluator of per-target probabilities for a
+    (batch, input_dim) feature matrix: each call copies `features` into
+    the evaluator's input, so refilling the matrix re-scores new rows, and
+    returns a (n_targets, batch) array.
 
-    Every intermediate, the returned array included, is a view carved in
-    order from one flat scratch vector: `scratch` when given (predict_probs
-    passes the store's, shared by all its evaluators, so a run overwrites
-    what another evaluator returned), else a vector of its own. Each run
-    writes every buffer before reading it, so sharing is safe as long as
-    evaluators run one at a time. The evaluator holds the store's groups
+    The evaluator is the one the store keeps for (config, batch), compiled
+    on the first call of that shape; the store keeps the EVALUATORS_KEPT
+    most recently used. Every intermediate, the input and the returned
+    array included, is a view carved in order from the store's one scratch
+    vector, so a run overwrites what any other evaluator of the store
+    returned, and evaluators must run one at a time (msis is
+    single-threaded). Each run writes every buffer before reading it. When
+    the scratch must grow for a new shape, the store drops the evaluators
+    carved from the old vector; an evaluator already handed out keeps that
+    vector alive and stays valid. An evaluator holds the store's groups
     (views into its flat parameter vector, kept live because training,
-    load_values and the best-epoch restore write that vector in place)
-    but not the store itself.
+    load_values and the best-epoch restore write that vector in place) but
+    not the store itself.
 
-    Same math as forward(), but every parameter lookup happens once, here.
-    This is the path for every value-only evaluation: scoring through
-    predict_probs, and the gradient check, which re-evaluates the loss
-    twice per scalar parameter. Agreement with the tape forward is
+    Same math as forward(), but every parameter lookup happens once, at
+    the compile. This is the path for every value-only evaluation: scoring
+    through predict_probs, and the gradient check, which re-evaluates the
+    loss twice per scalar parameter. Agreement with the tape forward is
     enforced by tests at 1e-12 relative."""
-    config.validate()
     check_features(config, features)
-    if "head.w" not in params.groups:
-        raise ContractError(
-            "make_fused_forward needs the stacked parameter groups of init_params")
-    x = np.ascontiguousarray(features, dtype=np.float64)
-    if scratch is None:
-        scratch = np.empty(_scratch_size(params, config, x))
-    return _compile_fused(params, config, x, _Carver(scratch))
+    rows = features.shape[0]
+    key = (config, rows)
+    cached = params.evaluators.pop(key, None)
+    if cached is None:
+        config.validate()
+        if "head.w" not in params.groups:
+            raise ContractError(
+                "make_fused_forward needs the stacked parameter groups of init_params")
+        need = _scratch_size(params, config, rows)
+        if params.scratch.size < need:  # the evaluators carved from the old vector go
+            params.evaluators.clear()
+            params.scratch = np.empty(need)
+        elif len(params.evaluators) == EVALUATORS_KEPT:  # drop the least recently used
+            del params.evaluators[next(iter(params.evaluators))]
+        cached = _compile_fused(params, config, rows, _Carver(params.scratch))
+    params.evaluators[key] = chunk, run = cached  # insertion order is recency order
+
+    def evaluate() -> np.ndarray:
+        chunk[...] = features
+        return run()
+
+    return evaluate
 
 
-def _compile_fused(params: ParamStore, config: MsisConfig, x: np.ndarray,
-                   take: _Carver):
+def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver):
+    """The (b, input_dim) input buffer and the evaluator that reads it, all
+    buffers carved by `take`."""
     P = lambda name: params[name].value
     G = lambda name: params.groups[name].value
     mm, add, mul, sub = np.matmul, np.add, np.multiply, np.subtract
-    b = x.shape[0]
+    x = take(b, config.input_dim)
     nt = len(config.all_targets())
     widths = config.tower_widths
     d = config.corridor_dim
@@ -552,7 +540,7 @@ def _compile_fused(params: ParamStore, config: MsisConfig, x: np.ndarray,
             prev_e = step(h, prev_e)
         return probs
 
-    return run
+    return x, run
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ contents of the leaves, so a training loop builds one tape per batch
 shape and replays it on every later batch of that shape. `backward_sweep`
 walks the order in reverse from a (1, 1) root, writing each adjoint's
 first contribution into the buffer it already holds. Value-only
-evaluation of the model skips the tape altogether and runs the model's
-fused forward (`model.make_fused_forward`).
+evaluation of the model skips the tape and runs the model's fused
+forward (`model.make_fused_forward`); the gradient check replays only
+the loss's few nodes over that forward's output.
 
 Trainable tensors live in a `ParamStore`, which packs all of them into
 one contiguous parameter vector and one gradient vector: each tensor's
@@ -523,7 +524,7 @@ class ParamStore:
     named tensor into its view, whatever the layout.
 
     Because the vectors never move after `pack`, the store can also keep
-    the fused evaluators that `model.predict_probs` compiles over them
+    the fused evaluators that `model.make_fused_forward` compiles over them
     (`evaluators`, with their shared `scratch`): they read the live
     weights, and they are freed with the store.
     """
@@ -536,7 +537,7 @@ class ParamStore:
         self._values: np.ndarray | None = None
         self._grads: np.ndarray | None = None
         self.groups: dict[str, Node] = {}
-        # model.predict_probs's compiled evaluators, keyed by (config, chunk
+        # model.make_fused_forward's compiled evaluators, keyed by (config,
         # rows), and the one scratch vector they all carve their buffers from
         self.evaluators: dict = {}
         self.scratch = np.empty(0)

@@ -1,5 +1,5 @@
-"""Mini-batch training with adaptive moments, validation-based early
-stopping, and seeded experiment repeats.
+"""Mini-batch training with adaptive moments and validation-based early
+stopping, one seeded run at a time.
 
 A run is bitwise reproducible from (configs, seed): the seed fixes the
 parameter draw, every epoch's shuffle, and nothing else is random. The
@@ -18,7 +18,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -108,13 +107,6 @@ class TrainHistory:
 
     def best_record(self) -> EpochRecord:
         return self.epochs[self.best_epoch - 1]
-
-
-@dataclass
-class RunResult:
-    seed: int
-    metrics: dict
-    history: TrainHistory
 
 
 class _Step:
@@ -225,23 +217,6 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
             break
     params.values[...] = best_values
     return params, history
-
-
-def repeat_experiment(model_cfg: MsisConfig, loss_cfg: LossConfig,
-                      train_cfg: TrainConfig, splits: Splits,
-                      eval_fn: Callable[[ParamStore], dict]) -> list[RunResult]:
-    """One independent training run per configured seed; metric aggregation
-    is the evaluation module's job."""
-    if len(train_cfg.seeds) < 2:
-        raise ConfigError("repeat_experiment needs at least 2 seeds")
-    results = []
-    for seed in train_cfg.seeds:
-        try:
-            params, history = train_run(model_cfg, loss_cfg, train_cfg, splits, seed)
-            results.append(RunResult(seed, eval_fn(params), history))
-        except Exception as exc:
-            raise RuntimeError(f"training run for seed {seed} failed: {exc}") from exc
-    return results
 
 
 def write_history_csv(history: TrainHistory, path: str | Path) -> None:

@@ -153,6 +153,14 @@ class TestCommands:
                        "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    def test_unknown_section_in_file_exits_one(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"baselines": ["single_task"]}))
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+
     def test_unknown_command_exits_two(self):
         # the child imports msis from wherever this process found it
         src = str(Path(cli.__file__).resolve().parents[1])

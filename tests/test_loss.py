@@ -254,6 +254,31 @@ class TestGradients:
         assert not report.passed, report
         assert report.n_remeasured > 0
 
+    def test_fast_value_is_total_loss_over_the_fused_forward(self):
+        cfg = M.MsisConfig()
+        batch = synthetic_batch(seed=32)
+        for lcfg in (ls.LossConfig(), ls.LossConfig(unlabeled_reduction="sum"),
+                     ls.LossConfig().supervised_only()):
+            params = M.init_params(cfg, seed=9)
+            fused = nm.constant(M.make_fused_forward(params, cfg, batch.features)())
+            ref = ls.total_loss(M.ForwardResult({}, {}, fused), batch, lcfg,
+                                cfg.stages).total.value[0, 0]
+            fast = ls.make_fast_loss_value_fn(params, cfg, lcfg, batch)
+            assert fast() == ref, lcfg
+            assert fast() == ref, lcfg  # replayed again
+
+    def test_fast_value_survives_scoring_between_calls(self):
+        cfg = M.MsisConfig()
+        batch = synthetic_batch(seed=33)
+        params = M.init_params(cfg, seed=10)
+        value_fn = ls.make_fast_loss_value_fn(params, cfg, ls.LossConfig(), batch)
+        first = value_fn()
+        rng = np.random.default_rng(6)
+        # another row count on the same scratch, then a chunk that grows it
+        for rows in (5, len(batch), 300):
+            M.predict_probs(params, cfg, rng.normal(size=(rows, 32)))
+            assert value_fn() == first, rows
+
     def test_fast_value_matches_tape_total(self):
         cfg = M.MsisConfig()
         batch = synthetic_batch(seed=31)

@@ -262,11 +262,24 @@ class TestForward:
                 assert (np.abs(p - ref) / ref).max() <= 1e-12, (rows, t)
 
 
+def _twin(params, cfg):
+    """A second store holding the same values, with an empty evaluator cache."""
+    twin = M.init_params(cfg, params.seed)
+    twin.load_values({name: node.value for name, node in params.items()})
+    return twin
+
+
+def _fresh(params, cfg, x) -> np.ndarray:
+    """(n_targets, rows) probabilities from an evaluator compiled on a twin
+    store, independent of params' cache."""
+    return M.make_fused_forward(_twin(params, cfg), cfg, x)()
+
+
 def _fresh_per_chunk(params, cfg, x) -> np.ndarray:
     """(n_targets, rows) probabilities with one newly compiled evaluator
     per predict_probs chunk."""
     step = M.PREDICT_CHUNK_ROWS
-    return np.concatenate([M.make_fused_forward(params, cfg, x[i:i + step].copy())()
+    return np.concatenate([_fresh(params, cfg, x[i:i + step])
                            for i in range(0, len(x), step)], axis=1)
 
 
@@ -295,7 +308,7 @@ class TestEvaluatorCache:
 
         def agrees():
             served = _stacked(default_cfg, M.predict_probs(params, default_cfg, x))
-            fresh = M.make_fused_forward(params, default_cfg, x)()
+            fresh = _fresh(params, default_cfg, x)
             tape = M.forward(params, default_cfg, x).stacked.value
             for other in (fresh, tape):
                 assert (np.abs(served - other) / other).max() <= 1e-12
@@ -328,8 +341,8 @@ class TestEvaluatorCache:
         params = M.init_params(default_cfg, seed=15)
         for rows in self.SHAPES:
             M.predict_probs(params, default_cfg, np.zeros((rows, 32)))
-        full = np.zeros((M.PREDICT_CHUNK_ROWS, 32))
-        assert params.scratch.size == full.size + M._scratch_size(params, default_cfg, full)
+        full = M._scratch_size(params, default_cfg, M.PREDICT_CHUNK_ROWS)
+        assert params.scratch.size == full
         assert params.evaluators
         for chunk, run in params.evaluators.values():
             assert np.shares_memory(chunk, params.scratch)
@@ -389,6 +402,15 @@ class TestFeatureChecks:
                 x[2, 5] = bad
                 with pytest.raises(DomainError):
                     call(x)
+
+    def test_cache_hit_checks_features(self, default_cfg):
+        params = M.init_params(default_cfg, seed=0)
+        for call in self._entry_points(params, default_cfg)[1:]:
+            x = np.random.default_rng(5).normal(size=(4, 32))
+            M.predict_probs(params, default_cfg, x)  # caches the 4-row evaluator
+            x[1, 3] = np.nan
+            with pytest.raises(DomainError):
+                call(x)
 
 
 class TestInformationFlow:

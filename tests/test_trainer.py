@@ -196,41 +196,6 @@ def test_loss_trajectory_pinned(sim_splits):
                         PINNED_TRAIN_LOSS, rtol=1e-9, atol=0.0)
 
 
-class TestRepeatExperiment:
-    def test_five_seeds_five_rows(self, sim_splits):
-        cfg = T.TrainConfig(epochs=2, patience=1, batch_size=512,
-                            seeds=(0, 1, 2, 3, 4))
-        eval_fn = lambda params: ev.evaluate(params, M.MsisConfig(),
-                                             sim_splits.test, ev.OBSERVED)
-        results = T.repeat_experiment(M.MsisConfig(), L.LossConfig(), cfg,
-                                      sim_splits, eval_fn)
-        assert [r.seed for r in results] == [0, 1, 2, 3, 4]
-        aucs = [r.metrics["credit"] for r in results]
-        assert len(set(aucs)) > 1  # distinct unless degenerate
-
-    def test_repeated_seed_identical_rows(self, sim_splits):
-        cfg = T.TrainConfig(epochs=2, patience=1, batch_size=512, seeds=(3, 3))
-        eval_fn = lambda params: ev.evaluate(params, M.MsisConfig(),
-                                             sim_splits.test, ev.OBSERVED)
-        results = T.repeat_experiment(M.MsisConfig(), L.LossConfig(), cfg,
-                                      sim_splits, eval_fn)
-        assert results[0].metrics == results[1].metrics
-
-    def test_needs_two_seeds(self, sim_splits):
-        cfg = T.TrainConfig(seeds=(0,))
-        with pytest.raises(ConfigError):
-            T.repeat_experiment(M.MsisConfig(), L.LossConfig(), cfg, sim_splits,
-                                lambda p: {})
-
-    def test_failure_identifies_seed(self, sim_splits):
-        cfg = T.TrainConfig(epochs=2, patience=1, batch_size=512,
-                            learning_rate=1e100, seeds=(11, 12))
-        with pytest.raises(RuntimeError, match="seed 11"):
-            with np.errstate(all="ignore"):
-                T.repeat_experiment(M.MsisConfig(), L.LossConfig(), cfg,
-                                    sim_splits, lambda p: {})
-
-
 def test_history_csv(tmp_path, sim_splits):
     cfg = T.TrainConfig(epochs=2, patience=1, batch_size=512, seeds=(0,))
     _, history = T.train_run(M.MsisConfig(), L.LossConfig(), cfg, sim_splits, seed=0)
