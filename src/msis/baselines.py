@@ -12,7 +12,9 @@ from __future__ import annotations
 import dataclasses
 from enum import Enum
 
-from .dataset import Splits
+import numpy as np
+
+from .dataset import Splits, make_batch
 from .errors import ConfigError
 from .loss import DEFAULT_GAMMA, LossConfig
 from .model import DEFAULT_STAGES, MsisConfig
@@ -73,12 +75,14 @@ def train_baseline(kind: BaselineKind, target: str | None, splits: Splits,
         lcfg = loss_cfg or LossConfig()
         return (*train_run(model_cfg, lcfg, train_cfg, splits, seed), model_cfg)
 
-    labeled = [ex for ex in splits.train if ex.labels[target] is not None]
-    if not labeled:
+    train = make_batch(splits.train)
+    labeled = np.flatnonzero(train.masks[target] == 1.0)
+    if not labeled.size:
         raise ConfigError(f"no training rows carry an observed {target!r} label")
     effective_gamma = gamma if kind is BaselineKind.SINGLE_TASK_ENTROPY else 0.0
     # unlabeled rows only join when the entropy term can read them
-    train = list(splits.train) if effective_gamma > 0.0 else labeled
+    if effective_gamma <= 0.0:
+        train = make_batch(train, labeled)
     lcfg = LossConfig(stage_weights={"gb": 1.0}, gammas={target: effective_gamma},
                       unlabeled_reduction=unlabeled_reduction)
     subset = Splits(train, splits.validation, splits.test)

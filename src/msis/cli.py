@@ -235,7 +235,7 @@ def cmd_simulate(args, cfg: ExperimentConfig, out: Path) -> int:
     fs.save_counterfactuals(population, out / "counterfactuals.csv")
     write_manifest(out, "simulate", cfg,
                    [out / "dataset.csv", out / "counterfactuals.csv"])
-    accepted = sum(1 for r in population if r.labels["credit"])
+    accepted = int(population.labels["credit"].sum())
     print(f"simulated {len(population)} applications ({accepted} accepted) "
           f"into {out}")
     return 0

@@ -5,7 +5,8 @@ Full-population scope is the measurement a real platform cannot make:
 every through-the-door applicant is scored against the simulator's
 counterfactual labels, rejected and silent ones included, so selection
 bias shows up directly in the numbers rather than staying invisible
-behind the missing labels.
+behind the missing labels. A scoring pass is one id lookup of those
+labels, one `predict_probs` over the feature matrix, and the AUCs.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Example, Splits, make_batch
-from .errors import ConfigError, ContractError
+from .dataset import Rows, Splits, make_batch
+from .errors import ConfigError
+from .funnel_sim import Counterfactuals
 from .loss import LossConfig
 from .model import MsisConfig, predict_probs
 from .numerics import ParamStore
@@ -70,36 +72,28 @@ OBSERVED = "observed-only"
 FULL_POPULATION = "full-population"
 
 
-def evaluate(params: ParamStore, model_cfg: MsisConfig, examples: list[Example],
-             scope: str = OBSERVED,
-             counterfactuals: dict[int, dict[str, bool]] | None = None,
+def evaluate(params: ParamStore, model_cfg: MsisConfig, examples: Rows,
+             scope: str = OBSERVED, counterfactuals: Counterfactuals | None = None,
              ) -> dict[str, float | None]:
     """Per-target AUC of a trained model on (already standardized) examples.
 
     Observed-only scope masks each target to the rows a platform would
     have labels for; full-population scope scores every example against
-    its counterfactual labels and needs the simulator sidecar."""
+    its counterfactual labels, looked up by id in the simulator sidecar."""
     if scope not in (OBSERVED, FULL_POPULATION):
         raise ConfigError(f"unknown scope {scope!r}")
-    if scope == FULL_POPULATION:
-        if counterfactuals is None:
-            raise ConfigError("full-population scope requires counterfactual labels")
-        truth = [counterfactuals.get(ex.id) for ex in examples]
-        missing = [ex.id for ex, row in zip(examples, truth) if row is None]
-        if missing:
-            raise ContractError(
-                f"{len(missing)} of {len(examples)} scored ids have no counterfactual "
-                f"labels, e.g. {missing[:5]}")
+    if scope == FULL_POPULATION and counterfactuals is None:
+        raise ConfigError("full-population scope requires counterfactual labels")
     batch = make_batch(examples)
+    truth = counterfactuals.lookup(batch.ids) if scope == FULL_POPULATION else None
     probs = predict_probs(params, model_cfg, batch.features)
     out: dict[str, float | None] = {}
     for t in model_cfg.all_targets():
-        if scope == OBSERVED:
+        if truth is None:
             idx, y = batch.observed(t)
             out[t] = try_auc(probs[t][idx], y) if idx.size else None
         else:
-            y = np.array([float(row[t]) for row in truth])
-            out[t] = try_auc(probs[t], y)
+            out[t] = try_auc(probs[t], truth[t])
     return out
 
 
@@ -222,8 +216,8 @@ class AblationResult:
 
 
 def ablate(variant: AblationVariant, model_cfg: MsisConfig, loss_cfg: LossConfig,
-           train_cfg, splits: Splits, test_examples: list[Example],
-           counterfactuals: dict[int, dict[str, bool]] | None = None,
+           train_cfg, splits: Splits, test_examples: Rows,
+           counterfactuals: Counterfactuals | None = None,
            scope: str = FULL_POPULATION) -> AblationResult:
     """Train and evaluate one ablation variant under the identical protocol
     as the full model: same splits, seeds, optimizer, and scoring."""

@@ -12,19 +12,25 @@ Selection is missing-not-at-random whenever the policy alignment is
 positive: the platform's score shares a component with the true quality
 direction, so accepted records are systematically better than rejected
 ones.
+
+A population is stored column-wise (`Population`, one array per field);
+`observe` returns the `dataset.Batch` a platform would see, and
+`Counterfactuals` holds every record's labels by id, with a vectorized
+lookup for full-population scoring.
 """
 
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
 
-from .dataset import DEFAULT_STAGES, TARGETS, Example
-from .errors import ConfigError, ParseError
+from .dataset import DEFAULT_STAGES, TARGETS, Batch, by_target, python_rows
+from .errors import ConfigError, ContractError, ParseError
 
 HORIZON_DAYS = 365
 
@@ -76,17 +82,27 @@ class SimConfig:
                 f"n_terms must be >= 6 to define the term-6 label, got {self.n_terms}")
 
 
-@dataclass
-class PopulationRecord:
-    """One application with its latent state and always-known outcome labels."""
+@dataclass(eq=False)
+class Population:
+    """A through-the-door population, one array per field, with its latent
+    state and all six outcome labels, always known. `label_matrix` holds
+    one bool row per target in TARGETS order; `labels[t]` is a view of a
+    target's row."""
 
-    id: int
-    timestamp: int
-    features: np.ndarray
-    latent_quality: float
-    draw_day: int | None
-    first_default_term: int | None
-    labels: dict[str, bool] = field(repr=False, default_factory=dict)
+    ids: np.ndarray                 # int64
+    timestamps: np.ndarray          # int64, day of application
+    features: np.ndarray            # (n, d) float64
+    latent_quality: np.ndarray      # float64
+    draw_day: np.ndarray            # int64, 0: never drew
+    first_default_term: np.ndarray  # int64, 0: never defaulted
+    label_matrix: np.ndarray = field(repr=False)
+
+    @property
+    def labels(self) -> dict[str, np.ndarray]:
+        return by_target(self.label_matrix)
+
+    def __len__(self) -> int:
+        return self.ids.size
 
 
 def oot_cutoff_day(config: SimConfig) -> int:
@@ -97,7 +113,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def generate(config: SimConfig) -> list[PopulationRecord]:
+def generate(config: SimConfig) -> Population:
     """Draw a through-the-door population, deterministic given the seed."""
     config.validate()
     rng = np.random.default_rng(config.seed)
@@ -139,43 +155,33 @@ def generate(config: SimConfig) -> list[PopulationRecord]:
     first_term = np.where(any_default, term_default.argmax(axis=1) + 1, 0)
 
     h30, h90 = config.draw_horizons
-    records = []
-    for i in range(n):
-        t = int(first_term[i]) or None
-        dd = int(draw_day[i])
-        labels = {
-            "credit": bool(credit[i]),
-            "draw_30": dd <= h30,
-            "draw_90": dd <= h90,
-            "mob1": t is not None and t <= 1,
-            "mob3": t is not None and t <= 3,
-            "mob6": t is not None and t <= 6,
-        }
-        records.append(PopulationRecord(
-            id=i, timestamp=int(timestamps[i]), features=x[i].copy(),
-            latent_quality=float(z[i]), draw_day=dd, first_default_term=t,
-            labels=labels))
-    return records
+    defaulted = first_term >= 1
+    outcomes = {
+        "credit": credit,
+        "draw_30": draw_day <= h30,
+        "draw_90": draw_day <= h90,
+        "mob1": defaulted & (first_term <= 1),
+        "mob3": defaulted & (first_term <= 3),
+        "mob6": defaulted & (first_term <= 6),
+    }
+    return Population(np.arange(n, dtype=np.int64), timestamps, x, z, draw_day, first_term,
+                      np.stack([outcomes[t] for t in TARGETS]))
 
 
-def observe(population: list[PopulationRecord],
-            draw_horizons: tuple[int, int] = (30, 90)) -> list[Example]:
+def observe(population: Population, draw_horizons: tuple[int, int] = (30, 90)) -> Batch:
     """Apply the two selection gates: rejected applicants hide everything past
     the credit decision, silent users (no draw within the longer horizon)
     hide repayment. Label values are never altered, only their visibility."""
-    h90 = draw_horizons[1]
+    credit = population.labels["credit"]
+    day = population.draw_day
+    drawn = credit & (day >= 1) & (day <= draw_horizons[1])
     (_, ws_targets), (_, gb_targets) = DEFAULT_STAGES[1:]
-    examples = []
-    for rec in population:
-        credit = rec.labels["credit"]
-        drawn = credit and rec.draw_day is not None and rec.draw_day <= h90
-        labels: dict[str, bool | None] = {"credit": credit}
-        for t in ws_targets:
-            labels[t] = rec.labels[t] if credit else None
-        for t in gb_targets:
-            labels[t] = rec.labels[t] if drawn else None
-        examples.append(Example(rec.id, rec.timestamp, rec.features, labels))
-    return examples
+    visible = {"credit": np.ones_like(credit)}
+    visible.update({t: credit for t in ws_targets})
+    visible.update({t: drawn for t in gb_targets})
+    seen = np.stack([visible[t] for t in TARGETS])
+    return Batch(population.ids, population.timestamps, population.features,
+                 np.where(seen, population.label_matrix, np.nan), seen.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -186,24 +192,57 @@ COUNTERFACTUAL_HEADER = ["id", "z", "draw_day", "first_default_term"] + \
     ["cf_" + t for t in TARGETS]
 
 
-def counterfactual_table(population: list[PopulationRecord]) -> dict[int, dict[str, bool]]:
-    return {rec.id: dict(rec.labels) for rec in population}
+@dataclass(eq=False)
+class Counterfactuals:
+    """The simulator's six outcome labels of every record, by id: the truth
+    that full-population scoring reads. `label_matrix` holds one bool row
+    per target in TARGETS order."""
+
+    ids: np.ndarray
+    label_matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self._order = np.argsort(self.ids, kind="stable")
+        self._sorted = self.ids[self._order]
+        if (self._sorted[1:] == self._sorted[:-1]).any():
+            raise ContractError("counterfactual ids must be distinct")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Counterfactuals):
+            return NotImplemented
+        return (np.array_equal(self.ids, other.ids)
+                and np.array_equal(self.label_matrix, other.label_matrix))
+
+    def lookup(self, ids: np.ndarray) -> dict[str, np.ndarray]:
+        """The labels of `ids`, in their order; ContractError if any id has
+        none."""
+        pos = np.searchsorted(self._sorted, ids).clip(0, max(self.ids.size - 1, 0))
+        found = self._sorted[pos] == ids if self.ids.size else np.zeros(ids.shape, bool)
+        if not found.all():
+            missing = ids[~found]
+            raise ContractError(
+                f"{missing.size} of {ids.size} scored ids have no counterfactual "
+                f"labels, e.g. {missing[:5].tolist()}")
+        return by_target(self.label_matrix[:, self._order[pos]])
 
 
-def save_counterfactuals(population: list[PopulationRecord], path: str | Path) -> None:
+def counterfactual_table(population: Population) -> Counterfactuals:
+    return Counterfactuals(population.ids, population.label_matrix)
+
+
+def save_counterfactuals(population: Population, path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(COUNTERFACTUAL_HEADER)
-        for rec in population:
-            writer.writerow([
-                str(rec.id), repr(rec.latent_quality),
-                "" if rec.draw_day is None else str(rec.draw_day),
-                "" if rec.first_default_term is None else str(rec.first_default_term),
-            ] + [str(int(rec.labels[t])) for t in TARGETS])
+        for rec_id, z, day, term, labels in python_rows(
+                population.ids, population.latent_quality, population.draw_day,
+                population.first_default_term, population.label_matrix.T):
+            writer.writerow([str(rec_id), repr(z), str(day) if day else "",
+                             str(term) if term else ""] + [str(int(v)) for v in labels])
 
 
-def load_counterfactuals(path: str | Path) -> dict[int, dict[str, bool]]:
-    table: dict[int, dict[str, bool]] = {}
+def load_counterfactuals(path: str | Path) -> Counterfactuals:
+    ids, flags, seen = array("q"), bytearray(), set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -215,13 +254,16 @@ def load_counterfactuals(path: str | Path) -> dict[int, dict[str, bool]]:
                     f"{path}, line {lineno}: expected {len(COUNTERFACTUAL_HEADER)} fields")
             try:
                 rec_id = int(row[0])
-            except ValueError as exc:
+                ids.append(rec_id)
+            except (ValueError, OverflowError) as exc:
                 raise ParseError(f"{path}, line {lineno}: {exc}") from None
-            if rec_id in table:
+            if rec_id in seen:
                 raise ParseError(f"{path}, line {lineno}: id {rec_id} repeats an earlier row")
+            seen.add(rec_id)
             raws = row[4:]
             if raws.count("0") + raws.count("1") != len(TARGETS):
                 t, raw = next((t, raw) for t, raw in zip(TARGETS, raws) if raw not in ("0", "1"))
                 raise ParseError(f"{path}, line {lineno}: cf_{t} must be 0 or 1, got {raw!r}")
-            table[rec_id] = dict(zip(TARGETS, [raw == "1" for raw in raws]))
-    return table
+            flags.extend([raw == "1" for raw in raws])
+    labels = np.frombuffer(flags, dtype=bool).reshape(len(ids), len(TARGETS)).T
+    return Counterfactuals(np.frombuffer(ids, dtype=np.int64), np.ascontiguousarray(labels))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .dataset import TARGETS, Batch
+from .dataset import TARGET_INDEX, TARGETS, Batch
 from .errors import ConfigError, ContractError
 from .model import ForwardResult, MsisConfig, make_fused_forward
 from .numerics import Node
@@ -136,9 +136,10 @@ def loss_weights(batch: Batch, config: LossConfig,
     label under a set mask."""
     config.validate()
     targets = tuple(t for _, stage_targets in stages for t in stage_targets)
-    masks = np.stack([batch.masks[t] for t in targets])
+    rows = [TARGET_INDEX[t] for t in targets]
+    masks = batch.mask_matrix[rows]
     obs, unobs = masks == 1.0, masks == 0.0
-    y = np.where(obs, np.stack([batch.labels[t] for t in targets]), 0.0)
+    y = np.where(obs, batch.label_matrix[rows], 0.0)
     if not np.isfinite(y).all():
         bad = [t for t, ok in zip(targets, np.isfinite(y).all(axis=1)) if not ok]
         raise ContractError(f"poisoned label consumed for targets {bad}")

@@ -299,8 +299,10 @@ def predict_probs(params: ParamStore, config: MsisConfig,
     """Per-target probabilities as flat vectors of a fresh array, scored
     through the fused forward PREDICT_CHUNK_ROWS rows at a time. Each chunk
     runs on the store's evaluator for its row count (make_fused_forward), so
-    calls on one store must not overlap."""
-    check_features(config, features)
+    calls on one store must not overlap. Each chunk checks its own rows'
+    width and values; a matrix with no rows has no chunk to check it."""
+    if features.ndim != 2 or features.shape[0] == 0:
+        check_features(config, features)  # raises
     n = features.shape[0]
     probs = np.empty((len(config.all_targets()), n))
     for start in range(0, n, PREDICT_CHUNK_ROWS):

@@ -108,22 +108,15 @@ def test_criterion_2_auc_oracle_equivalence():
 def test_criterion_3_simulator_invariants():
     cfg = fs.SimConfig(n=100000, seed=0)
     pop = fs.generate(cfg)
-    cutoff = fs.oot_cutoff_day(cfg)
-    pre = [r for r in pop if r.timestamp < cutoff]
-    fraction = np.mean([r.labels["credit"] for r in pre])
-    nested = all(
-        (not r.labels["draw_30"] or r.labels["draw_90"]) and
-        (not r.labels["mob1"] or r.labels["mob3"]) and
-        (not r.labels["mob3"] or r.labels["mob6"]) for r in pop)
-    z_rej = np.mean([r.latent_quality for r in pop if not r.labels["credit"]])
-    z_acc = np.mean([r.latent_quality for r in pop if r.labels["credit"]])
+    labels = pop.labels
+    fraction = labels["credit"][pop.timestamps < fs.oot_cutoff_day(cfg)].mean()
+    nested = not any((labels[short] & ~labels[long]).any() for short, long in
+                     (("draw_30", "draw_90"), ("mob1", "mob3"), ("mob3", "mob6")))
+    z_rej = pop.latent_quality[~labels["credit"]].mean()
+    z_acc = pop.latent_quality[labels["credit"]].mean()
     again = fs.generate(cfg)
-    identical = all(
-        a.id == b.id and a.timestamp == b.timestamp and
-        np.array_equal(a.features, b.features) and
-        a.latent_quality == b.latent_quality and a.draw_day == b.draw_day and
-        a.first_default_term == b.first_default_term and a.labels == b.labels
-        for a, b in zip(pop, again))
+    identical = all(np.array_equal(getattr(pop, f.name), getattr(again, f.name))
+                    for f in dataclasses.fields(pop))
     passed = abs(fraction - 0.3) <= 0.01 and nested and z_rej < z_acc and identical
     _verdict("criterion 3 (simulator invariants)", passed,
              f"acceptance {fraction:.4f} (target 0.3 +- 0.01), nesting "

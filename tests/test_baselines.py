@@ -52,9 +52,10 @@ def test_single_task_trains_on_labeled_subset_only(sim_splits):
 
 
 def test_zero_gb_labels_is_config_error(sim_splits):
-    stripped = [ds.Example(ex.id, ex.timestamp, ex.features,
-                           {**ex.labels, "mob1": None, "mob3": None, "mob6": None})
-                for ex in sim_splits.train]
+    stripped = ds.Batch.from_examples([
+        ds.Example(ex.id, ex.timestamp, ex.features,
+                   {**ex.labels, "mob1": None, "mob3": None, "mob6": None})
+        for ex in sim_splits.train])
     splits = ds.Splits(stripped, sim_splits.validation, sim_splits.test)
     with pytest.raises(ConfigError):
         bl.train_baseline(bl.BaselineKind.SINGLE_TASK, "mob6", splits, FAST, seed=0)

@@ -77,17 +77,14 @@ def sim_world():
 class TestEvaluate:
     def test_latent_quality_score_beats_chance(self, sim_world):
         population, examples, _ = sim_world
-        cf = fs.counterfactual_table(population)
-        z = {rec.id: rec.latent_quality for rec in population}
-        scores = np.array([1.0 - z[ex.id] for ex in examples])
+        truth = fs.counterfactual_table(population).lookup(examples.ids)
+        scores = 1.0 - population.latent_quality  # examples hold its rows in order
         for t in ("mob1", "mob3", "mob6"):
-            y = np.array([float(cf[ex.id][t]) for ex in examples])
-            assert ev.auc(scores, y) > 0.6
+            assert ev.auc(scores, truth[t]) > 0.6
 
     def test_constant_model_is_chance(self, sim_world):
         population, examples, _ = sim_world
-        cf = fs.counterfactual_table(population)
-        y = np.array([float(cf[ex.id]["mob6"]) for ex in examples])
+        y = fs.counterfactual_table(population).lookup(examples.ids)["mob6"]
         assert ev.auc(np.zeros(len(examples)), y) == 0.5
 
     def test_observed_scope_on_rejected_subset_is_absent(self, sim_world):
@@ -110,12 +107,13 @@ class TestEvaluate:
         population, examples, _ = sim_world
         cf = fs.counterfactual_table(population)
         subset = examples[:50]
-        for ex in subset[10:20]:
-            del cf[ex.id]
+        kept = ~np.isin(cf.ids, subset.ids[10:20])
+        cf = fs.Counterfactuals(cf.ids[kept], cf.label_matrix[:, kept])
         cfg = M.MsisConfig()
         params = M.init_params(cfg, seed=0)
         ids = [ex.id for ex in subset[10:15]]
-        with pytest.raises(ContractError, match="10 of 50 .*" + re.escape(str(ids))):
+        with pytest.raises(ContractError, match=re.escape(
+                f"10 of 50 scored ids have no counterfactual labels, e.g. {ids}")):
             ev.evaluate(params, cfg, subset, scope=ev.FULL_POPULATION,
                         counterfactuals=cf)
 
@@ -133,6 +131,35 @@ class TestEvaluate:
         obs = ev.evaluate(params, cfg, subset, scope=ev.OBSERVED)
         n_gb_observed = sum(1 for ex in subset if ex.labels["mob6"] is not None)
         assert n_gb_observed < len(subset)  # full scope uses strictly more rows
+
+
+def reference_evaluate(params, cfg, examples, scope, counterfactuals):
+    """evaluate row by row, with the counterfactual labels in a dict by id."""
+    rows = list(examples)
+    probs = M.predict_probs(params, cfg, np.stack([ex.features for ex in rows]))
+    out = {}
+    for t in cfg.all_targets():
+        if scope == ev.OBSERVED:
+            idx = [i for i, ex in enumerate(rows) if ex.labels[t] is not None]
+            y = np.array([float(rows[i].labels[t]) for i in idx])
+            out[t] = ev.try_auc(probs[t][idx], y) if idx else None
+        else:
+            y = np.array([float(counterfactuals[ex.id][t]) for ex in rows])
+            out[t] = ev.try_auc(probs[t], y)
+    return out
+
+
+def test_evaluate_equals_the_per_row_reference(sim_world):
+    population, _, test = sim_world
+    by_id = {int(i): dict(zip(ds.TARGETS, col.tolist()))
+             for i, col in zip(population.ids, population.label_matrix.T)}
+    cfg = M.MsisConfig()
+    params = M.init_params(cfg, seed=2)
+    shuffled = ds.make_batch(test, np.random.default_rng(3).permutation(len(test)))
+    for rows in (test, shuffled, shuffled[:97]):
+        for scope in (ev.OBSERVED, ev.FULL_POPULATION):
+            got = ev.evaluate(params, cfg, rows, scope, fs.counterfactual_table(population))
+            assert got == reference_evaluate(params, cfg, rows, scope, by_id), scope
 
 
 class TestReport:

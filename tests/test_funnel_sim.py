@@ -1,8 +1,13 @@
+import dataclasses
+import re
+
 import numpy as np
+import numpy.testing as npt
 import pytest
 
+from msis import dataset as ds
 from msis import funnel_sim as fs
-from msis.errors import ConfigError, ParseError
+from msis.errors import ConfigError, ContractError, ParseError
 
 
 @pytest.fixture(scope="module")
@@ -12,53 +17,41 @@ def population_10k():
 
 def test_acceptance_fraction_on_pre_cutoff(population_10k):
     cfg = fs.SimConfig(n=10000, seed=1)
-    cutoff = fs.oot_cutoff_day(cfg)
-    pre = [r for r in population_10k if r.timestamp < cutoff]
-    frac = np.mean([r.labels["credit"] for r in pre])
-    assert abs(frac - 0.3) <= 1.0 / len(pre) + 1e-12
+    pre = population_10k.timestamps < fs.oot_cutoff_day(cfg)
+    frac = population_10k.labels["credit"][pre].mean()
+    assert abs(frac - 0.3) <= 1.0 / pre.sum() + 1e-12
 
 
 def test_label_nesting(population_10k):
-    for rec in population_10k:
-        if rec.labels["draw_30"]:
-            assert rec.labels["draw_90"]
-        if rec.labels["mob1"]:
-            assert rec.labels["mob3"]
-        if rec.labels["mob3"]:
-            assert rec.labels["mob6"]
+    labels = population_10k.labels
+    for shorter, longer in (("draw_30", "draw_90"), ("mob1", "mob3"), ("mob3", "mob6")):
+        assert not (labels[shorter] & ~labels[longer]).any()
 
 
 def test_same_seed_identical():
     cfg = fs.SimConfig(n=500, seed=7)
     a = fs.generate(cfg)
     b = fs.generate(cfg)
-    for ra, rb in zip(a, b):
-        assert ra.id == rb.id
-        assert ra.timestamp == rb.timestamp
-        assert np.array_equal(ra.features, rb.features)
-        assert ra.latent_quality == rb.latent_quality
-        assert ra.draw_day == rb.draw_day
-        assert ra.first_default_term == rb.first_default_term
-        assert ra.labels == rb.labels
+    for f in dataclasses.fields(fs.Population):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
 
 
 def test_selection_is_mnar_across_seeds():
     for seed in range(5):
         pop = fs.generate(fs.SimConfig(n=10000, seed=seed))
-        accepted = [r.latent_quality for r in pop if r.labels["credit"]]
-        rejected = [r.latent_quality for r in pop if not r.labels["credit"]]
-        assert np.mean(rejected) < np.mean(accepted)
+        credit = pop.labels["credit"]
+        assert pop.latent_quality[~credit].mean() < pop.latent_quality[credit].mean()
 
 
 def test_label_prevalence_calibration(population_10k):
     # scarce draws, and term-6 risk splits the drawn set roughly in half
     # while the first-term label stays rare
-    sel = [r for r in population_10k
-           if r.labels["credit"] and r.draw_day is not None and r.draw_day <= 90]
-    acc = sum(1 for r in population_10k if r.labels["credit"])
-    assert 0.02 < len(sel) / acc < 0.10
-    mob6 = np.mean([r.labels["mob6"] for r in sel])
-    mob1 = np.mean([r.labels["mob1"] for r in sel])
+    labels = population_10k.labels
+    sel = labels["credit"] & labels["draw_90"]
+    assert 0.02 < sel.sum() / labels["credit"].sum() < 0.10
+    mob6 = labels["mob6"][sel].mean()
+    mob1 = labels["mob1"][sel].mean()
     assert 0.30 < mob6 < 0.60
     assert 0.05 < mob1 < 0.30
 
@@ -76,54 +69,74 @@ def test_config_validation():
 
 class TestObserve:
     def _record(self, credit, draw_day, first_term):
+        """A one-record population; a day or term of 0 means none."""
         labels = {
             "credit": credit,
-            "draw_30": draw_day is not None and draw_day <= 30,
-            "draw_90": draw_day is not None and draw_day <= 90,
-            "mob1": first_term is not None and first_term <= 1,
-            "mob3": first_term is not None and first_term <= 3,
-            "mob6": first_term is not None and first_term <= 6,
+            "draw_30": 0 < draw_day <= 30,
+            "draw_90": 0 < draw_day <= 90,
+            "mob1": 0 < first_term <= 1,
+            "mob3": 0 < first_term <= 3,
+            "mob6": 0 < first_term <= 6,
         }
-        return fs.PopulationRecord(0, 0, np.zeros(4), 0.5, draw_day, first_term, labels)
+        return fs.Population(np.zeros(1, np.int64), np.zeros(1, np.int64), np.zeros((1, 4)),
+                             np.array([0.5]), np.array([draw_day]), np.array([first_term]),
+                             np.array([[labels[t]] for t in ds.TARGETS]))
 
     def test_rejected_hides_five_labels(self):
-        ex = fs.observe([self._record(False, 10, 2)])[0]
+        ex = fs.observe(self._record(False, 10, 2))[0]
         assert ex.labels["credit"] is False
         for t in ("draw_30", "draw_90", "mob1", "mob3", "mob6"):
             assert ex.labels[t] is None
 
     def test_accepted_never_drew(self):
-        ex = fs.observe([self._record(True, None, None)])[0]
+        ex = fs.observe(self._record(True, 0, 0))[0]
         assert ex.labels["draw_30"] is False
         assert ex.labels["draw_90"] is False
         for t in ("mob1", "mob3", "mob6"):
             assert ex.labels[t] is None
 
     def test_accepted_drawn_all_observed(self):
-        ex = fs.observe([self._record(True, 10, 2)])[0]
+        ex = fs.observe(self._record(True, 10, 2))[0]
         assert ex.labels == {"credit": True, "draw_30": True, "draw_90": True,
                              "mob1": False, "mob3": True, "mob6": True}
 
     def test_silent_past_long_horizon(self):
-        ex = fs.observe([self._record(True, 200, 1)])[0]
+        ex = fs.observe(self._record(True, 200, 1))[0]
         assert ex.labels["draw_30"] is False
         assert ex.labels["draw_90"] is False
         for t in ("mob1", "mob3", "mob6"):
             assert ex.labels[t] is None
 
     def test_observe_never_alters_values(self, population_10k):
-        for rec, ex in zip(population_10k, fs.observe(population_10k)):
-            for t, v in ex.labels.items():
-                if v is not None:
-                    assert v == rec.labels[t]
+        observed = fs.observe(population_10k)
+        seen = observed.mask_matrix == 1.0
+        assert seen.sum() > len(population_10k)
+        npt.assert_array_equal(observed.label_matrix[seen],
+                               population_10k.label_matrix[seen])
+        assert np.isnan(observed.label_matrix[~seen]).all()
 
 
 def test_counterfactual_roundtrip(tmp_path, population_10k):
     path = tmp_path / "cf.csv"
-    sample = population_10k[:200]
-    fs.save_counterfactuals(sample, path)
-    table = fs.load_counterfactuals(path)
-    assert table == fs.counterfactual_table(sample)
+    fs.save_counterfactuals(population_10k, path)
+    assert fs.load_counterfactuals(path) == fs.counterfactual_table(population_10k)
+
+
+def test_counterfactual_lookup_follows_the_ids(population_10k):
+    table = fs.counterfactual_table(population_10k)
+    ids = np.random.default_rng(0).permutation(population_10k.ids)[:500]
+    truth = table.lookup(ids)
+    for t in ds.TARGETS:
+        npt.assert_array_equal(truth[t], population_10k.labels[t][ids])
+
+
+def test_counterfactual_lookup_names_missing_ids():
+    table = fs.Counterfactuals(np.array([7, 3, 11]), np.ones((len(ds.TARGETS), 3), bool))
+    with pytest.raises(ContractError, match=re.escape(
+            "6 of 7 scored ids have no counterfactual labels, e.g. [12, 0, 2, 4, 8]")):
+        table.lookup(np.array([12, 0, 2, 3, 4, 8, 99]))
+    with pytest.raises(ContractError, match="distinct"):
+        fs.Counterfactuals(np.array([1, 1]), np.ones((len(ds.TARGETS), 2), bool))
 
 
 def test_counterfactual_parse_errors_carry_line_numbers(tmp_path):
@@ -142,6 +155,5 @@ def test_counterfactual_parse_errors_carry_line_numbers(tmp_path):
         with pytest.raises(ParseError, match=fragment):
             fs.load_counterfactuals(path)
     path.write_text(header + good)
-    assert fs.load_counterfactuals(path) == {0: {
-        "credit": True, "draw_30": True, "draw_90": True,
-        "mob1": False, "mob3": False, "mob6": False}}
+    assert fs.load_counterfactuals(path) == fs.Counterfactuals(
+        np.array([0]), np.array([[True], [True], [True], [False], [False], [False]]))

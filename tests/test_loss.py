@@ -14,12 +14,21 @@ from msis.errors import ConfigError, ContractError
 LN2 = math.log(2.0)
 
 
+def batch_of(features, labels, masks):
+    """A Batch with the given label and mask rows by target; the targets
+    left out are unobserved."""
+    n = len(features)
+    y, m = np.full((len(ds.TARGETS), n), np.nan), np.zeros((len(ds.TARGETS), n))
+    for t in labels:
+        y[ds.TARGET_INDEX[t]], m[ds.TARGET_INDEX[t]] = labels[t], masks[t]
+    return ds.Batch(np.arange(n), np.zeros(n, dtype=np.int64), features, y, m)
+
+
 def one_target_loss(probs, labels, mask, reduction="mean", gamma=0.0):
     """total_loss on a one-target model whose probabilities are given."""
     p = nm.constant(np.asarray(probs, dtype=np.float64).reshape(1, -1))  # (targets, rows)
     n = p.shape[1]
-    batch = ds.Batch(np.zeros((n, 1)), {"mob1": np.asarray(labels, dtype=np.float64)},
-                     {"mob1": np.asarray(mask, dtype=np.float64)})
+    batch = batch_of(np.zeros((n, 1)), {"mob1": labels}, {"mob1": mask})
     lcfg = ls.LossConfig(gammas={"mob1": gamma}, unlabeled_reduction=reduction)
     breakdown = ls.total_loss(M.ForwardResult({}, {}, p), batch, lcfg,
                               (("gb", ("mob1",)),))
@@ -110,7 +119,7 @@ class TestTotalLoss:
         labels = {"credit": np.array([1.0, 0.0]), "draw_30": np.array([0.0, 1.0]),
                   "draw_90": np.array([1.0, 1.0]), "mob1": np.array([0.0, 0.0]),
                   "mob3": np.array([1.0, 0.0]), "mob6": np.array([0.0, 1.0])}
-        batch = ds.Batch(np.random.default_rng(1).normal(size=(2, 4)),
+        batch = batch_of(np.random.default_rng(1).normal(size=(2, 4)),
                          labels, {t: np.ones(2) for t in ds.TARGETS})
         result = M.forward(params, cfg, batch.features)
         breakdown = ls.total_loss(result, batch, ls.LossConfig().supervised_only(),

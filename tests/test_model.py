@@ -403,6 +403,15 @@ class TestFeatureChecks:
                 with pytest.raises(DomainError):
                     call(x)
 
+    def test_nan_in_the_last_chunk_is_domain_error(self, default_cfg):
+        # predict_probs leaves finiteness to each chunk's own check
+        params = M.init_params(default_cfg, seed=0)
+        x = np.zeros((600, 32))
+        x[-1, 7] = np.nan
+        assert 600 > 2 * M.PREDICT_CHUNK_ROWS
+        with pytest.raises(DomainError):
+            M.predict_probs(params, default_cfg, x)
+
     def test_cache_hit_checks_features(self, default_cfg):
         params = M.init_params(default_cfg, seed=0)
         for call in self._entry_points(params, default_cfg)[1:]:

@@ -20,7 +20,7 @@ def random_label_examples(n, seed=0, dim=32):
     for i in range(n):
         labels = {t: bool(rng.integers(0, 2)) for t in ds.TARGETS}
         out.append(ds.Example(i, 0, rng.normal(size=dim), labels))
-    return out
+    return ds.Batch.from_examples(out)
 
 
 def separable_ar_examples(n, seed=0):
@@ -31,7 +31,7 @@ def separable_ar_examples(n, seed=0):
         labels = {t: None for t in ds.TARGETS}
         labels["credit"] = bool(x[0] > 0)
         out.append(ds.Example(i, 0, x, labels))
-    return out
+    return ds.Batch.from_examples(out)
 
 
 AR_ONLY = M.MsisConfig(input_dim=8, shared_widths=(16,), tower_widths=(8, 4),
@@ -52,7 +52,7 @@ def sim_splits():
 class TestTrainRun:
     def test_separable_loss_strictly_decreases(self):
         examples = separable_ar_examples(256, seed=1)
-        splits = ds.Splits(examples, [], examples[:1])
+        splits = ds.Splits(examples, examples[:0], examples[:1])
         cfg = T.TrainConfig(epochs=6, patience=5, batch_size=32, seeds=(0,))
         _, history = T.train_run(AR_ONLY, L.LossConfig().supervised_only(),
                                  cfg, splits, seed=0)
@@ -71,7 +71,7 @@ class TestTrainRun:
 
     def test_overfit_capacity_on_64_examples(self):
         examples = random_label_examples(64, seed=0)
-        splits = ds.Splits(examples, [], examples[:1])
+        splits = ds.Splits(examples, examples[:0], examples[:1])
         cfg = T.TrainConfig(epochs=200, patience=199, batch_size=8,
                             learning_rate=3e-3, seeds=(0,))
         params, _ = T.train_run(M.MsisConfig(), L.LossConfig().supervised_only(),
@@ -86,7 +86,7 @@ class TestTrainRun:
                                 "ignore:invalid value:RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self):
         examples = random_label_examples(32, seed=3)
-        splits = ds.Splits(examples, [], examples[:1])
+        splits = ds.Splits(examples, examples[:0], examples[:1])
         cfg = T.TrainConfig(epochs=5, patience=4, batch_size=16,
                             learning_rate=1e100, seeds=(0,))
         with pytest.raises(T.TrainingDiverged) as err:
@@ -214,8 +214,9 @@ def rejected_examples(n, seed=0, dim=32):
     """Applications the platform turned down: only the credit label exists."""
     rng = np.random.default_rng(seed)
     labels = {t: None for t in ds.TARGETS}
-    return [ds.Example(i, 0, rng.normal(size=dim), dict(labels, credit=False))
-            for i in range(n)]
+    return ds.Batch.from_examples([ds.Example(i, 0, rng.normal(size=dim),
+                                              dict(labels, credit=False))
+                                   for i in range(n)])
 
 
 class TestReplayedStep:
@@ -259,7 +260,7 @@ class TestReplayedStep:
 
     def test_each_row_count_records_one_tape(self, monkeypatch):
         examples = random_label_examples(150, seed=5)  # batches of 64, 64 and 22
-        splits = ds.Splits(examples, [], examples[:1])
+        splits = ds.Splits(examples, examples[:0], examples[:1])
         recorded = []
 
         def recording_forward(params, config, features):
@@ -279,12 +280,12 @@ def test_bad_row_in_a_replayed_batch_raises_its_typed_error(poison, error):
     # recorded the 64-row tape, so this one replays it
     examples = random_label_examples(200, seed=4)
     row = ds.batches(examples, 64, 0, 1)[1].features[0]
-    victim = next(ex for ex in examples if np.array_equal(ex.features, row))
+    victim = np.flatnonzero((examples.features == row).all(axis=1))[0]
     if poison == "feature":
-        victim.features[3] = np.nan
+        examples.features[victim, 3] = np.nan
     else:
-        victim.labels["mob3"] = float("nan")  # a NaN label under a set mask
-    splits = ds.Splits(examples, [], examples[:1])
+        examples.labels["mob3"][victim] = np.nan  # a NaN label under a set mask
+    splits = ds.Splits(examples, examples[:0], examples[:1])
     cfg = T.TrainConfig(epochs=2, patience=1, batch_size=64, seeds=(0,))
     with pytest.raises(error) as err:
         T.train_run(M.MsisConfig(), L.LossConfig(), cfg, splits, seed=0)
