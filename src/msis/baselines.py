@@ -75,7 +75,7 @@ def train_baseline(kind: BaselineKind, target: str | None, splits: Splits,
         lcfg = loss_cfg or LossConfig()
         return (*train_run(model_cfg, lcfg, train_cfg, splits, seed), model_cfg)
 
-    train = make_batch(splits.train)
+    train = splits.train
     labeled = np.flatnonzero(train.masks[target] == 1.0)
     if not labeled.size:
         raise ConfigError(f"no training rows carry an observed {target!r} label")

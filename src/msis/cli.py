@@ -180,9 +180,14 @@ def write_manifest(out: Path, command: str, cfg: ExperimentConfig,
 # shared data plumbing
 # ---------------------------------------------------------------------------
 
-def _load_splits(data_dir: Path, cfg: ExperimentConfig):
+def _split(data_dir: Path, cfg: ExperimentConfig) -> ds.Splits:
     examples = ds.load_csv(data_dir / "dataset.csv")
-    splits = ds.split_oot(examples, cfg.cutoff_day, seed=cfg.split_seed)
+    return ds.split_oot(examples, cfg.cutoff_day, seed=cfg.split_seed)
+
+
+def _load_splits(data_dir: Path, cfg: ExperimentConfig):
+    """The splits standardized by a standardizer fitted on their training rows."""
+    splits = _split(data_dir, cfg)
     standardizer = ds.Standardizer.fit(splits.train)
     return ds.Splits(standardizer.apply(splits.train),
                      standardizer.apply(splits.validation),
@@ -274,7 +279,11 @@ def cmd_train(args, cfg: ExperimentConfig, out: Path) -> int:
 def cmd_evaluate(args, cfg: ExperimentConfig, out: Path) -> int:
     data_dir = Path(args.data)
     run_dir = Path(args.run)
-    splits, _ = _load_splits(data_dir, cfg)
+    # the test rows standardized as the run's training rows were
+    std_path = run_dir / "standardizer.json"
+    if not std_path.exists():
+        raise ConfigError(f"missing standardizer {std_path}")
+    test = ds.Standardizer.from_json(std_path).apply(_split(data_dir, cfg).test)
     scope, counterfactuals = _scope(args.scope, data_dir)
     tag = args.model.replace(":", "-")
     rows = []
@@ -284,8 +293,7 @@ def cmd_evaluate(args, cfg: ExperimentConfig, out: Path) -> int:
         if not ckpt.exists():
             raise ConfigError(f"missing checkpoint {ckpt}")
         params, model_cfg = mo.load_checkpoint(ckpt)
-        rows.append(ev.evaluate(params, model_cfg, splits.test, scope,
-                                counterfactuals))
+        rows.append(ev.evaluate(params, model_cfg, test, scope, counterfactuals))
         seeds.append(seed)
     rows_path = out / f"metrics-runs-{tag}-{args.scope}.csv"
     _write_rows_csv(rows_path, rows, seeds)
@@ -346,11 +354,9 @@ def cmd_sweep(args, cfg: ExperimentConfig, out: Path) -> int:
             loss_cfg = cfg.loss
         else:
             model_cfg = cfg.model
-            loss_cfg = lo.LossConfig(
-                dict(cfg.loss.stage_weights),
-                {t: (0.0 if t == "credit" else float(value))
-                 for t in cfg.loss.gammas},
-                cfg.loss.unlabeled_reduction)
+            loss_cfg = lo.LossConfig(dict(cfg.loss.stage_weights),
+                                     lo.default_gammas(float(value)),
+                                     cfg.loss.unlabeled_reduction)
         rows = []
         for seed in cfg.train.seeds:
             params, _ = tr.train_run(model_cfg, loss_cfg, cfg.train, splits, seed)

@@ -129,13 +129,11 @@ class Batch:
         return np.flatnonzero(self.masks[target] == 0.0)
 
 
-Rows = Batch | Sequence[Example]
-
-
-def make_batch(examples: Rows, rows=None) -> Batch:
+def make_batch(examples: Batch | Sequence[Example], rows=None) -> Batch:
     """The rows at the indices `rows` of a row set, in that order; the
     whole set when `rows` is None. A sequence of Examples is built into a
-    Batch first. A take copies; the whole set is returned as it is."""
+    Batch first. A take copies; the whole set is returned as it is. Every
+    other function of msis takes a Batch."""
     table = examples if isinstance(examples, Batch) else Batch.from_examples(examples)
     if rows is None:
         return table
@@ -163,8 +161,7 @@ def _header(d: int) -> list[str]:
     return ["id", "timestamp"] + [f"f{i}" for i in range(d)] + list(LABEL_COLUMNS)
 
 
-def save_csv(examples: Rows, path: str | Path) -> None:
-    table = make_batch(examples)
+def save_csv(table: Batch, path: str | Path) -> None:
     codes = np.where(table.mask_matrix == 1.0, table.label_matrix, -1).astype(np.int8)
     # no field can hold a delimiter or a quote, so rows are joined as
     # csv.writer would write them, without its per-field quoting checks
@@ -231,10 +228,9 @@ class Splits:
     test: Batch
 
 
-def split_oot(examples: Rows, cutoff_timestamp: int, seed: int = 0) -> Splits:
+def split_oot(table: Batch, cutoff_timestamp: int, seed: int = 0) -> Splits:
     """Test = everything at or past the cutoff; the rest splits 80/20 into
     train/validation by seeded shuffle."""
-    table = make_batch(examples)
     late = table.timestamps >= cutoff_timestamp
     test, pre = np.flatnonzero(late), np.flatnonzero(~late)
     if not test.size:
@@ -262,18 +258,17 @@ class Standardizer:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, train: Rows) -> Standardizer:
+    def fit(cls, train: Batch) -> Standardizer:
         if not len(train):
             raise ConfigError("cannot fit a standardizer on an empty training split")
         # C order, as a stack of rows: the axis-0 sums then run in row order
-        x = np.ascontiguousarray(make_batch(train).features)
+        x = np.ascontiguousarray(train.features)
         std = x.std(axis=0)
         return cls(x.mean(axis=0), np.maximum(std, STD_FLOOR))
 
-    def apply(self, examples: Rows) -> Batch:
+    def apply(self, table: Batch) -> Batch:
         """The rows with standardized features; ids, timestamps, labels and
         masks are the input's own arrays."""
-        table = make_batch(examples)
         if table.features.shape[1:] != self.mean.shape:
             raise DimensionError(f"features {table.features.shape} do not match the "
                                  f"standardizer's {self.mean.size} columns")
@@ -301,21 +296,20 @@ class Standardizer:
 # batching
 # ---------------------------------------------------------------------------
 
-def batches(examples: Rows, batch_size: int, seed: int, epoch: int = 0) -> list[Batch]:
+def batches(table: Batch, batch_size: int, seed: int, epoch: int = 0) -> list[Batch]:
     """One epoch of shuffled mini-batches; order is a pure function of
     (seed, epoch) and every example appears exactly once."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    table = make_batch(examples)
     rng = np.random.default_rng([seed, epoch])
     order = rng.permutation(len(table))
     return [make_batch(table, order[start:start + batch_size])
             for start in range(0, len(table), batch_size)]
 
 
-def covering_batch(examples: Rows, size: int, seed: int) -> Batch:
+def covering_batch(table: Batch, size: int, seed: int) -> Batch:
     """A seeded batch of `size` distinct rows that holds, for every target,
-    at least one labeled and one unlabeled row wherever `examples` has one.
+    at least one labeled and one unlabeled row wherever `table` has one.
 
     Rows are taken in the order of one seeded permutation: first, for each
     (target, labeled or unlabeled) class the batch still lacks, the earliest
@@ -324,7 +318,6 @@ def covering_batch(examples: Rows, size: int, seed: int) -> Batch:
     uniform draw of 64 rows often holds no labeled mob6 row at all (few
     applicants are accepted, draw and reach month six), so a gradient check
     on it never exercises that target's supervised term."""
-    table = make_batch(examples)
     if not 0 < size <= len(table):
         raise ConfigError(f"batch size must lie in [1, {len(table)}], got {size}")
     order = np.random.default_rng(seed).permutation(len(table))

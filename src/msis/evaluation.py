@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Rows, Splits, make_batch
+from .dataset import Batch, Splits
 from .errors import ConfigError
 from .funnel_sim import Counterfactuals
 from .loss import LossConfig
@@ -72,19 +72,18 @@ OBSERVED = "observed-only"
 FULL_POPULATION = "full-population"
 
 
-def evaluate(params: ParamStore, model_cfg: MsisConfig, examples: Rows,
+def evaluate(params: ParamStore, model_cfg: MsisConfig, batch: Batch,
              scope: str = OBSERVED, counterfactuals: Counterfactuals | None = None,
              ) -> dict[str, float | None]:
-    """Per-target AUC of a trained model on (already standardized) examples.
+    """Per-target AUC of a trained model on (already standardized) rows.
 
     Observed-only scope masks each target to the rows a platform would
-    have labels for; full-population scope scores every example against
-    its counterfactual labels, looked up by id in the simulator sidecar."""
+    have labels for; full-population scope scores every row against its
+    counterfactual labels, looked up by id in the simulator sidecar."""
     if scope not in (OBSERVED, FULL_POPULATION):
         raise ConfigError(f"unknown scope {scope!r}")
     if scope == FULL_POPULATION and counterfactuals is None:
         raise ConfigError("full-population scope requires counterfactual labels")
-    batch = make_batch(examples)
     truth = counterfactuals.lookup(batch.ids) if scope == FULL_POPULATION else None
     probs = predict_probs(params, model_cfg, batch.features)
     out: dict[str, float | None] = {}
@@ -216,7 +215,7 @@ class AblationResult:
 
 
 def ablate(variant: AblationVariant, model_cfg: MsisConfig, loss_cfg: LossConfig,
-           train_cfg, splits: Splits, test_examples: Rows,
+           train_cfg, splits: Splits, test: Batch,
            counterfactuals: Counterfactuals | None = None,
            scope: str = FULL_POPULATION) -> AblationResult:
     """Train and evaluate one ablation variant under the identical protocol
@@ -228,8 +227,7 @@ def ablate(variant: AblationVariant, model_cfg: MsisConfig, loss_cfg: LossConfig
     for run in runs:
         for si, seed in enumerate(train_cfg.seeds):
             params, _ = train_run(run.model_cfg, run.loss_cfg, train_cfg, splits, seed)
-            metrics = evaluate(params, run.model_cfg, test_examples, scope,
-                               counterfactuals)
+            metrics = evaluate(params, run.model_cfg, test, scope, counterfactuals)
             for t in run.scored_targets:
                 rows[si][t] = metrics[t]
     return AblationResult(AblationVariant(variant), rows)

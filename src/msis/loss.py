@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics as nm
-from .dataset import TARGET_INDEX, TARGETS, Batch
+from .dataset import DEFAULT_STAGES, TARGET_INDEX, TARGETS, Batch
 from .errors import ConfigError, ContractError
 from .model import ForwardResult, MsisConfig, make_fused_forward
 from .numerics import Node
@@ -34,8 +34,9 @@ from .numerics import Node
 DEFAULT_GAMMA = 6e-4
 
 
-def default_gammas() -> dict[str, float]:
-    return {t: 0.0 if t == "credit" else DEFAULT_GAMMA for t in TARGETS}
+def default_gammas(gamma: float = DEFAULT_GAMMA) -> dict[str, float]:
+    """gamma for every target but credit, which carries no entropy weight."""
+    return {t: 0.0 if t == "credit" else gamma for t in TARGETS}
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,14 @@ class LossConfig:
     unlabeled_reduction: str = "mean"  # or "sum"
 
     def validate(self) -> None:
+        unknown = sorted(set(self.gammas) - set(TARGETS))
+        if unknown:
+            raise ConfigError(f"gammas for unknown targets {unknown}; must be among {TARGETS}")
+        stages = tuple(name for name, _ in DEFAULT_STAGES)
+        unknown = sorted(set(self.stage_weights) - set(stages))
+        if unknown:
+            raise ConfigError(f"stage_weights for unknown stages {unknown}; "
+                              f"must be among {stages}")
         if any(w < 0 for w in self.stage_weights.values()):
             raise ConfigError("stage weights must be non-negative")
         if any(g < 0 for g in self.gammas.values()):

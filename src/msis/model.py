@@ -11,9 +11,10 @@ Both passes compute on stacked tensors: every target's tower, head and
 fusion is one batched matmul over a group of the flat parameter store,
 with activations shaped (n_targets, batch, d). `forward` records that on
 the tape (training, attention inspection); `make_fused_forward` compiles
-the same math into buffers carved from one flat scratch vector, with no
-tape, because a value-only evaluation costs a fraction of building tape
-nodes. Tests hold the two to 1e-12 relative agreement.
+the same math, with no tape, into one list of in-place steps, each writing
+a buffer carved from one flat scratch vector where the step is built,
+because a value-only evaluation costs a fraction of building tape nodes.
+Tests hold the two to 1e-12 relative agreement.
 
 `make_fused_forward` is the one source of compiled evaluators, for
 scoring (`predict_probs`) and the gradient check's loss alike. It
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +49,6 @@ class MsisConfig:
     corridor_dim: int = 8
     stages: tuple[tuple[str, tuple[str, ...]], ...] = DEFAULT_STAGES
     corridor_enabled: bool = True
-    attention_input: str = "post_fusion"  # which reps intra-stage attention reads
 
     def validate(self) -> None:
         if self.input_dim < 1:
@@ -64,9 +65,6 @@ class MsisConfig:
         unknown = [t for t in flat if t not in TARGETS]
         if unknown:
             raise ConfigError(f"unknown targets {unknown}; must be among {TARGETS}")
-        if self.attention_input not in ("post_fusion", "pre_fusion"):
-            raise ConfigError(f"attention_input must be post_fusion or pre_fusion, "
-                              f"got {self.attention_input!r}")
         if self.corridor_enabled and len(self.stages) > 1:
             if not self.tower_widths:
                 raise ConfigError("corridor requires at least one tower layer")
@@ -260,9 +258,8 @@ def forward(params: ParamStore, config: MsisConfig,
         start = 0
         e_ou = alpha = None
         for si, (sname, targets) in enumerate(config.stages):
-            own = nm.index(towers, slice(start, start + len(targets)))
+            out = own = nm.index(towers, slice(start, start + len(targets)))
             start += len(targets)
-            out = own
             if si > 0:
                 prev = config.stages[si - 1][0]
                 e_in = projection(f"corridor.{prev}-{sname}.f", e_ou)
@@ -278,14 +275,13 @@ def forward(params: ParamStore, config: MsisConfig,
                     {t: nm.Node(beta.value[:, j, :, 0].T) for j, t in enumerate(targets)})
             outs.append(out)
             if si < len(config.stages) - 1:
-                reps = out if config.attention_input == "post_fusion" else own
-                g3 = projection(f"intra.{sname}.g3", reps)
+                g3 = projection(f"intra.{sname}.g3", out)
                 if len(targets) == 1:  # nothing to attend over: alpha is exactly [1]
                     e_ou = nm.index(g3, 0)
                     alpha = nm.constant(np.ones((features.shape[0], 1)))
                 else:
-                    e_ou, weights = attend(projection(f"intra.{sname}.g1", reps),
-                                           projection(f"intra.{sname}.g2", reps), g3, d)
+                    e_ou, weights = attend(projection(f"intra.{sname}.g1", out),
+                                           projection(f"intra.{sname}.g2", out), g3, d)
                     alpha = nm.Node(weights.value[:, :, 0].T)
         top = nm.concat(outs, axis=0)
 
@@ -303,27 +299,27 @@ def predict_probs(params: ParamStore, config: MsisConfig,
     width and values; a matrix with no rows has no chunk to check it."""
     if features.ndim != 2 or features.shape[0] == 0:
         check_features(config, features)  # raises
-    n = features.shape[0]
-    probs = np.empty((len(config.all_targets()), n))
-    for start in range(0, n, PREDICT_CHUNK_ROWS):
-        stop = min(start + PREDICT_CHUNK_ROWS, n)
-        probs[:, start:stop] = make_fused_forward(params, config, features[start:stop])()
+    probs = np.empty((len(config.all_targets()), len(features)))
+    for start in range(0, len(features), PREDICT_CHUNK_ROWS):
+        chunk = slice(start, start + PREDICT_CHUNK_ROWS)
+        probs[:, chunk] = make_fused_forward(params, config, features[chunk])()
     return {t: probs[i] for i, t in enumerate(config.all_targets())}
 
 
 class _Carver:
     """Consecutive views, of any shape, of a flat float64 vector from its
-    start. Without a vector it only counts the scalars asked for, which is
-    how a compile measures the scratch it needs."""
+    start. Without a vector it only counts the scalars asked for and hands
+    out zero-stride views of the asked shapes, which is how a compile
+    measures the scratch it needs."""
 
     def __init__(self, flat: np.ndarray | None):
         self.flat, self.used = flat, 0
 
-    def __call__(self, *shape: int) -> np.ndarray | None:
+    def __call__(self, *shape: int) -> np.ndarray:
         start = self.used
         self.used += math.prod(shape)
         if self.flat is None:
-            return None
+            return np.broadcast_to(0.0, shape)
         return self.flat[start:self.used].reshape(shape)  # ValueError past its end
 
 
@@ -343,10 +339,13 @@ def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndar
 
     The evaluator is the one the store keeps for (config, batch), compiled
     on the first call of that shape; the store keeps the EVALUATORS_KEPT
-    most recently used. Every intermediate, the input and the returned
-    array included, is a view carved in order from the store's one scratch
-    vector, so a run overwrites what any other evaluator of the store
-    returned, and evaluators must run one at a time (msis is
+    most recently used. The compile looks every parameter up once and
+    builds one list of in-place steps in the order of the tape forward:
+    matmul then bias, rectifiers, inter-stage fusion, intra-stage attention
+    and the clamped sigmoid. Each step writes a view carved, as the step is
+    built, from the store's one scratch vector; the input and the returned
+    array are such views too, so a run overwrites what any other evaluator
+    of the store returned, and evaluators must run one at a time (msis is
     single-threaded). Each run writes every buffer before reading it. When
     the scratch must grow for a new shape, the store drops the evaluators
     carved from the old vector; an evaluator already handed out keeps that
@@ -355,11 +354,10 @@ def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndar
     load_values and the best-epoch restore write that vector in place) but
     not the store itself.
 
-    Same math as forward(), but every parameter lookup happens once, at
-    the compile. This is the path for every value-only evaluation: scoring
-    through predict_probs, and the gradient check, which re-evaluates the
-    loss twice per scalar parameter. Agreement with the tape forward is
-    enforced by tests at 1e-12 relative."""
+    This is the path for every value-only evaluation: scoring through
+    predict_probs, and the gradient check, which re-evaluates the loss
+    twice per scalar parameter. Tests hold it to the tape forward at 1e-12
+    relative."""
     check_features(config, features)
     rows = features.shape[0]
     key = (config, rows)
@@ -386,160 +384,113 @@ def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndar
 
 
 def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver):
-    """The (b, input_dim) input buffer and the evaluator that reads it, all
-    buffers carved by `take`."""
+    """The (b, input_dim) input buffer and the evaluator that reads it: each
+    builder below carves its output from `take` and appends the in-place
+    steps that fill it to `steps`, which the evaluator runs. A step is a
+    ufunc call with its arguments bound (`out` positional, which spares the
+    call a keyword, where NumPy allows it) or a closure of several."""
     P = lambda name: params[name].value
     G = lambda name: params.groups[name].value
     mm, add, mul, sub = np.matmul, np.add, np.multiply, np.subtract
-    x = take(b, config.input_dim)
-    nt = len(config.all_targets())
-    widths = config.tower_widths
-    d = config.corridor_dim
+    nt, d = len(config.all_targets()), config.corridor_dim
     scale = 1.0 / math.sqrt(d)
     ones_d = np.ones(d)  # row sums over d as matmuls: axis-2 .sum() is several times slower
     use_corridor = config.corridor_enabled and len(config.stages) > 1
+    steps = []
+    x = take(b, config.input_dim)
     probs = take(nt, b)
+    # every leaky's temporary; the largest is a fusion side, (3, n_stage_targets, b, d)
+    spare = take(3 * max(len(t) for _, t in config.stages) * b * d) if use_corridor else None
 
-    shared_bufs = [take(b, w) for w in config.shared_widths]
-    shared_ws = [(P(f"shared.{i}.w"), P(f"shared.{i}.b"))
-                 for i in range(len(config.shared_widths))]
-    tower_bufs = [take(nt, b, w) for w in widths]
-    tower_ws = [(G(f"tower.w.{i}"), G(f"tower.b.{i}")) for i in range(len(widths))]
+    def dense(src, w, bias):
+        out = take(*np.broadcast_shapes(src.shape[:-2], w.shape[:-2]), src.shape[-2], w.shape[-1])
+        steps.extend((partial(mm, src, w, out), partial(add, out, bias, out)))
+        return out
 
-    def bottom():
-        src = x
-        for buf, (w, bias) in zip(shared_bufs, shared_ws):
-            mm(src, w, out=buf)
-            add(buf, bias, out=buf)
-            np.maximum(buf, 0.0, out=buf)
-            src = buf
-        if not widths:
-            return np.broadcast_to(src, (nt, b, src.shape[1]))
-        last = len(widths) - 1
-        prev = src[None]
-        for i, (buf, (w, bias)) in enumerate(zip(tower_bufs, tower_ws)):
-            mm(prev, w, out=buf)
-            add(buf, bias, out=buf)
-            if i < last:
-                np.maximum(buf, 0.0, out=buf)
-            prev = buf
-        return tower_bufs[-1]
+    def relu(buf):
+        steps.append(lambda: np.maximum(buf, 0.0, out=buf))
+        return buf
 
-    def compile_stage(si: int, sname: str, ns: int, sl: slice):
-        head_w, head_b = G("head.w")[sl], G("head.b")[sl]
-        logits = take(ns, b, 1)
-        fuse = use_corridor and si > 0
-        emit = use_corridor and si < len(config.stages) - 1
-        if fuse:
-            prev_name = config.stages[si - 1][0]
-            f_w = P(f"corridor.{prev_name}-{sname}.f.w")
-            f_b = P(f"corridor.{prev_name}-{sname}.f.b")
-            fin_w, fin_b = G(f"fuse_in.w.{sname}"), G(f"fuse_in.b.{sname}")
-            fself_w, fself_b = G(f"fuse_self.w.{sname}"), G(f"fuse_self.b.{sname}")
-            e_in = take(b, d)
-            e_proj = take(3, ns, b, d)  # (part, target, ...), as the groups
-            h_proj = take(3, ns, b, d)
-            prod = take(ns, b, d)
-            s_in = take(ns, b)
-            s_self = take(ns, b)
-            beta1 = take(ns, b)
-            fused = take(ns, b, d)
-            ftmp = take(ns, b, d)
-        if emit:
-            g3_w, g3_b = P(f"intra.{sname}.g3.w"), P(f"intra.{sname}.g3.b")
-            g3 = take(ns, b, d)
-            if ns > 1:
-                g1_w, g1_b = P(f"intra.{sname}.g1.w"), P(f"intra.{sname}.g1.b")
-                g2_w, g2_b = P(f"intra.{sname}.g2.w"), P(f"intra.{sname}.g2.b")
-                g1 = take(ns, b, d)
-                g2 = take(ns, b, d)
-                score = take(ns, b)
-                zrow = take(b)
-                e_ou = take(b, d)
+    def leaky(buf):
+        tmp = spare[:buf.size].reshape(buf.shape)
+        steps.extend((partial(mul, buf, nm.LEAKY_SLOPE, tmp),
+                      lambda: np.maximum(buf, tmp, out=buf)))
+        return buf
 
-        post_fusion = config.attention_input == "post_fusion"
+    def projection(name: str, src):
+        return leaky(dense(src, P(name + ".w"), P(name + ".b")))
 
-        slope = nm.LEAKY_SLOPE
-        if fuse:
-            e_in_s = take(b, d)
-            e_proj_s = take(3, ns, b, d)
-            h_proj_s = take(3, ns, b, d)
-        if emit:
-            g3_s = take(ns, b, d)
+    def fuse(e_in, own, sname: str):
+        # value, key and query of both candidates, (part, target, b, d) as the groups
+        e = leaky(dense(e_in, G(f"fuse_in.w.{sname}"), G(f"fuse_in.b.{sname}")))
+        h = leaky(dense(own, G(f"fuse_self.w.{sname}"), G(f"fuse_self.b.{sname}")))
+        out, prod = take(*own.shape), take(*own.shape)
+        s_in, s_self = take(*own.shape[:2]), take(*own.shape[:2])
 
-        def leaky(buf, scratch):
-            mul(buf, slope, out=scratch)
-            np.maximum(buf, scratch, out=buf)
+        @steps.append
+        def _():  # a two-candidate softmax is the logistic of the score difference
+            mul(e[1], e[2], out=prod)
+            mm(prod, ones_d, out=s_in)
+            mul(h[1], h[2], out=prod)
+            mm(prod, ones_d, out=s_self)
+            sub(s_in, s_self, out=s_in)
+            mul(s_in, scale, out=s_in)
+            expit(s_in, out=s_in)
+            sub(1.0, s_in, out=s_self)
+            mul(s_in[:, :, None], e[0], out=out)
+            mul(s_self[:, :, None], h[0], out=prod)
+            add(out, prod, out=out)
+        return out
 
-        def stage(h, prev_e):
-            hs = towers = h[sl]
-            if fuse:
-                mm(prev_e, f_w, out=e_in)
-                add(e_in, f_b, out=e_in)
-                leaky(e_in, e_in_s)
-                mm(e_in, fin_w, out=e_proj)
-                add(e_proj, fin_b, out=e_proj)
-                leaky(e_proj, e_proj_s)
-                mm(hs, fself_w, out=h_proj)
-                add(h_proj, fself_b, out=h_proj)
-                leaky(h_proj, h_proj_s)
-                mul(e_proj[1], e_proj[2], out=prod)
-                mm(prod, ones_d, out=s_in)
-                mul(h_proj[1], h_proj[2], out=prod)
-                mm(prod, ones_d, out=s_self)
-                sub(s_in, s_self, out=s_in)
-                mul(s_in, scale, out=s_in)
-                expit(s_in, out=s_in)
-                sub(1.0, s_in, out=beta1)
-                mul(s_in[:, :, None], e_proj[0], out=fused)
-                mul(beta1[:, :, None], h_proj[0], out=ftmp)
-                add(fused, ftmp, out=fused)
-                hs = fused
-            mm(hs, head_w, out=logits)
-            add(logits, head_b, out=logits)
-            p = logits[:, :, 0]
-            expit(p, out=p)
-            np.maximum(p, nm.CLAMP_EPS, out=p)
-            np.minimum(p, 1.0 - nm.CLAMP_EPS, out=p)
-            probs[sl] = p
-            if not emit:
-                return None
-            reps = hs if post_fusion else towers
-            mm(reps, g3_w, out=g3)
-            add(g3, g3_b, out=g3)
-            leaky(g3, g3_s)
-            if ns == 1:
-                return g3[0]
-            mm(reps, g1_w, out=g1)
-            add(g1, g1_b, out=g1)
-            leaky(g1, g3_s)
-            mm(reps, g2_w, out=g2)
-            add(g2, g2_b, out=g2)
-            leaky(g2, g3_s)
+    def attend(reps, sname: str):
+        g3 = projection(f"intra.{sname}.g3", reps)
+        if len(reps) == 1:  # nothing to attend over: alpha is exactly [1]
+            return g3[0]
+        g1 = projection(f"intra.{sname}.g1", reps)
+        g2 = projection(f"intra.{sname}.g2", reps)
+        score, zrow, e_ou = take(*reps.shape[:2]), take(b), take(b, d)
+
+        @steps.append
+        def _():
             mul(g1, g2, out=g1)
             mm(g1, ones_d, out=score)
             mul(score, scale, out=score)
-            sub(score, score.max(axis=0), out=score)
+            score.max(axis=0, out=zrow)
+            sub(score, zrow, out=score)
             np.exp(score, out=score)
             score.sum(axis=0, out=zrow)
             np.divide(score, zrow, out=score)
             mul(score[:, :, None], g3, out=g3)
-            return g3.sum(axis=0, out=e_ou)
+            g3.sum(axis=0, out=e_ou)
+        return e_ou
 
-        return stage
+    def squash(logits, out):
+        steps.extend((partial(expit, logits[:, :, 0], out),
+                      lambda: np.maximum(out, nm.CLAMP_EPS, out=out),
+                      lambda: np.minimum(out, 1.0 - nm.CLAMP_EPS, out=out)))
 
-    stage_steps = []
-    offset = 0
-    for si, (sname, stage_targets) in enumerate(config.stages):
-        ns = len(stage_targets)
-        stage_steps.append(compile_stage(si, sname, ns, slice(offset, offset + ns)))
-        offset += ns
+    act = x
+    for i in range(len(config.shared_widths)):
+        act = relu(dense(act, P(f"shared.{i}.w"), P(f"shared.{i}.b")))
+    for i in range(len(config.tower_widths)):
+        act = dense(relu(act) if i else act, G(f"tower.w.{i}"), G(f"tower.b.{i}"))
+    towers = np.broadcast_to(act, (nt, b, act.shape[-1]))  # without tower layers, the shared rep
+
+    start = 0
+    for si, (sname, targets) in enumerate(config.stages):
+        sl = slice(start, start + len(targets))
+        start = sl.stop
+        out = towers[sl]
+        if use_corridor and si > 0:
+            prev = config.stages[si - 1][0]
+            out = fuse(projection(f"corridor.{prev}-{sname}.f", e_ou), out, sname)
+        squash(dense(out, G("head.w")[sl], G("head.b")[sl]), probs[sl])
+        if use_corridor and si < len(config.stages) - 1:
+            e_ou = attend(out, sname)
 
     def run() -> np.ndarray:
-        h = bottom()
-        prev_e = None
-        for step in stage_steps:
-            prev_e = step(h, prev_e)
+        for step in steps:
+            step()
         return probs
 
     return x, run
@@ -569,8 +520,12 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, MsisConfig]:
         payload = json.load(fh)
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ContractError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    config = payload.get("config")
+    # older files name the intra-stage attention's input; post_fusion is the only model
+    if isinstance(config, dict) and config.pop("attention_input", "post_fusion") != "post_fusion":
+        raise ContractError(f"{path}: only post_fusion attention_input models load")
     try:
-        config = from_dict(MsisConfig, payload.get("config"), where="config")
+        config = from_dict(MsisConfig, config, where="config")
     except ConfigError as exc:
         raise ContractError(f"{path}: {exc}") from None
     params = init_params(config, seed=int(payload["seed"]))

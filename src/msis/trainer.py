@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import numerics as nm
-from .dataset import Batch, Splits, batches, make_batch
+from .dataset import Batch, Splits, batches
 from .errors import ConfigError
 from .evaluation import try_auc
 from .loss import LossBreakdown, LossConfig, loss_weights, per_target_losses, total_loss
@@ -164,8 +164,7 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
     optimizer = Adam(params, train_cfg)
     targets = model_cfg.all_targets()
     final_targets = model_cfg.stages[-1][1]
-    train_eval = make_batch(splits.train)
-    val_eval = make_batch(splits.validation) if splits.validation else None
+    val_eval = splits.validation if len(splits.validation) else None
 
     history = TrainHistory()
     steps: dict[int, _Step] = {}  # by batch rows
@@ -196,7 +195,7 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
 
         n_batches = len(epoch_batches)
         val_auc, unlabeled_entropy = _epoch_diagnostics(
-            params, model_cfg, train_eval, val_eval)
+            params, model_cfg, splits.train, val_eval)
         history.epochs.append(EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / n_batches,

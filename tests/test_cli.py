@@ -49,8 +49,11 @@ class TestConfig:
             cli.load_config(tiny_config, ["sim.frobnicate=1"])
 
     def test_invalid_value_rejected(self, tiny_config):
-        with pytest.raises(cli.ConfigError):
-            cli.load_config(tiny_config, ["sim.acceptance_rate=2.0"])
+        for assignment, fragment in (("sim.acceptance_rate=2.0", "acceptance_rate"),
+                                     ("loss.gammas.mob_6=0", "mob_6"),
+                                     ("loss.stage_weights.gbx=2", "gbx")):
+            with pytest.raises(cli.ConfigError, match=fragment):
+                cli.load_config(tiny_config, [assignment])
 
     def test_gamma_overrides_merge(self, tiny_config):
         cfg = cli.load_config(tiny_config, ["loss.gammas.mob6=0.01"])
@@ -109,6 +112,27 @@ class TestCommands:
                              str(out)]) == 0
             outs.append((out / "metrics-runs-msis-observed.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_evaluate_reads_the_runs_standardizer(self, tiny_config, data_dir, tmp_path,
+                                                   capsys):
+        # the test rows are standardized as the run's training rows were, so
+        # a split seed other than the run's does not change the metrics
+        run = tmp_path / "run"
+        assert cli.main(["train", "--config", tiny_config, "--data", str(data_dir),
+                         "--out", str(run)]) == 0
+        outs = []
+        for seed in (0, 5):
+            out = tmp_path / f"e{seed}"
+            assert cli.main(["evaluate", "--config", tiny_config, "--data", str(data_dir),
+                             "--run", str(run), "--out", str(out),
+                             "--set", f"split.seed={seed}"]) == 0
+            outs.append((out / "metrics-runs-msis-observed.csv").read_bytes())
+        assert outs[0] == outs[1]
+        (run / "standardizer.json").unlink()
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", tiny_config, "--data", str(data_dir),
+                         "--run", str(run), "--out", str(tmp_path / "e-none")]) == 1
+        assert "missing standardizer" in capsys.readouterr().err
 
     def test_gradcheck_small(self, tiny_config, tmp_path):
         out = tmp_path / "gc"

@@ -39,7 +39,7 @@ def test_integral_numbers_become_ints():
     (M.MsisConfig, "corridor_dim", True, "whole number"),
     (M.MsisConfig, "shared_widths", [64, "x"], r"shared_widths\[1\]"),
     (M.MsisConfig, "stages", [["ar", "credit"]], "must be a list"),
-    (M.MsisConfig, "attention_input", 3, "string"),
+    (M.MsisConfig, "input_dim", "32", "whole number"),
     (fs.SimConfig, "draw_horizons", [30, 60, 90], "2 values"),
     (fs.SimConfig, "seed", "abc", "whole number"),
     (fs.SimConfig, "acceptance_rate", "0.3", "finite number"),

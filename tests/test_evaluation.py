@@ -89,7 +89,8 @@ class TestEvaluate:
 
     def test_observed_scope_on_rejected_subset_is_absent(self, sim_world):
         _, examples, _ = sim_world
-        rejected = [ex for ex in examples if ex.labels["credit"] is False][:100]
+        rejected = ds.Batch.from_examples(
+            [ex for ex in examples if ex.labels["credit"] is False][:100])
         cfg = M.MsisConfig()
         params = M.init_params(cfg, seed=0)
         out = ev.evaluate(params, cfg, rejected, scope=ev.OBSERVED)

@@ -220,6 +220,16 @@ class TestTotalLoss:
             ls.LossConfig(gammas={"mob1": -1e-3}).validate()
         with pytest.raises(ConfigError):
             ls.LossConfig(unlabeled_reduction="median").validate()
+        with pytest.raises(ConfigError, match="mob_6"):
+            ls.LossConfig(gammas={**ls.default_gammas(), "mob_6": 0.0}).validate()
+        with pytest.raises(ConfigError, match="gbx"):
+            ls.LossConfig(stage_weights={"ar": 1.0, "ws": 1.0, "gb": 1.0,
+                                         "gbx": 2.0}).validate()
+
+    def test_default_gammas(self):
+        assert ls.default_gammas() == ls.LossConfig().gammas
+        assert ls.default_gammas(0.5) == {t: 0.0 if t == "credit" else 0.5
+                                          for t in ds.TARGETS}
 
 
 class TestGradients:

@@ -213,7 +213,8 @@ class TestForward:
             dataclasses.replace(M.MsisConfig(),
                                 stages=(("ar", ("credit",)), ("ws", ("draw_90",)),
                                         ("gb", ("mob6",)))),
-            dataclasses.replace(M.MsisConfig(), attention_input="pre_fusion"),
+            dataclasses.replace(M.MsisConfig(), tower_widths=(8,)),
+            dataclasses.replace(M.MsisConfig(), tower_widths=(12, 10, 8)),
             M.MsisConfig().with_corridor_dim(4),
             dataclasses.replace(M.MsisConfig(), shared_widths=()),
             bl.baseline_model_config(bl.BaselineKind.SINGLE_TASK, "mob3"),
@@ -617,3 +618,26 @@ class TestCheckpoint:
             path.write_text(json.dumps(payload))
             with pytest.raises(ContractError, match="model.ckpt"):
                 M.load_checkpoint(path)
+
+    def test_attention_input_of_older_files(self, default_cfg, tmp_path):
+        # older checkpoints name which reps intra-stage attention reads:
+        # post_fusion is the model msis builds, pre_fusion is no longer built
+        import json
+        params = M.init_params(default_cfg, seed=5)
+        params.values[...] = np.random.default_rng(4).normal(size=params.values.size)
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(params, default_cfg, path)
+        payload = json.loads(path.read_text())
+        assert "attention_input" not in payload["config"]
+        payload["config"]["attention_input"] = "post_fusion"
+        path.write_text(json.dumps(payload))
+        loaded, cfg = M.load_checkpoint(path)
+        assert cfg == default_cfg
+        assert loaded.values.tobytes() == params.values.tobytes()
+        x = np.random.default_rng(0).normal(size=(7, 32))
+        assert (M.make_fused_forward(loaded, cfg, x)().tobytes()
+                == M.make_fused_forward(params, default_cfg, x)().tobytes())
+        payload["config"]["attention_input"] = "pre_fusion"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ContractError, match="model.ckpt.*post_fusion"):
+            M.load_checkpoint(path)
