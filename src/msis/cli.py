@@ -1,15 +1,15 @@
 """Experiment driver: simulate, train, evaluate, ablate, sweep, gradcheck,
 and report as reproducible runs.
 
-Configuration comes from a JSON file with nested sections (sim, model,
-loss, train, split, sweep) merged over built-in defaults;
-``--set section.key=value`` overrides single fields from the command line
-(flags > file > defaults). The sim, model, loss, train and split sections
-are the config dataclasses, defaults included, read back by `msis.config`
-with their annotated types, so ``model.corridor_enabled=False`` (not JSON
-``false``) or ``split.cutoff_day=2.5`` is a ConfigError. Every command
-writes a manifest with the resolved-config hash, the seed list, and a
-checksum per artifact, so any result can be re-derived.
+The configuration is `ExperimentConfig`: six frozen dataclass sections
+(sim, model, loss, train, split, sweep) whose fields and defaults are the
+schema. ``--config`` (a JSON file) and then each ``--set section.key=value``
+are merged over the defaults (flags > file > defaults) and read back with
+each field's annotated type by `msis.config`, so ``split.cutoff_day=2.5``
+or ``model.corridor_enabled=False`` (not JSON ``false``) is a ConfigError.
+Every command writes a manifest with the hash of the canonical resolved
+config, the seed list, and a checksum per artifact, so any result can be
+re-derived. An `msis.errors` error exits 1 with one line on stderr.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 from . import baselines as bl
@@ -33,13 +33,7 @@ from . import model as mo
 from . import numerics as nm
 from . import trainer as tr
 from .config import from_dict, to_dict
-from .errors import ConfigError
-
-CONFIG_ENV_VAR = "MSIS_CONFIG"
-
-# the config sections that are dataclasses; their defaults are the dataclasses' own
-SECTIONS = {"sim": fs.SimConfig, "model": mo.MsisConfig, "loss": lo.LossConfig,
-            "train": tr.TrainConfig}
+from .errors import ConfigError, ContractError, DimensionError, DomainError, ParseError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,97 +42,80 @@ class SplitConfig:
     cutoff_day: int | None = None  # None: the simulator's out-of-time cutoff
 
 
-DEFAULTS: dict = {
-    "sim": to_dict(fs.SimConfig(n=100000)),
-    "model": to_dict(mo.MsisConfig()),
-    "loss": to_dict(lo.LossConfig()),
-    "train": to_dict(tr.TrainConfig()),
-    "split": to_dict(SplitConfig()),
-    "sweep": {"corridor_dim": [2, 4, 8, 16, 24],
-              "gamma": [6e-5, 2e-4, 6e-4, 2e-3, 6e-3]},
-}
+@dataclasses.dataclass(frozen=True)
+class SweepConfig:
+    """The grid `msis sweep --param <field>` trains over, one per field."""
+    corridor_dim: tuple[int, ...] = (2, 4, 8, 16, 24)
+    gamma: tuple[float, ...] = (6e-5, 2e-4, 6e-4, 2e-3, 6e-3)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    sim: fs.SimConfig
-    model: mo.MsisConfig
-    loss: lo.LossConfig
-    train: tr.TrainConfig
-    split_seed: int
-    cutoff_day: int
-    sweep: dict
-    resolved: dict
+    sim: fs.SimConfig = dataclasses.field(default_factory=lambda: fs.SimConfig(n=100000))
+    model: mo.MsisConfig = mo.MsisConfig()
+    loss: lo.LossConfig = dataclasses.field(default_factory=lo.LossConfig)
+    train: tr.TrainConfig = tr.TrainConfig()
+    split: SplitConfig = SplitConfig()
+    sweep: SweepConfig = SweepConfig()
+
+    @property
+    def cutoff_day(self) -> int:
+        if self.split.cutoff_day is None:
+            return fs.oot_cutoff_day(self.sim)
+        return self.split.cutoff_day
 
     def sha256(self) -> str:
         return hashlib.sha256(
-            json.dumps(self.resolved, sort_keys=True).encode()).hexdigest()
+            json.dumps(to_dict(self), sort_keys=True).encode()).hexdigest()
 
 
-# map-valued fields whose keys are target/stage names, not a fixed schema
-OPEN_KEYED = ("gammas", "stage_weights")
-
-
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _merge(cls, base: dict, override: dict, path: str = "") -> dict:
+    """The JSON values `base` of dataclass cls updated by `override`: a
+    section recurses, a dict-typed field is updated key by key, and any
+    other value is replaced."""
+    hints = typing.get_type_hints(cls)
     out = dict(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config field {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            if key in OPEN_KEYED:
-                merged = dict(base[key])
-                merged.update(value)
-                out[key] = merged
-            else:
-                out[key] = _merge(base[key], value, where)
+        tp = hints[key]
+        if dataclasses.is_dataclass(tp) and isinstance(value, dict):
+            out[key] = _merge(tp, base[key], value, where)
+        elif typing.get_origin(tp) is dict and isinstance(value, dict):
+            out[key] = {**base[key], **value}
         else:
             out[key] = value
     return out
 
 
-def _apply_set(resolved: dict, assignment: str) -> None:
-    if "=" not in assignment:
-        raise ConfigError(f"--set expects section.key=value, got {assignment!r}")
-    dotted, raw = assignment.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    node = resolved
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"unknown config field {dotted!r}")
-        node = node[part]
-    leaf = parts[-1]
-    open_keyed = len(parts) > 1 and parts[-2] in OPEN_KEYED
-    if not isinstance(node, dict) or (leaf not in node and not open_keyed):
-        raise ConfigError(f"unknown config field {dotted!r}")
-    node[leaf] = value
-
-
 def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
-    resolved = json.loads(json.dumps(DEFAULTS))  # deep copy
-    path = path or os.environ.get(CONFIG_ENV_VAR)
+    resolved = to_dict(ExperimentConfig())
     if path:
-        with open(path) as fh:
-            file_cfg = json.load(fh)
-        resolved = _merge(resolved, file_cfg)
+        try:
+            with open(path) as fh:
+                file_cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise ConfigError(f"config file {path} must hold an object, "
+                              f"got {type(file_cfg).__name__}")
+        resolved = _merge(ExperimentConfig, resolved, file_cfg)
     for assignment in overrides:
-        _apply_set(resolved, assignment)
-    sections = {}
-    for name, cls in SECTIONS.items():
-        sections[name] = from_dict(cls, resolved[name], where=name)
-        sections[name].validate()
-    split = from_dict(SplitConfig, resolved["split"], where="split")
-    cutoff = split.cutoff_day
-    if cutoff is None:
-        cutoff = fs.oot_cutoff_day(sections["sim"])
-    return ExperimentConfig(**sections,
-                            split_seed=split.seed,
-                            cutoff_day=cutoff,
-                            sweep=resolved["sweep"], resolved=resolved)
+        dotted, eq, raw = assignment.partition("=")
+        if not eq:
+            raise ConfigError(f"--set expects section.key=value, got {assignment!r}")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw  # not JSON: the raw string
+        for part in reversed(dotted.split(".")):
+            value = {part: value}
+        resolved = _merge(ExperimentConfig, resolved, value)
+    cfg = from_dict(ExperimentConfig, resolved, where="")
+    for section in (cfg.sim, cfg.model, cfg.loss, cfg.train):
+        section.validate()
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +158,11 @@ def write_manifest(out: Path, command: str, cfg: ExperimentConfig,
 # ---------------------------------------------------------------------------
 
 def _split(data_dir: Path, cfg: ExperimentConfig) -> ds.Splits:
-    examples = ds.load_csv(data_dir / "dataset.csv")
-    return ds.split_oot(examples, cfg.cutoff_day, seed=cfg.split_seed)
+    path = data_dir / "dataset.csv"
+    if not path.exists():
+        raise ConfigError(f"missing dataset {path}")
+    examples = ds.load_csv(path)
+    return ds.split_oot(examples, cfg.cutoff_day, seed=cfg.split.seed)
 
 
 def _load_splits(data_dir: Path, cfg: ExperimentConfig):
@@ -344,19 +324,15 @@ def cmd_sweep(args, cfg: ExperimentConfig, out: Path) -> int:
     data_dir = Path(args.data)
     splits, _ = _load_splits(data_dir, cfg)
     counterfactuals = _load_counterfactuals(data_dir)
-    values = cfg.sweep[args.param]
     final_targets = cfg.model.stages[-1][1]
     table: list[tuple[float, dict]] = []
     artifacts = []
-    for value in values:
+    for value in getattr(cfg.sweep, args.param):
+        model_cfg, loss_cfg = cfg.model, cfg.loss
         if args.param == "corridor_dim":
-            model_cfg = cfg.model.with_corridor_dim(int(value))
-            loss_cfg = cfg.loss
+            model_cfg = cfg.model.with_corridor_dim(value)
         else:
-            model_cfg = cfg.model
-            loss_cfg = lo.LossConfig(dict(cfg.loss.stage_weights),
-                                     lo.default_gammas(float(value)),
-                                     cfg.loss.unlabeled_reduction)
+            loss_cfg = dataclasses.replace(cfg.loss, gammas=lo.default_gammas(value))
         rows = []
         for seed in cfg.train.seeds:
             params, _ = tr.train_run(model_cfg, loss_cfg, cfg.train, splits, seed)
@@ -457,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--config", help=f"JSON config file (or ${CONFIG_ENV_VAR})")
+        p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config field, e.g. sim.n=5000")
         p.add_argument("--out", help="output directory (default runs/<stamp>-<hash>)")
@@ -491,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep the corridor width or entropy weight")
     common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--param", choices=["corridor_dim", "gamma"], required=True)
+    p.add_argument("--param", required=True,
+                   choices=[f.name for f in dataclasses.fields(SweepConfig)])
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the gradients")
@@ -516,9 +493,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train" and args.model != "msis":  # before any file is written
             kind, _, target = args.model.partition(":")
             bl.baseline_model_config(kind, target or None, cfg.model)
+        if args.command in ("evaluate", "ablate", "sweep") and len(cfg.train.seeds) < 2:
+            raise ConfigError(f"{args.command} reports over seeds and needs at least 2 "
+                              f"in train.seeds, got {list(cfg.train.seeds)}")
         return args.fn(args, cfg, _run_dir(args, cfg))
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except (ConfigError, ContractError, DimensionError, DomainError, ParseError) as exc:
+        kind = "configuration error" if isinstance(exc, ConfigError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -24,8 +24,9 @@ def to_dict(config) -> dict:
 
 def from_dict(cls, obj, where: str | None = None):
     """An instance of the dataclass cls from JSON values; `where` names the
-    object in error messages (default: the class name)."""
-    where = where or cls.__name__
+    object in error messages (default: the class name; "" names each field
+    bare)."""
+    where = cls.__name__ if where is None else where
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be {EXPECTED[dict]}, got {obj!r}")
     names = [f.name for f in dataclasses.fields(cls)]
@@ -34,10 +35,12 @@ def from_dict(cls, obj, where: str | None = None):
     if missing or extra:
         raise ConfigError(f"{where}: missing fields {missing}, unknown fields {extra}")
     hints = typing.get_type_hints(cls)
-    return cls(**{n: _coerce(hints[n], obj[n], f"{where}.{n}") for n in names})
+    return cls(**{n: _coerce(hints[n], obj[n], f"{where}.{n}".lstrip(".")) for n in names})
 
 
 def _coerce(tp, value, where: str):
+    if dataclasses.is_dataclass(tp):
+        return from_dict(tp, value, where)
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin is types.UnionType and type(None) in args:  # an optional field, "T | None"
         if value is None:

@@ -280,10 +280,13 @@ class Standardizer:
 
     @classmethod
     def from_json(cls, path: str | Path) -> Standardizer:
-        with open(path) as fh:
-            obj = json.load(fh)
-        mean = np.array(obj["mean"], dtype=np.float64)
-        std = np.array(obj["std"], dtype=np.float64)
+        try:
+            with open(path) as fh:
+                obj = json.load(fh)
+            mean = np.array(obj["mean"], dtype=np.float64)
+            std = np.array(obj["std"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: not a standardizer file ({exc!r})") from None
         if mean.ndim != 1 or mean.shape != std.shape:
             raise ParseError(f"{path}: mean {mean.shape} and std {std.shape} "
                              "must be vectors of one length")

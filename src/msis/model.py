@@ -516,9 +516,12 @@ def save_checkpoint(params: ParamStore, config: MsisConfig, path: str | Path) ->
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, MsisConfig]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except ValueError as exc:
+        raise ContractError(f"{path}: not JSON ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ContractError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     config = payload.get("config")
     # older files name the intra-stage attention's input; post_fusion is the only model
@@ -528,11 +531,15 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, MsisConfig]:
         config = from_dict(MsisConfig, config, where="config")
     except ConfigError as exc:
         raise ContractError(f"{path}: {exc}") from None
-    params = init_params(config, seed=int(payload["seed"]))
-    values = {}
-    for name, shape, flat in payload["params"]:
-        values[name] = np.array(flat, dtype=np.float64).reshape(shape)
-        if not np.isfinite(values[name]).all():
+    try:
+        seed = int(payload["seed"])
+        values = {name: np.array(flat, dtype=np.float64).reshape(shape)
+                  for name, shape, flat in payload["params"]}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContractError(f"{path}: malformed seed or params ({exc!r})") from None
+    for name, value in values.items():
+        if not np.isfinite(value).all():
             raise ContractError(f"{path}: parameter {name!r} holds non-finite values")
+    params = init_params(config, seed=seed)
     params.load_values(values)
     return params, config

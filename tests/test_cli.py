@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -60,10 +61,32 @@ class TestConfig:
         assert cfg.loss.gamma("mob6") == 0.01
         assert cfg.loss.gamma("mob1") == 6e-4
 
-    def test_env_var_default(self, tiny_config, monkeypatch):
-        monkeypatch.setenv(cli.CONFIG_ENV_VAR, tiny_config)
-        cfg = cli.load_config(None, [])
-        assert cfg.sim.n == 500
+    def test_config_hash_is_of_the_canonical_json(self, tiny_config):
+        # pinned: the hashes that earlier manifests hold for these configs
+        assert cli.load_config(None, []).sha256() == \
+            "b0275fe779e8e1fd39f07e685b0e833545216a6fa132cefffbe73b09e7f912d1"
+        cfg = cli.load_config(tiny_config, ["loss.gammas.mob6=0.01", "split.seed=4"])
+        assert cfg.sha256() == \
+            "56d0971cf8ead3ff79541cb483b181809abc6361e7247b14024a48922b1c5668"
+        assert cli.load_config(None, ["train.learning_rate=1"]).sha256() == \
+            cli.load_config(None, ["train.learning_rate=1.0"]).sha256()
+
+    @pytest.mark.parametrize("body, fragment", [
+        (None, "No such file"), ('{"sim": {"n": 5', "Expecting"), ("[1, 2]", "an object")])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, body, fragment):
+        path = tmp_path / "cfg.json"
+        if body is not None:
+            path.write_text(body)
+        with pytest.raises(cli.ConfigError, match=f"cfg.json.*{fragment}"):
+            cli.load_config(str(path), [])
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory, tiny_config, data_dir):
+    out = tmp_path_factory.mktemp("run")
+    assert cli.main(["train", "--config", tiny_config, "--data", str(data_dir),
+                     "--out", str(out)]) == 0
+    return out
 
 
 class TestCommands:
@@ -202,3 +225,39 @@ class TestCommands:
                        "--run", str(tmp_path / "nowhere"),
                        "--out", str(tmp_path / "out")])
         assert rc == 1
+
+    def test_missing_dataset_is_config_error(self, tiny_config, tmp_path, capsys):
+        rc = cli.main(["train", "--config", tiny_config, "--data", str(tmp_path),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "missing dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["evaluate", "--run", "nowhere"], ["ablate"],
+                                         ["sweep", "--param", "gamma"]],
+                             ids=lambda command: command[0])
+    def test_one_seed_aggregate_exits_one_without_a_run_dir(self, tiny_config, data_dir,
+                                                             tmp_path, capsys, command):
+        out = tmp_path / "x"
+        assert cli.main([*command, "--config", tiny_config, "--data", str(data_dir),
+                         "--set", "train.seeds=[0]", "--out", str(out)]) == 1
+        assert "at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["narrow_standardizer", "pre_fusion_checkpoint"])
+    def test_typed_errors_exit_one_with_one_line(self, tiny_config, data_dir, run_dir,
+                                                 tmp_path, capsys, damage):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        if damage == "narrow_standardizer":  # a DimensionError on apply
+            (run / "standardizer.json").write_text(
+                json.dumps({"mean": [0.0] * 3, "std": [1.0] * 3}))
+        else:  # a ContractError from load_checkpoint
+            ckpt = run / "checkpoint-msis-seed0.json"
+            payload = json.loads(ckpt.read_text())
+            payload["config"]["attention_input"] = "pre_fusion"
+            ckpt.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", tiny_config, "--data", str(data_dir),
+                         "--run", str(run), "--out", str(tmp_path / "ev")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")

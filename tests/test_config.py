@@ -12,7 +12,8 @@ from msis.errors import ConfigError
 
 
 @pytest.mark.parametrize("config", [fs.SimConfig(n=100000), M.MsisConfig(),
-                                    ls.LossConfig(), tr.TrainConfig()],
+                                    ls.LossConfig(), tr.TrainConfig(),
+                                    cli.ExperimentConfig()],
                          ids=lambda c: type(c).__name__)
 def test_json_roundtrip(config):
     obj = json.loads(json.dumps(to_dict(config)))
@@ -85,12 +86,17 @@ def test_defaults_are_the_dataclass_defaults():
     assert cfg.model == M.MsisConfig()
     assert cfg.loss == ls.LossConfig()
     assert cfg.train == tr.TrainConfig()
+    assert cfg.split == cli.SplitConfig()
+    assert cfg.sweep == cli.SweepConfig()
 
 
 class TestCliSplit:
     @pytest.mark.parametrize("assignment, fragment", [
         ("split.seed=abc", "split.seed must be a whole number"),
         ("split.cutoff_day=2.5", "split.cutoff_day must be a whole number"),
+        ("sweep.gamma=abc", "sweep.gamma must be a list"),
+        ("sweep.gamma=5", "sweep.gamma must be a list"),
+        ("sweep.corridor_dim=[2.5]", "sweep.corridor_dim[0] must be a whole number"),
     ])
     def test_bad_split_values_exit_one_without_a_run_dir(self, tmp_path, capsys,
                                                          assignment, fragment):
@@ -101,7 +107,7 @@ class TestCliSplit:
 
     def test_split_values_are_typed(self):
         cfg = cli.load_config(None, ["split.seed=7", "split.cutoff_day=200"])
-        assert (cfg.split_seed, cfg.cutoff_day) == (7, 200)
+        assert (cfg.split.seed, cfg.cutoff_day) == (7, 200)
         assert cli.load_config(None, ["split.cutoff_day=null"]).cutoff_day == 292
 
 

@@ -203,10 +203,12 @@ class TestStandardizer:
         ({"mean": [0.0, 1.0], "std": [1.0, -2.0]}, "positive"),
         ({"mean": [0.0, 1.0], "std": [1.0, float("inf")]}, "finite"),
         ({"mean": [0.0, float("nan")], "std": [1.0, 1.0]}, "finite"),
+        ('{"mean": [0.0, 1.0], "std": [1.0', "std.json"),
+        ({"mean": [0.0, 1.0]}, "std.json"),
     ])
     def test_bad_json_is_parse_error(self, tmp_path, body, fragment):
         path = tmp_path / "std.json"
-        path.write_text(json.dumps(body))
+        path.write_text(body if isinstance(body, str) else json.dumps(body))
         with pytest.raises(ParseError, match=fragment):
             ds.Standardizer.from_json(path)
 

@@ -601,6 +601,18 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             M.load_checkpoint(path)
 
+    def test_malformed_file_names_the_file(self, default_cfg, tmp_path):
+        import json
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(M.init_params(default_cfg, seed=0), default_cfg, path)
+        text = path.read_text()
+        payload = json.loads(text)
+        del payload["params"]
+        for body in (text[:len(text) // 2], json.dumps(payload)):
+            path.write_text(body)
+            with pytest.raises(ContractError, match="model.ckpt"):
+                M.load_checkpoint(path)
+
     def test_config_field_mismatch_names_the_file(self, default_cfg, tmp_path):
         import json
         params = M.init_params(default_cfg, seed=0)
