@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import Splits, make_batch
 from .errors import ConfigError
-from .loss import DEFAULT_GAMMA, LossConfig
+from .loss import LossConfig
 from .model import DEFAULT_STAGES, MsisConfig
 from .numerics import ParamStore
 from .trainer import TrainConfig, TrainHistory, train_run
@@ -58,8 +58,6 @@ def baseline_model_config(kind: BaselineKind, target: str | None = None,
 
 def train_baseline(kind: BaselineKind, target: str | None, splits: Splits,
                    train_cfg: TrainConfig, seed: int,
-                   gamma: float = DEFAULT_GAMMA,
-                   unlabeled_reduction: str = "mean",
                    base: MsisConfig | None = None,
                    loss_cfg: LossConfig | None = None,
                    ) -> tuple[ParamStore, TrainHistory, MsisConfig]:
@@ -67,24 +65,26 @@ def train_baseline(kind: BaselineKind, target: str | None, splits: Splits,
 
     The plain single-task model sees only rows where its label was
     observed; the entropy variant additionally feeds unlabeled rows to the
-    regularizer (with gamma zero it degenerates to the plain one, batch
-    for batch)."""
+    regularizer, weighted by the largest of loss_cfg's gammas with its
+    unlabeled reduction (with gamma zero it degenerates to the plain one,
+    batch for batch)."""
     kind = baseline_kind(kind)
     model_cfg = baseline_model_config(kind, target, base)
+    loss_cfg = loss_cfg or LossConfig()
     if kind is BaselineKind.FLAT_MULTITASK:
-        lcfg = loss_cfg or LossConfig()
-        return (*train_run(model_cfg, lcfg, train_cfg, splits, seed), model_cfg)
+        return (*train_run(model_cfg, loss_cfg, train_cfg, splits, seed), model_cfg)
 
     train = splits.train
     labeled = np.flatnonzero(train.masks[target] == 1.0)
     if not labeled.size:
         raise ConfigError(f"no training rows carry an observed {target!r} label")
+    gamma = max(loss_cfg.gammas.values(), default=0.0)
     effective_gamma = gamma if kind is BaselineKind.SINGLE_TASK_ENTROPY else 0.0
     # unlabeled rows only join when the entropy term can read them
     if effective_gamma <= 0.0:
         train = make_batch(train, labeled)
     lcfg = LossConfig(stage_weights={"gb": 1.0}, gammas={target: effective_gamma},
-                      unlabeled_reduction=unlabeled_reduction)
+                      unlabeled_reduction=loss_cfg.unlabeled_reduction)
     subset = Splits(train, splits.validation, splits.test)
     params, history = train_run(model_cfg, lcfg, train_cfg, subset, seed)
     return params, history, model_cfg

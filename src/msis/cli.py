@@ -33,7 +33,7 @@ from . import model as mo
 from . import numerics as nm
 from . import trainer as tr
 from .config import from_dict, to_dict
-from .errors import ConfigError, ContractError, DimensionError, DomainError, ParseError
+from .errors import ConfigError, MsisError, ParseError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,6 +115,19 @@ def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
     cfg = from_dict(ExperimentConfig, resolved, where="")
     for section in (cfg.sim, cfg.model, cfg.loss, cfg.train):
         section.validate()
+    if cfg.split.seed < 0:
+        raise ConfigError(f"split.seed must be >= 0, got {cfg.split.seed}")
+    # every grid value, before a sweep trains the ones before it
+    grid = [(f"sweep.corridor_dim value {v}", cfg.model.with_corridor_dim(v))
+            for v in cfg.sweep.corridor_dim]
+    grid += [(f"sweep.gamma value {v}",
+              dataclasses.replace(cfg.loss, gammas=lo.default_gammas(v)))
+             for v in cfg.sweep.gamma]
+    for where, section in grid:
+        try:
+            section.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     return cfg
 
 
@@ -200,12 +213,24 @@ def _write_rows_csv(path: Path, rows: list[dict], seeds) -> None:
 
 
 def _read_rows_csv(path: Path) -> list[dict]:
+    """The per-seed rows that _write_rows_csv wrote. A missing file is a
+    ConfigError, a malformed line a ParseError naming the file and line."""
+    if not path.is_file():
+        raise ConfigError(f"missing rows file {path}")
     by_seed: dict[str, dict] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for seed, target, value in reader:
-            by_seed.setdefault(seed, {})[target] = float(value) if value else None
+        for line, row in enumerate(csv.reader(fh), 1):
+            if line == 1:  # the header
+                continue
+            try:
+                seed, target, value = row
+                auc = float(value) if value else None
+                if auc is not None and not 0.0 <= auc <= 1.0:  # NaN too
+                    raise ValueError
+            except ValueError:
+                raise ParseError(f"{path}, line {line}: expected seed,target,auc with an "
+                                 f"auc in [0, 1] or empty, got {row!r}") from None
+            by_seed.setdefault(seed, {})[target] = auc
     return list(by_seed.values())
 
 
@@ -241,8 +266,6 @@ def cmd_train(args, cfg: ExperimentConfig, out: Path) -> int:
             kind, _, target = name.partition(":")
             params, history, model_cfg = bl.train_baseline(
                 kind, target or None, splits, cfg.train, seed,
-                gamma=max(cfg.loss.gammas.values()),
-                unlabeled_reduction=cfg.loss.unlabeled_reduction,
                 base=cfg.model, loss_cfg=cfg.loss)
         tag = name.replace(":", "-")
         ckpt = out / f"checkpoint-{tag}-seed{seed}.json"
@@ -497,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"{args.command} reports over seeds and needs at least 2 "
                               f"in train.seeds, got {list(cfg.train.seeds)}")
         return args.fn(args, cfg, _run_dir(args, cfg))
-    except (ConfigError, ContractError, DimensionError, DomainError, ParseError) as exc:
+    except MsisError as exc:
         kind = "configuration error" if isinstance(exc, ConfigError) else "error"
         print(f"{kind}: {exc}", file=sys.stderr)
         return 1

@@ -8,10 +8,12 @@ latent quality and all six outcome labels for every record, including
 rejected and silent ones, full-population evaluation stays possible even
 though `observe` hides exactly what a real platform could not see.
 
-Selection is missing-not-at-random whenever the policy alignment is
-positive: the platform's score shares a component with the true quality
-direction, so accepted records are systematically better than rejected
-ones.
+Accepted records are systematically better than rejected ones whenever
+the policy alignment is positive: the platform's score shares a component
+with the true quality direction. The selection is still ignorable given
+all the features: both gates see only the features and their own noise,
+and the quality noise that drives default is unseen by either, so it is
+missing-not-at-random only for a model that does not see every feature.
 
 A population is stored column-wise (`Population`, one array per field);
 `observe` returns the `dataset.Batch` a platform would see, and
@@ -77,6 +79,8 @@ class SimConfig:
                 f"oot_fraction must lie in (0, 1), got {self.oot_fraction}")
         if self.draw_horizons[0] >= self.draw_horizons[1]:
             raise ConfigError(f"draw_horizons must increase, got {self.draw_horizons}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_terms < 6:
             raise ConfigError(
                 f"n_terms must be >= 6 to define the term-6 label, got {self.n_terms}")

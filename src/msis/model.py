@@ -7,14 +7,14 @@ and fused into every target of the next stage by inter-stage attention,
 so later stages can read earlier interaction signals but never the other
 way around.
 
-Both passes compute on stacked tensors: every target's tower, head and
-fusion is one batched matmul over a group of the flat parameter store,
-with activations shaped (n_targets, batch, d). `forward` records that on
-the tape (training, attention inspection); `make_fused_forward` compiles
-the same math, with no tape, into one list of in-place steps, each writing
-a buffer carved from one flat scratch vector where the step is built,
-because a value-only evaluation costs a fraction of building tape nodes.
-Tests hold the two to 1e-12 relative agreement.
+Both passes compute on stacked tensors, (n_targets, batch, d): every
+target's tower and fusion is one batched matmul over a group of the flat
+parameter store, and one head over every target feeds one clamped sigmoid.
+`forward` records that on the tape (training, attention inspection);
+`make_fused_forward` compiles the same math, with no tape, into one list
+of in-place steps, each writing a buffer carved from one flat scratch
+vector where the step is built, because a value-only evaluation costs a
+fraction of building tape nodes. Tests hold the two to 1e-12 relative.
 
 `make_fused_forward` is the one source of compiled evaluators, for
 scoring (`predict_probs`) and the gradient check's loss alike. It
@@ -65,7 +65,7 @@ class MsisConfig:
         unknown = [t for t in flat if t not in TARGETS]
         if unknown:
             raise ConfigError(f"unknown targets {unknown}; must be among {TARGETS}")
-        if self.corridor_enabled and len(self.stages) > 1:
+        if self.uses_corridor:
             if not self.tower_widths:
                 raise ConfigError("corridor requires at least one tower layer")
             if self.tower_widths[-1] != self.corridor_dim:
@@ -75,6 +75,11 @@ class MsisConfig:
 
     def all_targets(self) -> tuple[str, ...]:
         return tuple(t for _, targets in self.stages for t in targets)
+
+    @property
+    def uses_corridor(self) -> bool:
+        """Derived, not an option: a corridor needs two stages to chain."""
+        return self.corridor_enabled and len(self.stages) > 1
 
     @property
     def rep_dim(self) -> int:
@@ -97,8 +102,8 @@ class CorridorState:
     tape nodes. alpha has one column per source-stage target; betas holds
     one (rows, 2) simplex per destination target, column 0 weighting the
     incoming corridor vector and column 1 the target's own tower. alpha
-    and betas are batch-major copies of the stacked attention weights on
-    the tape, for reading only."""
+    and betas are batch-major views of the stacked attention weights on
+    the tape, for reading only, so a replay of the tape updates them."""
 
     src: str
     dst: str
@@ -157,7 +162,6 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
     ps = ParamStore(seed)
     targets = config.all_targets()
     d = config.corridor_dim
-    use_corridor = config.corridor_enabled and len(config.stages) > 1
 
     prev = config.input_dim
     for i, width in enumerate(config.shared_widths):
@@ -169,7 +173,7 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
             ps.add_dense(f"tower.{t}.{i}", dims[i], width)
     for t in targets:
         ps.add_dense(f"head.{t}", config.tower_out_dim, 1)
-    if use_corridor:
+    if config.uses_corridor:
         for si in range(len(config.stages) - 1):
             sname, stargets = config.stages[si]
             if len(stargets) > 1:
@@ -188,7 +192,7 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
         for i in range(len(config.tower_widths)):
             stacks[f"tower.{p}.{i}"] = [f"tower.{t}.{i}.{p}" for t in targets]
         stacks[f"head.{p}"] = [f"head.{t}.{p}" for t in targets]
-        if use_corridor:
+        if config.uses_corridor:
             for sname, stargets in config.stages[1:]:
                 for side, parts in (("in", FUSE_IN_PARTS), ("self", FUSE_SELF_PARTS)):
                     stacks[f"fuse_{side}.{p}.{sname}"] = [
@@ -253,7 +257,7 @@ def forward(params: ParamStore, config: MsisConfig,
 
     corridor: dict[tuple[str, str], CorridorState] = {}
     top = towers
-    if config.corridor_enabled and len(config.stages) > 1:
+    if config.uses_corridor:
         outs = []
         start = 0
         e_ou = alpha = None
@@ -340,19 +344,18 @@ def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndar
     The evaluator is the one the store keeps for (config, batch), compiled
     on the first call of that shape; the store keeps the EVALUATORS_KEPT
     most recently used. The compile looks every parameter up once and
-    builds one list of in-place steps in the order of the tape forward:
-    matmul then bias, rectifiers, inter-stage fusion, intra-stage attention
-    and the clamped sigmoid. Each step writes a view carved, as the step is
-    built, from the store's one scratch vector; the input and the returned
-    array are such views too, so a run overwrites what any other evaluator
-    of the store returned, and evaluators must run one at a time (msis is
-    single-threaded). Each run writes every buffer before reading it. When
-    the scratch must grow for a new shape, the store drops the evaluators
-    carved from the old vector; an evaluator already handed out keeps that
-    vector alive and stays valid. An evaluator holds the store's groups
-    (views into its flat parameter vector, kept live because training,
-    load_values and the best-epoch restore write that vector in place) but
-    not the store itself.
+    builds one list of in-place steps in the order of the tape forward,
+    one head and the clamped sigmoid over every target last. Each step
+    writes a view carved, as the step is built, from the store's one
+    scratch vector; the input and the returned array are such views too,
+    so a run overwrites what any other evaluator of the store returned,
+    and evaluators must run one at a time (msis is single-threaded). Each
+    run writes every buffer before reading it. When the scratch must grow
+    for a new shape, the store drops the evaluators carved from the old
+    vector; an evaluator already handed out keeps that vector alive and
+    stays valid. An evaluator holds the store's groups (views into its
+    flat parameter vector, kept live because training, load_values and
+    the best-epoch restore write that vector in place) but not the store.
 
     This is the path for every value-only evaluation: scoring through
     predict_probs, and the gradient check, which re-evaluates the loss
@@ -388,19 +391,18 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver
     builder below carves its output from `take` and appends the in-place
     steps that fill it to `steps`, which the evaluator runs. A step is a
     ufunc call with its arguments bound (`out` positional, which spares the
-    call a keyword, where NumPy allows it) or a closure of several."""
+    call a keyword, where NumPy allows it) or a closure of several. As on
+    the tape, the stacked tower buffer, each stage's fused rows written over
+    its slice, is the concat that one head and the clamped sigmoid read."""
     P = lambda name: params[name].value
     G = lambda name: params.groups[name].value
     mm, add, mul, sub = np.matmul, np.add, np.multiply, np.subtract
-    nt, d = len(config.all_targets()), config.corridor_dim
-    scale = 1.0 / math.sqrt(d)
+    d, scale = config.corridor_dim, 1.0 / math.sqrt(config.corridor_dim)
     ones_d = np.ones(d)  # row sums over d as matmuls: axis-2 .sum() is several times slower
-    use_corridor = config.corridor_enabled and len(config.stages) > 1
     steps = []
     x = take(b, config.input_dim)
-    probs = take(nt, b)
     # every leaky's temporary; the largest is a fusion side, (3, n_stage_targets, b, d)
-    spare = take(3 * max(len(t) for _, t in config.stages) * b * d) if use_corridor else None
+    spare = take(3 * max(len(t) for _, t in config.stages) * b * d if config.uses_corridor else 0)
 
     def dense(src, w, bias):
         out = take(*np.broadcast_shapes(src.shape[:-2], w.shape[:-2]), src.shape[-2], w.shape[-1])
@@ -421,11 +423,11 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver
         return leaky(dense(src, P(name + ".w"), P(name + ".b")))
 
     def fuse(e_in, own, sname: str):
-        # value, key and query of both candidates, (part, target, b, d) as the groups
+        # value, key and query of both candidates, (part, target, b, d) as the groups;
+        # the fused rows overwrite `own`, which only the fuse_self dense reads
         e = leaky(dense(e_in, G(f"fuse_in.w.{sname}"), G(f"fuse_in.b.{sname}")))
         h = leaky(dense(own, G(f"fuse_self.w.{sname}"), G(f"fuse_self.b.{sname}")))
-        out, prod = take(*own.shape), take(*own.shape)
-        s_in, s_self = take(*own.shape[:2]), take(*own.shape[:2])
+        prod, s_in, s_self = take(*own.shape), take(*own.shape[:2]), take(*own.shape[:2])
 
         @steps.append
         def _():  # a two-candidate softmax is the logistic of the score difference
@@ -437,10 +439,9 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver
             mul(s_in, scale, out=s_in)
             expit(s_in, out=s_in)
             sub(1.0, s_in, out=s_self)
-            mul(s_in[:, :, None], e[0], out=out)
+            mul(s_in[:, :, None], e[0], out=own)
             mul(s_self[:, :, None], h[0], out=prod)
-            add(out, prod, out=out)
-        return out
+            add(own, prod, out=own)
 
     def attend(reps, sname: str):
         g3 = projection(f"intra.{sname}.g3", reps)
@@ -464,29 +465,26 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver
             g3.sum(axis=0, out=e_ou)
         return e_ou
 
-    def squash(logits, out):
-        steps.extend((partial(expit, logits[:, :, 0], out),
-                      lambda: np.maximum(out, nm.CLAMP_EPS, out=out),
-                      lambda: np.minimum(out, 1.0 - nm.CLAMP_EPS, out=out)))
-
-    act = x
+    top = x
     for i in range(len(config.shared_widths)):
-        act = relu(dense(act, P(f"shared.{i}.w"), P(f"shared.{i}.b")))
-    for i in range(len(config.tower_widths)):
-        act = dense(relu(act) if i else act, G(f"tower.w.{i}"), G(f"tower.b.{i}"))
-    towers = np.broadcast_to(act, (nt, b, act.shape[-1]))  # without tower layers, the shared rep
+        top = relu(dense(top, P(f"shared.{i}.w"), P(f"shared.{i}.b")))
+    for i in range(len(config.tower_widths)):  # no tower layers: the heads read the shared rep
+        top = dense(relu(top) if i else top, G(f"tower.w.{i}"), G(f"tower.b.{i}"))
 
-    start = 0
-    for si, (sname, targets) in enumerate(config.stages):
-        sl = slice(start, start + len(targets))
-        start = sl.stop
-        out = towers[sl]
-        if use_corridor and si > 0:
-            prev = config.stages[si - 1][0]
-            out = fuse(projection(f"corridor.{prev}-{sname}.f", e_ou), out, sname)
-        squash(dense(out, G("head.w")[sl], G("head.b")[sl]), probs[sl])
-        if use_corridor and si < len(config.stages) - 1:
-            e_ou = attend(out, sname)
+    if config.uses_corridor:  # each stage's slice of the towers becomes its fused rows
+        start = 0
+        for si, (sname, targets) in enumerate(config.stages):
+            out = top[start:start + len(targets)]
+            start += len(targets)
+            if si > 0:
+                prev = config.stages[si - 1][0]
+                fuse(projection(f"corridor.{prev}-{sname}.f", e_ou), out, sname)
+            if si < len(config.stages) - 1:
+                e_ou = attend(out, sname)
+
+    probs = dense(top, G("head.w"), G("head.b"))[:, :, 0]
+    steps.extend((partial(expit, probs, probs),
+                  partial(np.clip, probs, nm.CLAMP_EPS, 1.0 - nm.CLAMP_EPS, probs)))
 
     def run() -> np.ndarray:
         for step in steps:
@@ -531,12 +529,14 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, MsisConfig]:
         config = from_dict(MsisConfig, config, where="config")
     except ConfigError as exc:
         raise ContractError(f"{path}: {exc}") from None
+    seed = payload.get("seed")
+    if type(seed) is not int or seed < 0:  # not a bool, not a float to truncate
+        raise ContractError(f"{path}: seed must be a whole number >= 0, got {seed!r}")
     try:
-        seed = int(payload["seed"])
         values = {name: np.array(flat, dtype=np.float64).reshape(shape)
                   for name, shape, flat in payload["params"]}
     except (KeyError, TypeError, ValueError) as exc:
-        raise ContractError(f"{path}: malformed seed or params ({exc!r})") from None
+        raise ContractError(f"{path}: malformed params ({exc!r})") from None
     for name, value in values.items():
         if not np.isfinite(value).all():
             raise ContractError(f"{path}: parameter {name!r} holds non-finite values")

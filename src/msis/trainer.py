@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from .dataset import Batch, Splits, batches
-from .errors import ConfigError
+from .errors import ConfigError, TrainingDiverged
 from .evaluation import try_auc
 from .loss import LossBreakdown, LossConfig, loss_weights, per_target_losses, total_loss
 from .model import MsisConfig, check_features, forward, init_params, predict_probs
@@ -51,15 +51,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-
-
-class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int, batch_index: int, value: float):
-        super().__init__(
-            f"non-finite loss {value!r} at epoch {epoch}, batch {batch_index}")
-        self.epoch = epoch
-        self.batch_index = batch_index
-        self.value = value
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
 
 
 class Adam:

@@ -8,6 +8,7 @@ from msis import funnel_sim as fs
 from msis import model as M
 from msis import trainer as T
 from msis.errors import ConfigError
+from msis.loss import LossConfig, default_gammas
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,8 @@ def test_entropy_variant_with_zero_gamma_is_identical(sim_splits):
     run_a = bl.train_baseline(bl.BaselineKind.SINGLE_TASK, "mob3", sim_splits,
                               FAST, seed=4)
     run_b = bl.train_baseline(bl.BaselineKind.SINGLE_TASK_ENTROPY, "mob3",
-                              sim_splits, FAST, seed=4, gamma=0.0)
+                              sim_splits, FAST, seed=4,
+                              loss_cfg=LossConfig(gammas=default_gammas(0.0)))
     for (na, a), (nb, b) in zip(run_a[0].items(), run_b[0].items()):
         assert na == nb
         np.testing.assert_array_equal(a.value, b.value)
@@ -84,7 +86,7 @@ def test_entropy_variant_with_zero_gamma_is_identical(sim_splits):
 def test_entropy_variant_uses_unlabeled_rows(sim_splits):
     _, history, _ = bl.train_baseline(
         bl.BaselineKind.SINGLE_TASK_ENTROPY, "mob6", sim_splits, FAST, seed=0,
-        gamma=6e-4)
+        loss_cfg=LossConfig(gammas=default_gammas(6e-4)))
     assert history.epochs[0].entropy["mob6"] > 0.0
 
 

@@ -243,6 +243,30 @@ class TestCommands:
         assert "at least 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, fragment", [
+        (None, "configuration error: missing rows file"),
+        ("seed,target,auc\n0,mob6\n", "rows.csv, line 2"),
+        ("seed,target,auc\n0,mob6,0.7\n1,mob6,high\n", "rows.csv, line 3"),
+        ("seed,target,auc\n0,mob6,nan\n", "rows.csv, line 2")])
+    def test_bad_rows_file_exits_one_with_one_line(self, tmp_path, capsys, body, fragment):
+        rows = tmp_path / "rows.csv"
+        if body is not None:
+            rows.write_text(body)
+        assert cli.main(["report", "--out", str(tmp_path / "rep"),
+                         f"a={rows}", f"b={rows}"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and fragment in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergence_exits_one_with_one_line(self, tiny_config, data_dir, tmp_path,
+                                                capsys):
+        assert cli.main(["train", "--config", tiny_config, "--data", str(data_dir),
+                         "--set", "train.learning_rate=1e300",
+                         "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: non-finite loss")
+
     @pytest.mark.parametrize("damage", ["narrow_standardizer", "pre_fusion_checkpoint"])
     def test_typed_errors_exit_one_with_one_line(self, tiny_config, data_dir, run_dir,
                                                  tmp_path, capsys, damage):

@@ -97,6 +97,11 @@ class TestCliSplit:
         ("sweep.gamma=abc", "sweep.gamma must be a list"),
         ("sweep.gamma=5", "sweep.gamma must be a list"),
         ("sweep.corridor_dim=[2.5]", "sweep.corridor_dim[0] must be a whole number"),
+        ("sweep.corridor_dim=[2,0]", "sweep.corridor_dim value 0: corridor_dim must be >= 1"),
+        ("sweep.gamma=[-1.0]", "sweep.gamma value -1.0: semi-supervised weights"),
+        ("split.seed=-1", "split.seed must be >= 0"),
+        ("sim.seed=-3", "seed must be >= 0, got -3"),
+        ("train.seeds=[0,-1]", "seeds must be >= 0, got [0, -1]"),
     ])
     def test_bad_split_values_exit_one_without_a_run_dir(self, tmp_path, capsys,
                                                          assignment, fragment):

@@ -6,6 +6,8 @@ import weakref
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msis import baselines as bl
 from msis import dataset as ds
@@ -382,6 +384,47 @@ class TestEvaluatorCache:
             gc.enable()
 
 
+@st.composite
+def msis_configs(draw) -> M.MsisConfig:
+    """Valid configs: a subset of the targets in funnel order cut into
+    consecutive stages, 0-2 shared and 1-3 tower widths, the corridor on
+    (the last tower width then its corridor_dim) or off."""
+    keep = draw(st.lists(st.booleans(), min_size=len(ds.TARGETS),
+                         max_size=len(ds.TARGETS)).filter(any))
+    targets = [t for t, kept in zip(ds.TARGETS, keep) if kept]
+    cuts = draw(st.lists(st.booleans(), min_size=len(targets) - 1,
+                         max_size=len(targets) - 1))
+    stages = [[targets[0]]]
+    for t, cut in zip(targets[1:], cuts):
+        if cut:
+            stages.append([])
+        stages[-1].append(t)
+    width = st.integers(1, 12)
+    corridor, d = draw(st.booleans()), draw(st.integers(1, 8))
+    towers = draw(st.lists(width, min_size=1, max_size=3))
+    if corridor:
+        towers[-1] = d
+    return M.MsisConfig(
+        input_dim=draw(st.integers(1, 8)),
+        shared_widths=tuple(draw(st.lists(width, max_size=2))),
+        tower_widths=tuple(towers), corridor_dim=d,
+        stages=tuple((f"s{i}", tuple(s)) for i, s in enumerate(stages)),
+        corridor_enabled=corridor)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(cfg=msis_configs(), rows=st.integers(1, 300), seed=st.integers(0, 2**16))
+def test_fused_evaluator_matches_tape_and_fresh_compiles(cfg, rows, seed):
+    params = M.init_params(cfg, seed)
+    x = np.random.default_rng(seed).normal(size=(rows, cfg.input_dim))
+    served = _stacked(cfg, M.predict_probs(params, cfg, x))
+    npt.assert_allclose(served, M.forward(params, cfg, x).stacked.value, rtol=1e-12, atol=0)
+    # another shape runs on the shared scratch before the cached evaluators rerun
+    M.predict_probs(params, cfg, x[:1] + 1.0)
+    cached = _stacked(cfg, M.predict_probs(params, cfg, x))
+    assert cached.tobytes() == _fresh_per_chunk(params, cfg, x).tobytes()
+
+
 class TestFeatureChecks:
     def _entry_points(self, params, cfg):
         return (lambda x: M.forward(params, cfg, x),
@@ -607,8 +650,12 @@ class TestCheckpoint:
         M.save_checkpoint(M.init_params(default_cfg, seed=0), default_cfg, path)
         text = path.read_text()
         payload = json.loads(text)
+        bodies = [text[:len(text) // 2]]
+        for seed in (2.7, True, -1, None):  # no truncation, no bool, no bare ValueError
+            bodies.append(json.dumps({**payload, "seed": seed}))
         del payload["params"]
-        for body in (text[:len(text) // 2], json.dumps(payload)):
+        bodies.append(json.dumps(payload))
+        for body in bodies:
             path.write_text(body)
             with pytest.raises(ContractError, match="model.ckpt"):
                 M.load_checkpoint(path)
