@@ -418,16 +418,23 @@ def cmd_gradcheck(args, cfg: ExperimentConfig, out: Path) -> int:
     return 0 if passed else 1
 
 
-def cmd_report(args, cfg: ExperimentConfig, out: Path) -> int:
+def _read_runs(args) -> dict[str, list[dict]]:
+    """`msis report`'s rows files by run name, each read and checked, with
+    the baseline among the names."""
     named_rows: dict[str, list[dict]] = {}
     for item in args.runs:
         if "=" not in item:
             raise ConfigError(f"report expects name=rows.csv, got {item!r}")
         name, path = item.split("=", 1)
         named_rows[name] = _read_rows_csv(Path(path))
-    baseline_rows = named_rows.get(args.baseline) if args.baseline else None
-    if args.baseline and baseline_rows is None:
+    if args.baseline and args.baseline not in named_rows:
         raise ConfigError(f"baseline {args.baseline!r} not among run names")
+    return named_rows
+
+
+def cmd_report(args, cfg: ExperimentConfig, out: Path) -> int:
+    named_rows = args.named_rows
+    baseline_rows = named_rows.get(args.baseline) if args.baseline else None
     table_path = out / "comparison.csv"
     lines = []
     with open(table_path, "w", newline="") as fh:
@@ -519,6 +526,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in ("evaluate", "ablate", "sweep") and len(cfg.train.seeds) < 2:
             raise ConfigError(f"{args.command} reports over seeds and needs at least 2 "
                               f"in train.seeds, got {list(cfg.train.seeds)}")
+        if args.command == "report":
+            args.named_rows = _read_runs(args)
         return args.fn(args, cfg, _run_dir(args, cfg))
     except MsisError as exc:
         kind = "configuration error" if isinstance(exc, ConfigError) else "error"

@@ -10,11 +10,15 @@ way around.
 Both passes compute on stacked tensors, (n_targets, batch, d): every
 target's tower and fusion is one batched matmul over a group of the flat
 parameter store, and one head over every target feeds one clamped sigmoid.
-`forward` records that on the tape (training, attention inspection);
-`make_fused_forward` compiles the same math, with no tape, into one list
-of in-place steps, each writing a buffer carved from one flat scratch
-vector where the step is built, because a value-only evaluation costs a
-fraction of building tape nodes. Tests hold the two to 1e-12 relative.
+Each dense layer's weight rows and bias row sit next to each other in the
+store, one (d_in + 1, d_out) block. `forward` records that on the tape
+(training, attention inspection); `make_fused_forward` compiles the same
+math, with no tape, into one list of in-place steps, each writing a
+buffer carved from one flat scratch vector where the step is built,
+because a value-only evaluation costs a fraction of building tape nodes.
+There every buffer a dense layer reads carries a ones column, so the
+layer, bias included, is one matmul by its block. Tests hold the two to
+1e-12 relative.
 
 `make_fused_forward` is the one source of compiled evaluators, for
 scoring (`predict_probs`) and the gradient check's loss alike. It
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -152,10 +157,12 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
     g1/g2 pair only when that stage has multiple targets), fusion
     parameters for every stage but the first.
 
-    The store is then packed into one flat vector. Per-target tensors that
-    the forward passes consume together sit next to each other in it, and
-    their stacked views are the store's groups: tower layer i and the
-    heads over all targets, (n_targets, ...); each fusion side of a stage,
+    The store is then packed into one flat vector, each layer's weight rows
+    followed by its bias row, so every dense layer is one
+    (d_in + 1, d_out) block of the store's groups. Per-target layers that
+    the forward passes run together sit next to each other, stacked into
+    one block: tower layer i and the heads over all targets,
+    (n_targets, ...); each fusion side of a stage,
     (3 parts, n_stage_targets, ...). Checkpoints and every other reader
     see ordinary named 2-D tensors."""
     config.validate()
@@ -187,16 +194,14 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
                              "score_self.g1", "score_self.g2"):
                     ps.add_dense(f"fuse.{t}.{part}", d, d)
 
-    stacks = {}
-    for p in ("w", "b"):
-        for i in range(len(config.tower_widths)):
-            stacks[f"tower.{p}.{i}"] = [f"tower.{t}.{i}.{p}" for t in targets]
-        stacks[f"head.{p}"] = [f"head.{t}.{p}" for t in targets]
-        if config.uses_corridor:
-            for sname, stargets in config.stages[1:]:
-                for side, parts in (("in", FUSE_IN_PARTS), ("self", FUSE_SELF_PARTS)):
-                    stacks[f"fuse_{side}.{p}.{sname}"] = [
-                        [f"fuse.{t}.{part}.{p}" for t in stargets] for part in parts]
+    stacks = {f"tower.{i}": [f"tower.{t}.{i}" for t in targets]
+              for i in range(len(config.tower_widths))}
+    stacks["head"] = [f"head.{t}" for t in targets]
+    if config.uses_corridor:
+        for sname, stargets in config.stages[1:]:
+            for side, parts in (("in", FUSE_IN_PARTS), ("self", FUSE_SELF_PARTS)):
+                stacks[f"fuse_{side}.{sname}"] = [
+                    [f"fuse.{t}.{part}" for t in stargets] for part in parts]
     ps.pack(stacks)
     return ps
 
@@ -237,23 +242,22 @@ def forward(params: ParamStore, config: MsisConfig,
     Every target's tower, head and fusion runs in one op over the store's
     groups, as (n_targets, batch, d) tensors."""
     check_features(config, features)
-    P, G = params.__getitem__, params.groups
+    G = params.groups
     d = config.corridor_dim
 
     def projection(name: str, v):
         # corridor projections rectify leakily: an exact-zero output row
         # would park every downstream pre-activation on its kink
-        return nm.leaky_relu(nm.dense_forward(v, P(name + ".w"), P(name + ".b")))
+        return nm.leaky_relu(nm.dense_forward(v, G[name]))
 
     shared = inputs = nm.constant(features)
     for i in range(len(config.shared_widths)):
-        shared = nm.relu(nm.dense_forward(shared, P(f"shared.{i}.w"),
-                                          P(f"shared.{i}.b")))
+        shared = nm.relu(nm.dense_forward(shared, G[f"shared.{i}"]))
     towers = shared  # without tower layers, every head reads the shared rep
     for i in range(len(config.tower_widths)):
         if i > 0:
             towers = nm.relu(towers)
-        towers = nm.dense_forward(towers, G[f"tower.w.{i}"], G[f"tower.b.{i}"])
+        towers = nm.dense_forward(towers, G[f"tower.{i}"])
 
     corridor: dict[tuple[str, str], CorridorState] = {}
     top = towers
@@ -268,8 +272,7 @@ def forward(params: ParamStore, config: MsisConfig,
                 prev = config.stages[si - 1][0]
                 e_in = projection(f"corridor.{prev}-{sname}.f", e_ou)
                 # (candidate: incoming, own) x (part: value, key, query)
-                sides = [nm.index(nm.dense_forward(v, G[f"fuse_{side}.w.{sname}"],
-                                                   G[f"fuse_{side}.b.{sname}"]), None)
+                sides = [nm.index(nm.dense_forward(v, G[f"fuse_{side}.{sname}"]), None)
                          for v, side in ((e_in, "in"), (own, "self"))]
                 cand = nm.leaky_relu(nm.concat(sides, axis=0))
                 value, key, query = (nm.index(cand, (slice(None), k)) for k in range(3))
@@ -289,7 +292,7 @@ def forward(params: ParamStore, config: MsisConfig,
                     alpha = nm.Node(weights.value[:, :, 0].T)
         top = nm.concat(outs, axis=0)
 
-    probs = nm.sigmoid(nm.dense_forward(top, G["head.w"], G["head.b"]))
+    probs = nm.sigmoid(nm.dense_forward(top, G["head"]))
     per_target = {t: nm.index(probs, i) for i, t in enumerate(config.all_targets())}
     return ForwardResult(per_target, corridor, nm.index(probs, (Ellipsis, 0)), inputs)
 
@@ -312,16 +315,24 @@ def predict_probs(params: ParamStore, config: MsisConfig,
 
 class _Carver:
     """Consecutive views, of any shape, of a flat float64 vector from its
-    start. Without a vector it only counts the scalars asked for and hands
-    out zero-stride views of the asked shapes, which is how a compile
-    measures the scratch it needs."""
+    start. A view asked for `ones` has one more column, which a dense layer
+    that reads it multiplies by its bias row; the carver records the flat
+    offsets of that column in `ones`, for the evaluator to keep at 1.
+    Without a vector it only counts the scalars asked for and hands out
+    zero-stride views of the asked shapes, which is how a compile measures
+    the scratch it needs."""
 
     def __init__(self, flat: np.ndarray | None):
         self.flat, self.used = flat, 0
+        self.ones: list[np.ndarray] = []
 
-    def __call__(self, *shape: int) -> np.ndarray:
+    def __call__(self, *shape: int, ones: bool = False) -> np.ndarray:
         start = self.used
+        if ones:
+            shape = shape[:-1] + (shape[-1] + 1,)
         self.used += math.prod(shape)
+        if ones:  # the last entry of every row, one row length apart
+            self.ones.append(np.arange(start + shape[-1] - 1, self.used, shape[-1]))
         if self.flat is None:
             return np.broadcast_to(0.0, shape)
         return self.flat[start:self.used].reshape(shape)  # ValueError past its end
@@ -343,15 +354,19 @@ def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndar
 
     The evaluator is the one the store keeps for (config, batch), compiled
     on the first call of that shape; the store keeps the EVALUATORS_KEPT
-    most recently used. The compile looks every parameter up once and
-    builds one list of in-place steps in the order of the tape forward,
-    one head and the clamped sigmoid over every target last. Each step
-    writes a view carved, as the step is built, from the store's one
-    scratch vector; the input and the returned array are such views too,
-    so a run overwrites what any other evaluator of the store returned,
-    and evaluators must run one at a time (msis is single-threaded). Each
-    run writes every buffer before reading it. When the scratch must grow
-    for a new shape, the store drops the evaluators carved from the old
+    most recently used. The compile looks every parameter block up once
+    and builds one list of in-place steps in the order of the tape
+    forward, one head and the clamped sigmoid over every target last.
+    Each dense layer is one matmul: every buffer a dense layer reads, the
+    input included, carries a trailing ones column that meets the bias
+    row of the layer's (d_in + 1, d_out) block. Each step writes a view
+    carved, as the step is built, from the store's one scratch vector; the
+    input and the returned array are such views too, so a run overwrites
+    what any other evaluator of the store returned, ones columns
+    included, and evaluators must run one at a time (msis is
+    single-threaded). Each run sets its ones columns in its first step
+    and writes every other buffer before reading it. When the scratch must
+    grow for a new shape, the store drops the evaluators carved from the old
     vector; an evaluator already handed out keeps that vector alive and
     stays valid. An evaluator holds the store's groups (views into its
     flat parameter vector, kept live because training, load_values and
@@ -367,7 +382,7 @@ def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndar
     cached = params.evaluators.pop(key, None)
     if cached is None:
         config.validate()
-        if "head.w" not in params.groups:
+        if "head" not in params.groups:
             raise ContractError(
                 "make_fused_forward needs the stacked parameter groups of init_params")
         need = _scratch_size(params, config, rows)
@@ -393,20 +408,25 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver
     ufunc call with its arguments bound (`out` positional, which spares the
     call a keyword, where NumPy allows it) or a closure of several. As on
     the tape, the stacked tower buffer, each stage's fused rows written over
-    its slice, is the concat that one head and the clamped sigmoid read."""
-    P = lambda name: params[name].value
+    its slice, is the concat that one head and the clamped sigmoid read.
+    Every buffer that a dense layer reads is carved with a ones column, so
+    `x @ w + b` is one matmul by the layer's block; the first step sets all
+    of those columns, which `relu` and `leaky` leave at 1."""
     G = lambda name: params.groups[name].value
     mm, add, mul, sub = np.matmul, np.add, np.multiply, np.subtract
     d, scale = config.corridor_dim, 1.0 / math.sqrt(config.corridor_dim)
     ones_d = np.ones(d)  # row sums over d as matmuls: axis-2 .sum() is several times slower
     steps = []
-    x = take(b, config.input_dim)
+    x = take(b, config.input_dim, ones=True)
     # every leaky's temporary; the largest is a fusion side, (3, n_stage_targets, b, d)
     spare = take(3 * max(len(t) for _, t in config.stages) * b * d if config.uses_corridor else 0)
 
-    def dense(src, w, bias):
-        out = take(*np.broadcast_shapes(src.shape[:-2], w.shape[:-2]), src.shape[-2], w.shape[-1])
-        steps.extend((partial(mm, src, w, out), partial(add, out, bias, out)))
+    def dense(src, wb, ones=False):
+        # with ones, the output carries its own column for the dense that reads it
+        d_out = wb.shape[-1]
+        out = take(*np.broadcast_shapes(src.shape[:-2], wb.shape[:-2]), src.shape[-2], d_out,
+                   ones=ones)
+        steps.append(partial(mm, src, wb, out[..., :d_out]))
         return out
 
     def relu(buf):
@@ -419,15 +439,17 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver
                       lambda: np.maximum(buf, tmp, out=buf)))
         return buf
 
-    def projection(name: str, src):
-        return leaky(dense(src, P(name + ".w"), P(name + ".b")))
+    def projection(name: str, src, ones=False):
+        return leaky(dense(src, G(name), ones))
 
     def fuse(e_in, own, sname: str):
         # value, key and query of both candidates, (part, target, b, d) as the groups;
-        # the fused rows overwrite `own`, which only the fuse_self dense reads
-        e = leaky(dense(e_in, G(f"fuse_in.w.{sname}"), G(f"fuse_in.b.{sname}")))
-        h = leaky(dense(own, G(f"fuse_self.w.{sname}"), G(f"fuse_self.b.{sname}")))
-        prod, s_in, s_self = take(*own.shape), take(*own.shape[:2]), take(*own.shape[:2])
+        # the fused rows overwrite `own` but its ones column, and only the
+        # fuse_self dense reads the tower rows they replace
+        e = leaky(dense(e_in, G(f"fuse_in.{sname}")))
+        h = leaky(dense(own, G(f"fuse_self.{sname}")))
+        fused = own[..., :d]
+        prod, s_in, s_self = take(*fused.shape), take(*own.shape[:2]), take(*own.shape[:2])
 
         @steps.append
         def _():  # a two-candidate softmax is the logistic of the score difference
@@ -439,17 +461,19 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver
             mul(s_in, scale, out=s_in)
             expit(s_in, out=s_in)
             sub(1.0, s_in, out=s_self)
-            mul(s_in[:, :, None], e[0], out=own)
-            mul(s_self[:, :, None], h[0], out=prod)
-            add(own, prod, out=own)
+            # each candidate weighed in place, so only the sum writes the towers' strided rows
+            mul(s_in[:, :, None], e[0], out=e[0])
+            mul(s_self[:, :, None], h[0], out=h[0])
+            add(e[0], h[0], out=fused)
 
     def attend(reps, sname: str):
-        g3 = projection(f"intra.{sname}.g3", reps)
+        # the stage's corridor vector, with the ones column of the dense that reads it
+        g3 = projection(f"intra.{sname}.g3", reps, ones=len(reps) == 1)
         if len(reps) == 1:  # nothing to attend over: alpha is exactly [1]
             return g3[0]
         g1 = projection(f"intra.{sname}.g1", reps)
         g2 = projection(f"intra.{sname}.g2", reps)
-        score, zrow, e_ou = take(*reps.shape[:2]), take(b), take(b, d)
+        score, zrow, e_ou = take(*reps.shape[:2]), take(b), take(b, d, ones=True)
 
         @steps.append
         def _():
@@ -462,14 +486,14 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver
             score.sum(axis=0, out=zrow)
             np.divide(score, zrow, out=score)
             mul(score[:, :, None], g3, out=g3)
-            g3.sum(axis=0, out=e_ou)
+            g3.sum(axis=0, out=e_ou[:, :d])
         return e_ou
 
     top = x
     for i in range(len(config.shared_widths)):
-        top = relu(dense(top, P(f"shared.{i}.w"), P(f"shared.{i}.b")))
+        top = relu(dense(top, G(f"shared.{i}"), ones=True))
     for i in range(len(config.tower_widths)):  # no tower layers: the heads read the shared rep
-        top = dense(relu(top) if i else top, G(f"tower.w.{i}"), G(f"tower.b.{i}"))
+        top = dense(relu(top) if i else top, G(f"tower.{i}"), ones=True)
 
     if config.uses_corridor:  # each stage's slice of the towers becomes its fused rows
         start = 0
@@ -478,20 +502,21 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver
             start += len(targets)
             if si > 0:
                 prev = config.stages[si - 1][0]
-                fuse(projection(f"corridor.{prev}-{sname}.f", e_ou), out, sname)
+                fuse(projection(f"corridor.{prev}-{sname}.f", e_ou, ones=True), out, sname)
             if si < len(config.stages) - 1:
                 e_ou = attend(out, sname)
 
-    probs = dense(top, G("head.w"), G("head.b"))[:, :, 0]
+    probs = dense(top, G("head"))[:, :, 0]
     steps.extend((partial(expit, probs, probs),
                   partial(np.clip, probs, nm.CLAMP_EPS, 1.0 - nm.CLAMP_EPS, probs)))
+    steps.insert(0, partial(operator.setitem, take.flat, np.concatenate(take.ones), 1.0))
 
     def run() -> np.ndarray:
         for step in steps:
             step()
         return probs
 
-    return x, run
+    return x[:, :-1], run
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Tape values are arrays of any rank. The model stacks per-target tensors
 on a leading axis, (n_targets, batch, d) activations against
-(n_targets, d_in, d_out) weights, so one op runs every target:
-`dense_forward`, `add` and `mul` broadcast like NumPy, and their backward
+(n_targets, d_in + 1, d_out) weight/bias blocks, so one op runs every
+target: `dense_forward`, `add` and `mul` broadcast like NumPy, and their backward
 passes sum each adjoint back to its operand's shape (`unbroadcast`).
 `index`, `row_dot`, `softmax`, `sum_axis` and `concat` work along an axis.
 Calling the ops builds the tape (a dynamic graph). `record` fixes its
@@ -19,7 +19,8 @@ the loss's few nodes over that forward's output.
 Trainable tensors live in a `ParamStore`, which packs all of them into
 one contiguous parameter vector and one gradient vector: each tensor's
 value and adjoint are reshaped views into those, so the optimizer updates
-the whole model with a few vector operations.
+the whole model with a few vector operations. Each dense layer's bias row
+follows its weight rows there, so the layer is one block.
 """
 
 from __future__ import annotations
@@ -124,14 +125,16 @@ def _op(compute: Callable, parents: tuple[Node, ...], backward: Callable) -> Nod
 # own closure is a reference cycle that keeps the whole tape alive until
 # the cyclic garbage collector runs.
 
-def dense_forward(x: Node, w: Node, b: Node) -> Node:
-    """out = x @ w + b over the last two axes. Leading axes broadcast, so a
-    (batch, d_in) input against stacked (n, d_in, d_out) weights and
-    (n, 1, d_out) biases runs n layers in one op."""
-    if x.shape[-1] != w.shape[-2] or b.shape[-2:] != (1, w.shape[-1]):
-        raise DimensionError(f"dense: input {x.shape}, weight {w.shape} and bias "
-                             f"{b.shape} do not conform")
-    xv, wv, bv = x.value, w.value, b.value
+def dense_forward(x: Node, wb: Node) -> Node:
+    """out = x @ w + b over the last two axes, wb being a dense layer's
+    (..., d_in + 1, d_out) block: the rows of w, then b's one row. Leading
+    axes broadcast, so a (batch, d_in) input against a stacked
+    (n, d_in + 1, d_out) block runs n layers in one op. The weight and the
+    bias are views of the block, and so are their adjoints."""
+    if len(wb.shape) < 2 or x.shape[-1] + 1 != wb.shape[-2]:
+        raise DimensionError(f"dense: input {x.shape} and weight/bias block {wb.shape} "
+                             f"do not conform")
+    xv, wv, bv = x.value, wb.value[..., :-1, :], wb.value[..., -1:, :]
 
     def compute(out=None):
         out = np.matmul(xv, wv, out=out)
@@ -140,26 +143,35 @@ def dense_forward(x: Node, w: Node, b: Node) -> Node:
     try:
         value = compute()
     except ValueError as exc:
-        raise DimensionError(f"dense: lead axes of input {x.shape}, weight {w.shape} "
-                             f"and bias {b.shape} do not broadcast") from exc
+        raise DimensionError(f"dense: lead axes of input {x.shape} and weight/bias block "
+                             f"{wb.shape} do not broadcast") from exc
     w_t, x_t = np.swapaxes(wv, -1, -2), np.swapaxes(xv, -1, -2)
     # an operand the product does not broadcast gets g @ w^T (or x^T @ g)
-    # written straight into its adjoint on the first contribution
-    x_direct = value.shape[:-1] + (w.shape[-2],) == x.shape and xv.flags.c_contiguous
-    w_direct = value.shape[:-2] + w.shape[-2:] == w.shape and wv.flags.c_contiguous
+    # written straight into its adjoint on the first contribution; a stacked
+    # block's weight matrices are strided apart, but each one's rows are
+    # contiguous, which is all matmul needs to write it in place
+    x_direct = value.shape[:-1] + (wv.shape[-2],) == x.shape and xv.flags.c_contiguous
+    w_direct = (value.shape[:-2] + wv.shape[-2:] == wv.shape
+                and wv.strides[-1] == wv.itemsize
+                and wv.strides[-2] == wv.shape[-1] * wv.itemsize)
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
         if x_direct and first[0]:
             np.matmul(g, w_t, out=x.adjoint)
         else:
             _give(x, unbroadcast(g @ w_t, x.shape), first[0])
-        if w_direct and first[1]:
-            np.matmul(x_t, g, out=w.adjoint)
+        w_adj, b_adj = wb.adjoint[..., :-1, :], wb.adjoint[..., -1:, :]
+        if not first[1]:
+            w_adj += unbroadcast(x_t @ g, wv.shape)
+            b_adj += unbroadcast(g, bv.shape)
+            return
+        if w_direct:
+            np.matmul(x_t, g, out=w_adj)
         else:
-            _give(w, unbroadcast(x_t @ g, w.shape), first[1])
-        _give(b, unbroadcast(g, b.shape), first[2])
+            np.copyto(w_adj, unbroadcast(x_t @ g, wv.shape))
+        np.copyto(b_adj, unbroadcast(g, bv.shape))
 
-    return Node(value, (x, w, b), backward, compute)
+    return Node(value, (x, wb), backward, compute)
 
 
 def _give_rectified(x: Node, g: np.ndarray, slope: float, first: bool) -> None:
@@ -513,12 +525,14 @@ class ParamStore:
     `grads`. From then on every tensor's `Node.value` and `Node.adjoint`
     are reshaped views into those two vectors, so a whole-model update
     (`trainer.Adam`), zeroing, snapshot or restore is one vector operation.
-    `pack` can also stack runs of same-shaped tensors into `groups`: one
-    Node per run whose value and adjoint are (*lead, *shape) views of the
-    run in the two vectors. The model's stacked forward puts a group on
-    the tape as one tensor, so its gradient lands in the members' adjoints
-    too. A store that was never packed explicitly is packed on first use
-    of its vectors.
+    A dense layer's weight rows are followed by its bias row, so each layer
+    is one (d_in + 1, d_out) block, and `groups` holds one Node per block
+    whose value and adjoint are views of it in the two vectors: every layer
+    `add_dense` made, and every stack of same-shaped layers that `pack` was
+    given, as one (*lead, d_in + 1, d_out) block. The model puts blocks on
+    the tape (`dense_forward`), so their gradients land in the members'
+    adjoints too. A store that was never packed explicitly is packed on
+    first use of its vectors.
 
     Checkpoints keep the v1 per-name format: `load_values` copies each
     named tensor into its view, whatever the layout.
@@ -536,6 +550,7 @@ class ParamStore:
         self._slices: dict[str, slice] = {}
         self._values: np.ndarray | None = None
         self._grads: np.ndarray | None = None
+        self._layers: list[str] = []  # add_dense's names, in creation order
         self.groups: dict[str, Node] = {}
         # model.make_fused_forward's compiled evaluators, keyed by (config,
         # rows), and the one scratch vector they all carve their buffers from
@@ -552,39 +567,49 @@ class ParamStore:
         return node
 
     def add_dense(self, name: str, fan_in: int, fan_out: int) -> tuple[Node, Node]:
-        """Create an initialized weight/bias pair."""
+        """Create an initialized weight/bias pair, `name.w` then `name.b`,
+        whose block is groups[name] once the store is packed."""
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         w = self._rng.uniform(-limit, limit, size=(fan_in, fan_out))
         weight = self.add(name + ".w", w)
         bias = self.add(name + ".b", np.zeros((1, fan_out)))
+        self._layers.append(name)
         return weight, bias
 
     def pack(self, stacks: dict[str, Sequence] | None = None) -> None:
         """Move every tensor into the flat `values`/`grads` vectors.
 
-        stacks maps a group name to a (possibly nested) list of member
-        names of one shape; the members are laid out next to each other in
+        stacks maps a group name to a (possibly nested) list of dense layers
+        of one shape; each member's `.w` and then its `.b` are laid out in
         list order, and groups[name] becomes a Node over their
-        (*lead, *shape) views, lead being the nesting shape. The remaining
-        tensors follow in insertion order. Packing an already packed store without stacks
-        does nothing."""
+        (*lead, d_in + 1, d_out) block, lead being the nesting shape. The
+        remaining tensors follow in insertion order, and each remaining
+        layer, its `.w` and `.b` adjacent as `add_dense` made them, becomes
+        the 0-lead block groups[layer]. Packing an already packed store
+        without stacks does nothing."""
         if self._values is not None:
             if stacks:
                 raise ContractError("the store is already packed")
             return
         order: list[str] = []
-        runs: dict[str, tuple[int, tuple[int, ...]]] = {}  # first index in order, lead
+        blocks: dict[str, tuple[str, tuple[int, ...]]] = {}  # first tensor, block shape
         for group, members in (stacks or {}).items():
-            names = np.asarray(members, dtype=object)
-            shapes = {self._params[m].value.shape for m in names.flat}
+            layers = np.asarray(members, dtype=object)
+            unknown = sorted(m for m in layers.flat if m not in self._layers)
+            if unknown:
+                raise ContractError(f"group {group!r} lists {unknown}, which are not dense layers")
+            shapes = {self._block_shape(m) for m in layers.flat}
             if len(shapes) != 1:
                 raise ContractError(f"group {group!r} mixes shapes {sorted(shapes)}")
-            runs[group] = (len(order), names.shape)
-            order.extend(names.flat)
+            blocks[group] = (layers.flat[0] + ".w", layers.shape + shapes.pop())
+            order.extend(f"{m}.{p}" for m in layers.flat for p in "wb")
         grouped = set(order)
         if len(grouped) != len(order):
             raise ContractError("a parameter is listed in more than one group")
         order += [name for name in self._params if name not in grouped]
+        for layer in self._layers:
+            if layer + ".w" not in grouped:
+                blocks[layer] = (layer + ".w", self._block_shape(layer))
 
         offset = 0
         for name in order:
@@ -602,12 +627,15 @@ class ParamStore:
                 adjoint[...] = node.adjoint
             node.value, node.adjoint = value, adjoint
 
-        for group, (first, lead) in runs.items():
-            last = first + math.prod(lead) - 1
-            span = slice(self._slices[order[first]].start, self._slices[order[last]].stop)
-            shape = lead + self._params[order[first]].value.shape
+        for group, (first, shape) in blocks.items():
+            start = self._slices[first].start
+            span = slice(start, start + math.prod(shape))
             node = self.groups[group] = Node(self._values[span].reshape(shape))
             node.adjoint = self._grads[span].reshape(shape)
+
+    def _block_shape(self, layer: str) -> tuple[int, int]:
+        d_in, d_out = self._params[layer + ".w"].value.shape
+        return d_in + 1, d_out
 
     @property
     def values(self) -> np.ndarray:

@@ -168,23 +168,26 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
         sup_sums = {t: 0.0 for t in targets}
         ent_sums = {t: 0.0 for t in targets}
         epoch_batches = batches(splits.train, train_cfg.batch_size, seed, epoch)
-        for bi, batch in enumerate(epoch_batches):
-            step = steps.get(len(batch))
-            if step is None:
-                step = steps[len(batch)] = _Step(params, model_cfg, loss_cfg, batch)
-            else:
-                step.replay(batch)
-            breakdown = step.loss
-            value = float(breakdown.total.value[0, 0])
-            if not math.isfinite(value):
-                raise TrainingDiverged(epoch, bi, value)
-            params.zero_adjoints()
-            nm.backward_sweep(breakdown.total, step.order)
-            optimizer.step()
-            loss_sum += value
-            for t in targets:
-                sup_sums[t] += breakdown.per_target[t].supervised
-                ent_sums[t] += breakdown.per_target[t].entropy
+        # a diverging step overflows inside NumPy: TrainingDiverged reports the
+        # non-finite loss in place of NumPy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for bi, batch in enumerate(epoch_batches):
+                step = steps.get(len(batch))
+                if step is None:
+                    step = steps[len(batch)] = _Step(params, model_cfg, loss_cfg, batch)
+                else:
+                    step.replay(batch)
+                breakdown = step.loss
+                value = float(breakdown.total.value[0, 0])
+                if not math.isfinite(value):
+                    raise TrainingDiverged(epoch, bi, value)
+                params.zero_adjoints()
+                nm.backward_sweep(breakdown.total, step.order)
+                optimizer.step()
+                loss_sum += value
+                for t in targets:
+                    sup_sums[t] += breakdown.per_target[t].supervised
+                    ent_sums[t] += breakdown.per_target[t].entropy
 
         n_batches = len(epoch_batches)
         val_auc, unlabeled_entropy = _epoch_diagnostics(

@@ -124,18 +124,25 @@ class TestParamLayout:
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         assert spans[-1][1] == values.size == grads.size == params.n_scalars() \
             == expected_param_count(cfg)
-        # every group stacks whole named tensors of the store
-        assert params.groups
+        # every group tiles whole dense layers of the store: each member
+        # block is its layer's .w rows, then its .b row, and every layer is
+        # in exactly one group
+        members = []
         for key, group in params.groups.items():
             assert np.shares_memory(group.value, values), key
             assert np.shares_memory(group.adjoint, grads), key
             assert group.adjoint.shape == group.shape, key
             assert _offset(grads, group.adjoint) == _offset(values, group.value), key
-            lead = group.shape[:-2]
-            for idx in np.ndindex(lead):
-                member = group.value[idx]
-                name, shape, _ = tensors[_offset(values, member)]
-                assert member.shape == shape, (key, idx, name)
+            d_in, d_out = group.shape[-2] - 1, group.shape[-1]
+            for idx in np.ndindex(group.shape[:-2]):
+                block = group.value[idx]
+                name, shape, _ = tensors[_offset(values, block)]
+                assert name.endswith(".w") and shape == (d_in, d_out), (key, idx, name)
+                layer = name[:-len(".w")]
+                assert tensors[_offset(values, block[-1:])] == (layer + ".b", (1, d_out), d_out)
+                members.append(layer)
+        layers = [name[:-len(".w")] for name in params.names() if name.endswith(".w")]
+        assert sorted(members) == sorted(layers)
 
     def test_load_values_reaches_the_fused_path(self, default_cfg):
         params = M.init_params(default_cfg, seed=0)

@@ -4,6 +4,8 @@ import types
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msis import numerics as nm
 from msis.errors import ContractError, DimensionError, DomainError
@@ -25,29 +27,31 @@ def central_diff(value_fn, arr, step=1e-3):
     return grad
 
 
+def block(w, b):
+    """A dense layer's weight/bias block: w's rows, then b's row."""
+    return nm.constant(np.concatenate([w, b], axis=-2))
+
+
 class TestDenseForward:
     def test_one_by_one(self):
-        out = nm.dense_forward(nm.constant([[3.0]]), nm.constant([[2.0]]),
-                               nm.constant([[1.0]]))
+        out = nm.dense_forward(nm.constant([[3.0]]), block([[2.0]], [[1.0]]))
         npt.assert_array_equal(out.value, [[7.0]])
 
     def test_identity_weight(self):
         x = np.arange(12.0).reshape(3, 4)
-        out = nm.dense_forward(nm.constant(x), nm.constant(np.eye(4)),
-                               nm.constant(np.zeros((1, 4))))
+        out = nm.dense_forward(nm.constant(x), block(np.eye(4), np.zeros((1, 4))))
         npt.assert_array_equal(out.value, x)
 
     def test_zero_weight_gives_bias_rows(self):
         b = np.array([[1.0, -2.0, 0.5]])
         out = nm.dense_forward(nm.constant(np.random.default_rng(0).normal(size=(5, 2))),
-                               nm.constant(np.zeros((2, 3))), nm.constant(b))
+                               block(np.zeros((2, 3)), b))
         npt.assert_array_equal(out.value, np.repeat(b, 5, axis=0))
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(4, 5\)"):
+        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(5, 5\)"):
             nm.dense_forward(nm.constant(np.zeros((2, 3))),
-                             nm.constant(np.zeros((4, 5))),
-                             nm.constant(np.zeros((1, 5))))
+                             block(np.zeros((4, 5)), np.zeros((1, 5))))
 
 
 class TestSigmoid:
@@ -131,12 +135,12 @@ class TestBackwardSweep:
         b1 = np.zeros((1, 7))
         w2 = rng.normal(scale=0.5, size=(7, 1))
         b2 = np.zeros((1, 1))
-        params = [w1, b1, w2, b2]
+        params = [np.concatenate([w1, b1]), np.concatenate([w2, b2])]
 
         def build():
             nodes = [nm.Node(p) for p in params]
-            h = nm.relu(nm.dense_forward(nm.constant(x), nodes[0], nodes[1]))
-            p = nm.sigmoid(nm.dense_forward(h, nodes[2], nodes[3]))
+            h = nm.relu(nm.dense_forward(nm.constant(x), nodes[0]))
+            p = nm.sigmoid(nm.dense_forward(h, nodes[1]))
             ll = nm.add(nm.mul_const(nm.log(p), y),
                         nm.mul_const(nm.log(nm.affine(p, -1.0, 1.0)), 1.0 - y))
             return nodes, nm.affine(nm.sum_all(ll), -1.0 / len(y))
@@ -214,16 +218,21 @@ class TestParamStore:
 
     def test_pack_rejects_mixed_groups_and_late_adds(self):
         ps = nm.ParamStore(0)
-        ps.add_dense("a", 2, 3)
+        ps.add_dense("a", 3, 3)
         ps.add_dense("b", 3, 3)
+        ps.add_dense("c", 2, 3)
         with pytest.raises(ContractError, match="mixes shapes"):
-            ps.pack({"g": ["a.w", "b.w"]})
+            ps.pack({"g": ["a", "c"]})
         with pytest.raises(ContractError, match="more than one group"):
-            ps.pack({"g": ["a.b", "b.b"], "h": ["b.b"]})
-        ps.pack({"g": ["a.b", "b.b"]})
-        assert ps.groups["g"].shape == (2, 1, 3)
+            ps.pack({"g": ["a", "b"], "h": ["b"]})
+        with pytest.raises(ContractError, match="not dense layers"):
+            ps.pack({"g": ["a.w", "b.w"]})
+        ps.pack({"g": ["a", "b"]})
+        assert ps.groups.keys() == {"g", "c"}
+        assert ps.groups["g"].shape == (2, 4, 3)
+        assert ps.groups["c"].shape == (3, 3)  # an unstacked layer is a 0-lead block
         with pytest.raises(ContractError, match="already packed"):
-            ps.add("c", np.zeros((1, 1)))
+            ps.add("d", np.zeros((1, 1)))
 
     def test_sweep_writes_into_the_gradient_vector(self):
         ps = nm.ParamStore(0)
@@ -231,26 +240,28 @@ class TestParamStore:
         ps.pack()
         x = nm.constant(np.ones((4, 3)))
         for _ in range(2):  # the second sweep zeroes the views in place
-            nm.backward_sweep(nm.sum_all(nm.dense_forward(x, w, b)))
+            nm.backward_sweep(nm.sum_all(nm.dense_forward(x, ps.groups["l"])))
         assert np.shares_memory(w.adjoint, ps.grads)
         assert np.shares_memory(b.adjoint, ps.grads)
         npt.assert_array_equal(ps.as_named(ps.grads)["l.b"], [[4.0, 4.0]])
         npt.assert_array_equal(ps.grads, np.full(8, 4.0))
 
-
     def test_group_and_member_on_one_graph_rejected(self):
         # each leaf's first contribution is written over its adjoint, so two
-        # leaves whose adjoints overlap would clobber each other
+        # leaves whose adjoints overlap would clobber each other: a stacked
+        # or a 0-lead block and one of its layer's tensors
         ps = nm.ParamStore(0)
-        ps.add("w0", np.ones((3, 2)))
-        ps.add("w1", np.ones((3, 2)))
-        ps.pack({"w": ["w0", "w1"]})
+        ps.add_dense("l0", 3, 2)
+        ps.add_dense("l1", 3, 2)
+        ps.add_dense("l2", 3, 2)
+        ps.pack({"l": ["l1", "l2"]})
         x = nm.constant(np.ones((4, 3)))
-        both = nm.add(nm.sum_all(nm.mul_const(ps.groups["w"], np.ones((2, 3, 2)))),
-                      nm.sum_all(nm.mul(x, nm.constant(np.ones((4, 3))))))
-        nm.backward_sweep(both)  # the group alone is fine
-        with pytest.raises(ContractError, match="share adjoint memory"):
-            nm.backward_sweep(nm.add(both, nm.sum_all(ps["w0"])))
+        both = nm.add(nm.sum_all(nm.dense_forward(x, ps.groups["l"])),
+                      nm.sum_all(nm.dense_forward(x, ps.groups["l0"])))
+        nm.backward_sweep(both)  # the blocks alone are fine
+        for member in ("l1.b", "l0.w"):
+            with pytest.raises(ContractError, match="share adjoint memory"):
+                nm.backward_sweep(nm.add(both, nm.sum_all(ps[member])))
 
 
 class TestFiniteDiffCheck:
@@ -277,13 +288,12 @@ class TestFiniteDiffCheck:
         npt.assert_allclose(p.adjoint, [[0.0]], atol=1e-12)
 
     def test_kink_inside_the_window_is_remeasured(self):
-        # the pre-activation 1.18 * 0.5 + b sits 1e-7 above the ReLU kink: a
-        # default 1e-6 step in w or b crosses it, a 1e-8 step does not
+        # the pre-activation 1.18 * w + b, at w = 0.5, sits 1e-7 above the ReLU
+        # kink: a default 1e-6 step in w or b crosses it, a 1e-8 step does not
         ps = nm.ParamStore(0)
-        w = ps.add("w", np.array([[0.5]]))
-        b = ps.add("b", np.array([[-0.59 + 1e-7]]))
+        wb = ps.add("wb", np.array([[0.5], [-0.59 + 1e-7]]))
         x = nm.constant(np.array([[1.18]]))
-        report = nm.finite_diff_check(ps, lambda: nm.relu(nm.dense_forward(x, w, b)))
+        report = nm.finite_diff_check(ps, lambda: nm.relu(nm.dense_forward(x, wb)))
         assert report.passed, report
         assert report.n_remeasured == 2
         assert "2 re-measured" in str(report)
@@ -316,14 +326,15 @@ class TestFiniteDiffCheck:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             ps = nm.ParamStore(seed)
-            w1, b1 = ps.add_dense("l0", 4, 6)
-            w2, b2 = ps.add_dense("l1", 6, 1)
+            ps.add_dense("l0", 4, 6)
+            ps.add_dense("l1", 6, 1)
+            ps.pack()
             x = rng.normal(size=(5, 4))
             y = rng.integers(0, 2, size=(5, 1)).astype(float)
 
             def loss():
-                h = nm.relu(nm.dense_forward(nm.constant(x), w1, b1))
-                p = nm.sigmoid(nm.dense_forward(h, w2, b2))
+                h = nm.relu(nm.dense_forward(nm.constant(x), ps.groups["l0"]))
+                p = nm.sigmoid(nm.dense_forward(h, ps.groups["l1"]))
                 ll = nm.add(nm.mul_const(nm.log(p), y),
                             nm.mul_const(nm.log(nm.affine(p, -1.0, 1.0)), 1.0 - y))
                 return nm.affine(nm.sum_all(ll), -1.0 / len(y))
@@ -351,14 +362,16 @@ BROADCAST_CASES = {
 def test_broadcast_ops_pass_finite_differences(case):
     rng = np.random.default_rng(5)
     ps = nm.ParamStore(0)
-    for name, shape in (("x", (4, 3)), ("w0", (3, 5)), ("w1", (3, 5)),
-                        ("b0", (1, 5)), ("b1", (1, 5)), ("s", (1, 5)), ("c", (4, 1))):
-        ps.add(name, rng.normal(size=shape))
-    ps.pack({"w": ["w0", "w1"], "b": ["b0", "b1"]})
+    for name, shape in (("x", (4, 3)), ("s", (1, 5)), ("c", (4, 1))):
+        ps.add(name, np.zeros(shape))
+    ps.add_dense("l0", 3, 5)
+    ps.add_dense("l1", 3, 5)
+    ps.pack({"l": ["l0", "l1"]})
+    ps.values[...] = rng.normal(size=ps.values.size)
     t = types.SimpleNamespace(s=ps["s"], c=ps["c"])
 
     def output():
-        t.h = nm.dense_forward(ps["x"], ps.groups["w"], ps.groups["b"])
+        t.h = nm.dense_forward(ps["x"], ps.groups["l"])
         return BROADCAST_CASES[case](t)
 
     weights = rng.normal(size=output().shape)
@@ -366,7 +379,7 @@ def test_broadcast_ops_pass_finite_differences(case):
         ps, lambda: nm.sum_all(nm.mul_const(output(), weights)), tol=1e-6)
     assert report.passed, report
     # every operand the case reads has a gradient, through the group views too
-    for name in ("x", "w0", "w1", "b0", "b1"):
+    for name in ("x", "l0.w", "l1.w", "l0.b", "l1.b"):
         assert np.any(ps[name].adjoint != 0.0), name
 
 
@@ -375,6 +388,66 @@ def test_forward_determinism():
     x = rng.normal(size=(6, 4))
     w = rng.normal(size=(4, 3))
     b = rng.normal(size=(1, 3))
-    out1 = nm.sigmoid(nm.dense_forward(nm.constant(x), nm.constant(w), nm.constant(b)))
-    out2 = nm.sigmoid(nm.dense_forward(nm.constant(x), nm.constant(w), nm.constant(b)))
+    out1 = nm.sigmoid(nm.dense_forward(nm.constant(x), block(w, b)))
+    out2 = nm.sigmoid(nm.dense_forward(nm.constant(x), block(w, b)))
     assert np.array_equal(out1.value, out2.value)
+
+
+@st.composite
+def dense_cases(draw):
+    """(input lead, block lead, rows, d_in, d_out, uses, seed): a 2-D input,
+    or one stacked on n or on 1 (which broadcasts), against a 0-lead block or
+    one stacked on n or on (k, n), as the model's fusion sides are; the loss
+    reads the layer once, or twice so that the block's adjoint adds up."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    x_lead = draw(st.sampled_from([(), (n,), (1,)]))
+    wb_lead = draw(st.sampled_from([(), (n,), (k, n)]))
+    return (x_lead, wb_lead, draw(st.integers(1, 70)), draw(st.integers(1, 5)),
+            draw(st.integers(1, 5)), draw(st.integers(1, 2)), draw(st.integers(0, 2**16)))
+
+
+def _store_view(node: nm.Node, shape: tuple[int, ...]) -> nm.Node:
+    """A leaf over a stored tensor reshaped, its adjoint a view of the
+    tensor's, as a group's is."""
+    view = nm.Node(node.value.reshape(shape))
+    view.adjoint = node.adjoint.reshape(shape)
+    return view
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=dense_cases())
+def test_dense_forward_on_random_broadcasting_shapes(case):
+    x_lead, wb_lead, rows, d_in, d_out, uses, seed = case
+    rng = np.random.default_rng(seed)
+    ps = nm.ParamStore(seed)
+    x_node = ps.add("x", np.zeros((math.prod(x_lead) * rows, d_in)))
+    layers = np.array([f"l{i}" for i in range(math.prod(wb_lead))]).reshape(wb_lead)
+    for name in layers.flat:
+        ps.add_dense(name, d_in, d_out)
+    ps.pack({"wb": layers.tolist()} if wb_lead else {})
+    wb = ps.groups["wb" if wb_lead else "l0"]
+    x = _store_view(x_node, x_lead + (rows, d_in))
+    out_shape = np.broadcast_shapes(x_lead, wb_lead) + (rows, d_out)
+    weights = [rng.normal(size=out_shape) for _ in range(uses)]
+
+    def loss():
+        outs = [nm.dense_forward(x, wb) for _ in weights]
+        terms = [nm.sum_all(nm.mul_const(out, w)) for out, w in zip(outs, weights)]
+        return outs[0], terms[0] if uses == 1 else nm.add(*terms)
+
+    ps.values[...] = rng.normal(size=ps.values.size)
+    report = nm.finite_diff_check(ps, lambda: loss()[1], tol=1e-6)
+    assert report.passed, report
+
+    # a tape recorded on other leaf values, refilled and replayed, gives the
+    # bytes of a fresh tape: values and every adjoint
+    out, root = loss()
+    order = nm.record(root)
+    ps.values[...] = rng.normal(size=ps.values.size)
+    nm.replay(order)
+    nm.backward_sweep(root, order)
+    replayed = out.value.tobytes(), root.value.tobytes(), ps.grads.tobytes()
+    fresh_out, fresh_root = loss()
+    nm.backward_sweep(fresh_root)
+    assert replayed == (fresh_out.value.tobytes(), fresh_root.value.tobytes(),
+                        ps.grads.tobytes())

@@ -82,8 +82,6 @@ class TestTrainRun:
             idx, y = batch.observed(t)
             assert ev.auc(probs[t][idx], y) >= 0.99, t
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_divergence_aborts_with_diagnostics(self):
         examples = random_label_examples(32, seed=3)
         splits = ds.Splits(examples, examples[:0], examples[:1])
