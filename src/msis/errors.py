@@ -27,11 +27,15 @@ class ConfigError(MsisError, ValueError):
 
 
 class TrainingDiverged(MsisError, RuntimeError):
-    """The training loss became non-finite."""
+    """The training loss became non-finite, or after an epoch's last step
+    the parameters or their predictions did; `value` is the loss or the
+    largest parameter magnitude."""
 
-    def __init__(self, epoch: int, batch_index: int, value: float):
+    def __init__(self, epoch: int, batch_index: int, value: float, parameters: bool = False):
         super().__init__(
-            f"non-finite loss {value!r} at epoch {epoch}, batch {batch_index}")
+            f"non-finite parameters or predictions after epoch {epoch}, batch "
+            f"{batch_index} (largest parameter magnitude {value!r})" if parameters
+            else f"non-finite loss {value!r} at epoch {epoch}, batch {batch_index}")
         self.epoch = epoch
         self.batch_index = batch_index
         self.value = value

@@ -10,9 +10,10 @@ reduction, targets per stage, stage weight) is folded into the weights.
 on the batch size alone, never on its label pattern. Labels enter
 through np.where(mask, labels, 0): the NaN poison behind a zero mask
 never reaches a product, so it cannot leak into a gradient, while a NaN
-under a set mask raises ContractError. The gradient check's value-only
-loss (`make_fast_loss_value_fn`) is this same graph, replayed over the
-fused forward's probabilities.
+under a set mask raises ContractError. On the tape, for every config,
+the sum is one `numerics.bernoulli_loglik` node and its `sum_all`; the
+gradient check's value-only loss (`make_fast_loss_value_fn`) sums that
+op's value function over the fused forward's probabilities.
 
 The entropy term reads probabilities alone: pushing unlabeled predictions
 away from 0.5 is what lets the selection-censored stages say something
@@ -28,7 +29,7 @@ import numpy as np
 from . import numerics as nm
 from .dataset import DEFAULT_STAGES, TARGET_INDEX, TARGETS, Batch
 from .errors import ConfigError, ContractError
-from .model import ForwardResult, MsisConfig, make_fused_forward
+from .model import MsisConfig, make_fused_forward
 from .numerics import Node
 
 DEFAULT_GAMMA = 6e-4
@@ -89,14 +90,14 @@ class TargetLoss:
 class LossBreakdown:
     """A batch's loss: the per-target numbers of the training log and the
     tape's (1, 1) root. A replay of the tape on another batch of the same
-    rows copies that batch's folded weights into `weights`, the arrays
-    the tape's mul_const ops read, and takes the per-target numbers from
-    the replayed `probs`: the nodes of p, log p, 1 - p and log(1 - p)."""
+    rows copies that batch's folded weights into `weights`, the arrays its
+    bernoulli_loglik node reads, and takes the per-target numbers from the
+    replayed stacked probabilities `probs`."""
 
     per_target: dict[str, TargetLoss]
     total: Node
     weights: tuple[np.ndarray, np.ndarray, np.ndarray]
-    probs: tuple[Node, Node, Node, Node]
+    probs: Node
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +135,11 @@ class LossWeights:
         ent = (-(self.stage_coef * self.gamma) / self.ent_div)[:, None]
         return self.pos * sup, self.neg * sup, self.unl * ent
 
-    @property
-    def needs_entropy(self) -> bool:
-        return bool((self.gamma * self.stage_coef).any())
-
 
 def loss_weights(batch: Batch, config: LossConfig,
                  stages: tuple[tuple[str, tuple[str, ...]], ...]) -> LossWeights:
-    """The loss weights of one batch; raises ContractError on a non-finite
-    label under a set mask."""
-    config.validate()
+    """The loss weights of one batch, under a validated config; raises
+    ContractError on a non-finite label under a set mask."""
     targets = tuple(t for _, stage_targets in stages for t in stage_targets)
     rows = [TARGET_INDEX[t] for t in targets]
     masks = batch.mask_matrix[rows]
@@ -170,25 +166,21 @@ def total_loss(result, batch: Batch, config: LossConfig,
                stages: tuple[tuple[str, tuple[str, ...]], ...]) -> LossBreakdown:
     """Per target: supervised + gamma * entropy; targets average within their
     stage; stages combine under the configured weights. Reads the forward
-    result's stacked (n_targets, batch) probabilities."""
+    result's stacked (n_targets, batch) probabilities. The config is
+    validated here, where a loss is built, and not on a replay."""
+    config.validate()
     w = loss_weights(batch, config, stages)
-    weights = w_p, w_q, w_ent = w.folded()
+    weights = w.folded()
     p = result.stacked
-    q = nm.affine(p, -1.0, 1.0)
-    log_p, log_q = nm.log(p), nm.log(q)
-    terms = nm.add(nm.mul_const(log_p, w_p), nm.mul_const(log_q, w_q))
-    if w.needs_entropy:
-        h = nm.add(nm.mul(p, log_p), nm.mul(q, log_q))
-        terms = nm.add(terms, nm.mul_const(h, w_ent))
-    probs = (p, log_p, q, log_q)
-    return LossBreakdown(per_target_losses(w, probs), nm.sum_all(terms), weights, probs)
+    total = nm.sum_all(nm.bernoulli_loglik(p, *weights))
+    return LossBreakdown(per_target_losses(w, p.value), total, weights, p)
 
 
-def per_target_losses(w: LossWeights, probs: tuple[Node, Node, Node, Node]
-                      ) -> dict[str, TargetLoss]:
-    """The training log's per-target numbers, from the values of the
-    tape's p, log p, 1 - p and log(1 - p) nodes, outside the tape."""
-    p, log_p, q, log_q = (node.value for node in probs)
+def per_target_losses(w: LossWeights, p: np.ndarray) -> dict[str, TargetLoss]:
+    """The training log's per-target numbers, from the stacked
+    probabilities, outside the tape."""
+    q = 1.0 - p
+    log_p, log_q = np.log(p), np.log(q)
     supervised = -(w.pos * log_p + w.neg * log_q).sum(axis=1) / np.maximum(w.labeled, 1)
     entropy = -(w.unl * (p * log_p + q * log_q)).sum(axis=1) / w.ent_div
     return {t: TargetLoss(float(supervised[i]), float(entropy[i]),
@@ -204,8 +196,8 @@ def make_fast_loss_value_fn(params, model_cfg: MsisConfig, loss_cfg: LossConfig,
                             batch: Batch):
     """Build a scalar evaluator of the total loss at the current parameter
     values: the store's fused evaluator for the batch (make_fused_forward),
-    then total_loss, recorded once over a leaf that holds the evaluator's
-    output and replayed on every call.
+    then the value of total_loss's one op over its output, summed as
+    sum_all sums it.
 
     Each call copies the batch's features in again and reruns the forward,
     because the evaluator shares the store's scratch with its others,
@@ -216,13 +208,10 @@ def make_fast_loss_value_fn(params, model_cfg: MsisConfig, loss_cfg: LossConfig,
     hundred thousand loss evaluations; this is the path that makes that
     affordable."""
     run = make_fused_forward(params, model_cfg, batch.features)
-    probs = nm.constant(run())
-    total = total_loss(ForwardResult({}, {}, probs), batch, loss_cfg, model_cfg.stages).total
-    order = nm.record(total)
+    loss_cfg.validate()
+    weights = loss_weights(batch, loss_cfg, model_cfg.stages).folded()
 
     def value() -> float:
-        probs.value[...] = run()
-        nm.replay(order)
-        return float(total.value[0, 0])
+        return float(nm.bernoulli_loglik_value(run(), *weights).sum())
 
     return value

@@ -552,6 +552,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, MsisConfig]:
         raise ContractError(f"{path}: only post_fusion attention_input models load")
     try:
         config = from_dict(MsisConfig, config, where="config")
+        config.validate()
     except ConfigError as exc:
         raise ContractError(f"{path}: {exc}") from None
     seed = payload.get("seed")
@@ -566,5 +567,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, MsisConfig]:
         if not np.isfinite(value).all():
             raise ContractError(f"{path}: parameter {name!r} holds non-finite values")
     params = init_params(config, seed=seed)
-    params.load_values(values)
+    try:
+        params.load_values(values)
+    except (ContractError, DimensionError) as exc:
+        raise ContractError(f"{path}: {exc}") from None
     return params, config

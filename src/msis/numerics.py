@@ -6,6 +6,7 @@ on a leading axis, (n_targets, batch, d) activations against
 target: `dense_forward`, `add` and `mul` broadcast like NumPy, and their backward
 passes sum each adjoint back to its operand's shape (`unbroadcast`).
 `index`, `row_dot`, `softmax`, `sum_axis` and `concat` work along an axis.
+`bernoulli_loglik`, weighted log-likelihoods of probabilities, is the loss's one op.
 Calling the ops builds the tape (a dynamic graph). `record` fixes its
 topological order once; `replay` then re-runs the same ops in place on new
 contents of the leaves, so a training loop builds one tape per batch
@@ -13,8 +14,8 @@ shape and replays it on every later batch of that shape. `backward_sweep`
 walks the order in reverse from a (1, 1) root, writing each adjoint's
 first contribution into the buffer it already holds. Value-only
 evaluation of the model skips the tape and runs the model's fused
-forward (`model.make_fused_forward`); the gradient check replays only
-the loss's few nodes over that forward's output.
+forward (`model.make_fused_forward`); the gradient check's loss value is
+`bernoulli_loglik_value` over that forward's output, with no tape at all.
 
 Trainable tensors live in a `ParamStore`, which packs all of them into
 one contiguous parameter vector and one gradient vector: each tensor's
@@ -236,18 +237,6 @@ def sigmoid(x: Node) -> Node:
     return Node(s, (x,), backward, compute)
 
 
-def log(x: Node) -> Node:
-    xv = x.value
-
-    def compute(out=None):
-        return np.log(xv, out=out)
-
-    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
-        _give(x, g / xv, first[0])
-
-    return _op(compute, (x,), backward)
-
-
 def _broadcast(ufunc, a: Node, b: Node) -> tuple[np.ndarray, Callable]:
     """The value and compute function of an elementwise binary op over
     operands that broadcast against each other."""
@@ -287,35 +276,42 @@ def mul(a: Node, b: Node) -> Node:
     return Node(value, (a, b), backward, compute)
 
 
-def affine(x: Node, scale: float, shift: float = 0.0) -> Node:
-    """scale * x + shift with float constants."""
-    xv = x.value
+def bernoulli_loglik_value(p: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray,
+                           w_ent: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """w_pos log p + w_neg log(1-p) + w_ent (p log p + (1-p) log(1-p)),
+    elementwise: the log-likelihood of a label, of its complement, and the
+    expected one under p itself (the negative binary entropy), each under
+    its own weight. p must lie inside (0, 1)."""
+    q = 1.0 - p
+    log_p, log_q = np.log(p), np.log(q)
+    out = np.multiply(log_p, w_pos, out=out)
+    out += log_q * w_neg
+    out += (p * log_p + q * log_q) * w_ent
+    return out
+
+
+def bernoulli_loglik(p: Node, w_pos: np.ndarray, w_neg: np.ndarray,
+                     w_ent: np.ndarray) -> Node:
+    """`bernoulli_loglik_value` on the tape, its weights constant arrays of
+    p's shape. The node reads them in place, so whoever owns them can
+    refill them between replays."""
+    shapes = [w.shape for w in (w_pos, w_neg, w_ent)]
+    if any(shape != p.shape for shape in shapes):
+        raise DimensionError(
+            f"bernoulli_loglik: weights {shapes} and probabilities {p.shape} differ")
+    pv = p.value
 
     def compute(out=None):
-        out = np.multiply(scale, xv, out=out)
-        return np.add(out, shift, out=out)
+        return bernoulli_loglik_value(pv, w_pos, w_neg, w_ent, out)
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
-        _give(x, scale * g, first[0])
+        # d/dp: w_ent log p + (w_pos + w_ent p) / p, less the same in 1 - p
+        q = 1.0 - pv
+        d = (w_pos + w_ent * pv) / pv + w_ent * np.log(pv)
+        d -= (w_neg + w_ent * q) / q + w_ent * np.log(q)
+        _give_product(p, g, d, first[0])
 
-    return _op(compute, (x,), backward)
-
-
-def mul_const(x: Node, c: np.ndarray) -> Node:
-    """Elementwise product with a constant array of the same shape. The
-    node reads c in place, so whoever owns c can change it between
-    replays."""
-    if c.shape != x.value.shape:
-        raise DimensionError(f"mul_const: shapes {x.value.shape} and {c.shape} differ")
-    xv = x.value
-
-    def compute(out=None):
-        return np.multiply(xv, c, out=out)
-
-    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
-        _give_product(x, g, c, first[0])
-
-    return _op(compute, (x,), backward)
+    return _op(compute, (p,), backward)
 
 
 def sum_all(x: Node) -> Node:

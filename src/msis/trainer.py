@@ -124,13 +124,12 @@ class _Step:
         for tape_weights, batch_weights in zip(self.loss.weights, w.folded()):
             np.copyto(tape_weights, batch_weights)
         nm.replay(self.order)
-        self.loss.per_target = per_target_losses(w, self.loss.probs)
+        self.loss.per_target = per_target_losses(w, self.loss.probs.value)
 
 
 def _mean_entropy(probs: np.ndarray) -> float:
-    if probs.size == 0:
-        return 0.0
-    return float(-(probs * np.log(probs) + (1 - probs) * np.log(1 - probs)).mean())
+    # the loss op's value under the entropy weight alone is -H(p)
+    return float(-nm.bernoulli_loglik_value(probs, 0.0, 0.0, 1.0).mean()) if probs.size else 0.0
 
 
 def _epoch_diagnostics(params, model_cfg, train_eval: Batch,
@@ -190,8 +189,15 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
                     ent_sums[t] += breakdown.per_target[t].entropy
 
         n_batches = len(epoch_batches)
-        val_auc, unlabeled_entropy = _epoch_diagnostics(
-            params, model_cfg, splits.train, val_eval)
+        try:  # no loss check follows the epoch's last step
+            with np.errstate(over="raise", invalid="raise"):
+                if not np.isfinite(params.values).all():
+                    raise FloatingPointError("non-finite parameters")
+                val_auc, unlabeled_entropy = _epoch_diagnostics(
+                    params, model_cfg, splits.train, val_eval)
+        except FloatingPointError:
+            raise TrainingDiverged(epoch, n_batches - 1, float(np.abs(params.values).max()),
+                                   parameters=True) from None
         history.epochs.append(EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / n_batches,

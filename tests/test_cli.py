@@ -260,11 +260,16 @@ class TestCommands:
 
     def test_divergence_exits_one_with_one_line(self, tiny_config, data_dir, tmp_path,
                                                 capsys):
-        assert cli.main(["train", "--config", tiny_config, "--data", str(data_dir),
-                         "--set", "train.learning_rate=1e300",
-                         "--out", str(tmp_path / "run")]) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: non-finite loss")
+        # batches of 128 diverge at a later step's loss; one batch per epoch
+        # diverges at the epoch's last step, which the diagnostics' forward meets
+        for batch_size, message in ((128, "error: non-finite loss"),
+                                    (4096, "error: non-finite parameters")):
+            assert cli.main(["train", "--config", tiny_config, "--data", str(data_dir),
+                             "--set", "train.learning_rate=1e300",
+                             "--set", f"train.batch_size={batch_size}",
+                             "--out", str(tmp_path / f"run{batch_size}")]) == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith(message), err
 
     @pytest.mark.parametrize("damage", ["narrow_standardizer", "pre_fusion_checkpoint"])
     def test_typed_errors_exit_one_with_one_line(self, tiny_config, data_dir, run_dir,

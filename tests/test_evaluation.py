@@ -3,6 +3,8 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msis import dataset as ds
 from msis import evaluation as ev
@@ -72,6 +74,24 @@ def sim_world():
     splits = ds.split_oot(examples, fs.oot_cutoff_day(cfg))
     std = ds.Standardizer.fit(splits.train)
     return population, std.apply(examples), std.apply(splits.test)
+
+
+# scores from a small set, so most draws hold ties within and across classes
+TIED_SCORES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1e-12, -3.0])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(rows=st.lists(st.tuples(TIED_SCORES, st.booleans()), min_size=1, max_size=40))
+def test_auc_is_the_pairwise_count(rows):
+    scores, labels = (np.array(col, dtype=float) for col in zip(*rows))
+    if 0 < labels.sum() < labels.size:
+        assert ev.auc(scores, labels) == pytest.approx(pairwise_auc(scores, labels),
+                                                       rel=1e-12, abs=1e-15)
+        assert ev.try_auc(scores, labels) == ev.auc(scores, labels)
+    else:  # one class present
+        assert ev.try_auc(scores, labels) is None
+        with pytest.raises(ev.UndefinedMetricError):
+            ev.auc(scores, labels)
 
 
 class TestEvaluate:

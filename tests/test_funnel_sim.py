@@ -4,6 +4,8 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msis import dataset as ds
 from msis import funnel_sim as fs
@@ -137,6 +139,26 @@ def test_counterfactual_lookup_names_missing_ids():
         table.lookup(np.array([12, 0, 2, 3, 4, 8, 99]))
     with pytest.raises(ContractError, match="distinct"):
         fs.Counterfactuals(np.array([1, 1]), np.ones((len(ds.TARGETS), 2), bool))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(ids=st.lists(st.integers(-50, 10**12), unique=True, max_size=30),
+       picks=st.lists(st.integers(0, 10**6), max_size=30),
+       missing=st.integers(-60, 10**12), seed=st.integers(0, 2**16))
+def test_counterfactual_lookup_is_a_dict_lookup(ids, picks, missing, seed):
+    # distinct ids in random order; queries in any order, repeats allowed
+    rng = np.random.default_rng(seed)
+    labels = rng.random((len(ds.TARGETS), len(ids))) < 0.5
+    table = fs.Counterfactuals(np.array(ids, dtype=np.int64), labels)
+    by_id = {i: labels[:, k] for k, i in enumerate(ids)}
+    query = np.array([ids[j % len(ids)] for j in picks] if ids else [], dtype=np.int64)
+    got = table.lookup(query)
+    for ti, t in enumerate(ds.TARGETS):
+        npt.assert_array_equal(got[t], np.array([by_id[i][ti] for i in query], dtype=bool))
+    if missing not in by_id:
+        at = int(rng.integers(0, query.size + 1))
+        with pytest.raises(ContractError, match=f"1 of {query.size + 1} scored ids"):
+            table.lookup(np.insert(query, at, missing))
 
 
 def test_counterfactual_parse_errors_carry_line_numbers(tmp_path):

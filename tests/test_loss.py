@@ -207,9 +207,13 @@ class TestTotalLoss:
         patterns, sizes = set(), set()
         for batch in batches:
             patterns.add(tuple(int(batch.masks[t].sum()) for t in ds.TARGETS))
-            root = ls.total_loss(M.forward(params, cfg, batch.features), batch,
-                                 ls.LossConfig(), cfg.stages).total
-            sizes.add(tape_size(root))
+            # one loss graph, with or without the entropy term: the
+            # bernoulli_loglik node and its sum over the forward's probabilities
+            for lcfg in (ls.LossConfig(), ls.LossConfig().supervised_only()):
+                result = M.forward(params, cfg, batch.features)
+                root = ls.total_loss(result, batch, lcfg, cfg.stages).total
+                assert tape_size(root) == tape_size(result.stacked) + 2
+                sizes.add(tape_size(root))
         assert len(patterns) == len(batches)
         assert len(sizes) == 1 and sizes.pop() <= 100
 
@@ -225,6 +229,16 @@ class TestTotalLoss:
         with pytest.raises(ConfigError, match="gbx"):
             ls.LossConfig(stage_weights={"ar": 1.0, "ws": 1.0, "gb": 1.0,
                                          "gbx": 2.0}).validate()
+
+    def test_config_validated_where_a_loss_is_built(self):
+        cfg = M.MsisConfig()
+        params = M.init_params(cfg, seed=0)
+        batch = synthetic_batch(n=8)
+        bad = ls.LossConfig(unlabeled_reduction="median")
+        with pytest.raises(ConfigError, match="median"):
+            ls.total_loss(M.forward(params, cfg, batch.features), batch, bad, cfg.stages)
+        with pytest.raises(ConfigError, match="median"):
+            ls.make_fast_loss_value_fn(params, cfg, bad, batch)
 
     def test_default_gammas(self):
         assert ls.default_gammas() == ls.LossConfig().gammas
@@ -268,7 +282,7 @@ class TestGradients:
         assert nm.finite_diff_check(params, loss_fn, value_fn=value_fn).passed
         sweep = nm.backward_sweep
         monkeypatch.setattr(nm, "backward_sweep",
-                            lambda root: sweep(nm.affine(root, 1.001)))
+                            lambda root: sweep(nm.mul(root, nm.constant([[1.001]]))))
         report = nm.finite_diff_check(params, loss_fn, value_fn=value_fn)
         assert not report.passed, report
         assert report.n_remeasured > 0

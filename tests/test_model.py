@@ -1,12 +1,13 @@
 import dataclasses
 import gc
+import json
 import math
 import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from msis import baselines as bl
@@ -15,7 +16,7 @@ from msis import funnel_sim as fs
 from msis import loss as ls
 from msis import model as M
 from msis import numerics as nm
-from msis.errors import ConfigError, ContractError, DimensionError, DomainError
+from msis.errors import ConfigError, ContractError, DimensionError, DomainError, MsisError
 
 
 def expected_param_count(cfg: M.MsisConfig) -> int:
@@ -538,7 +539,7 @@ class TestAttentionPrimitives:
 
     def test_single_input_is_projection_only(self, default_cfg):
         h = nm.constant(np.random.default_rng(0).normal(size=(1, 3, 4)))
-        e_ou, alpha = M.attend(h, h, nm.affine(h, 2.0), dim=4)
+        e_ou, alpha = M.attend(h, h, nm.add(h, h), dim=4)
         npt.assert_array_equal(alpha.value, np.ones((1, 3, 1)))
         npt.assert_array_equal(e_ou.value, 2.0 * h.value[0])
         # in the model, a one-target stage's corridor vector is its g3 projection
@@ -707,3 +708,117 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ContractError, match="model.ckpt.*post_fusion"):
             M.load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# mutated run files: each loads, or raises a typed error that names the file
+# ---------------------------------------------------------------------------
+
+TINY_CFG = M.MsisConfig(input_dim=3, shared_widths=(2,), tower_widths=(2,), corridor_dim=2)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+BYTES = st.sampled_from([b'"', b",", b"[", b"]", b"{", b"}", b"-", b"0", b"9", b"e", b".",
+                         b"null", b"\xff", b" ", b""]) | st.binary(min_size=1, max_size=3)
+
+# one edit of a JSON file: ("bytes", position, (bytes deleted, bytes
+# inserted)), or ("set", node, value) and ("delete", node, None) on its
+# parsed tree, the node a path or an index into `_paths`; indices wrap
+MUTATIONS = (st.tuples(st.just("bytes"), st.integers(0, 10**6),
+                       st.tuples(st.integers(0, 3), BYTES))
+             | st.tuples(st.just("set"), st.integers(0, 10**6), JSON_VALUES)
+             | st.tuples(st.just("delete"), st.integers(1, 10**6), st.none()))
+
+
+def _paths(node, path=()):
+    """Every path into a JSON tree, leaving out the elements after the first
+    of a list of numbers (a parameter's values)."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        numbers = all(isinstance(v, (int, float)) for v in node)
+        for i, child in enumerate(node[:1] if numbers else node):
+            yield from _paths(child, path + (i,))
+
+
+def _mutated(raw: bytes, mutation) -> bytes:
+    kind, where, arg = mutation
+    if kind == "bytes":
+        at = where % (len(raw) + 1)
+        deleted, inserted = arg
+        return raw[:at] + inserted + raw[at + deleted:]
+    tree = json.loads(raw)
+    paths = list(_paths(tree))
+    path = paths[where % len(paths)] if isinstance(where, int) else where
+    if not path:  # the whole file
+        return b"" if kind == "delete" else json.dumps(arg).encode()
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    if kind == "delete":
+        del node[path[-1]]
+    else:
+        node[path[-1]] = arg
+    return json.dumps(tree).encode()
+
+
+def _small_config(raw: bytes) -> bool:
+    """Whether every number in a checkpoint's config is small enough that
+    init_params allocates at most a few MB."""
+    try:
+        todo = [json.loads(raw)["config"]]
+    except (ValueError, TypeError, KeyError):
+        return True
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (dict, list)):
+            todo.extend(node.values() if isinstance(node, dict) else node)
+        elif isinstance(node, (int, float)) and not abs(node) <= 64:
+            return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def run_files(tmp_path_factory):
+    """A tiny model's checkpoint and a standardizer's file, as written, and
+    a path to write mutated copies to."""
+    root = tmp_path_factory.mktemp("run_files")
+    M.save_checkpoint(M.init_params(TINY_CFG, seed=1), TINY_CFG, root / "ckpt.json")
+    ds.Standardizer(np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.25, 3.0])).to_json(
+        root / "std.json")
+    return {"checkpoint": (root / "ckpt.json").read_bytes(),
+            "standardizer": (root / "std.json").read_bytes(), "path": root / "mutated.json"}
+
+
+def _loads_or_names_the_file(load, path, raw: bytes) -> None:
+    path.write_bytes(raw)
+    try:
+        load(path)
+    except MsisError as exc:
+        assert str(path) in str(exc), repr(exc)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(mutation=MUTATIONS)
+# each raised an error that did not name the file: a 1-D parameter (from
+# load_values), a width of zero (from init_params), an unknown name
+@example(mutation=("delete", ("params", 1, 1, 0), None))
+@example(mutation=("set", ("config", "shared_widths", 0), 0))
+@example(mutation=("set", ("params", 0, 0), "no.such.tensor"))
+def test_mutated_checkpoint_loads_or_names_the_file(run_files, mutation):
+    raw = _mutated(run_files["checkpoint"], mutation)
+    assume(_small_config(raw))
+    _loads_or_names_the_file(M.load_checkpoint, run_files["path"], raw)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(mutation=MUTATIONS)
+def test_mutated_standardizer_loads_or_names_the_file(run_files, mutation):
+    raw = _mutated(run_files["standardizer"], mutation)
+    _loads_or_names_the_file(ds.Standardizer.from_json, run_files["path"], raw)

@@ -27,6 +27,11 @@ def central_diff(value_fn, arr, step=1e-3):
     return grad
 
 
+def bce_terms(p, y):
+    """The per-row terms of the mean binary cross-entropy of labels y."""
+    return nm.bernoulli_loglik(p, -y / len(y), -(1.0 - y) / len(y), np.zeros_like(y))
+
+
 def block(w, b):
     """A dense layer's weight/bias block: w's rows, then b's row."""
     return nm.constant(np.concatenate([w, b], axis=-2))
@@ -141,9 +146,7 @@ class TestBackwardSweep:
             nodes = [nm.Node(p) for p in params]
             h = nm.relu(nm.dense_forward(nm.constant(x), nodes[0]))
             p = nm.sigmoid(nm.dense_forward(h, nodes[1]))
-            ll = nm.add(nm.mul_const(nm.log(p), y),
-                        nm.mul_const(nm.log(nm.affine(p, -1.0, 1.0)), 1.0 - y))
-            return nodes, nm.affine(nm.sum_all(ll), -1.0 / len(y))
+            return nodes, nm.sum_all(bce_terms(p, y))
 
         nodes, root = build()
         nm.backward_sweep(root)
@@ -159,7 +162,7 @@ class TestBackwardSweep:
         def build():
             s = nm.Node(scores)
             sm = nm.softmax(s, axis=1)
-            return s, nm.sum_all(nm.mul_const(sm, weights))
+            return s, nm.sum_all(nm.mul(sm, nm.constant(weights)))
 
         weights = rng.normal(size=(4, 3))
         s, root = build()
@@ -277,10 +280,8 @@ class TestFiniteDiffCheck:
         ps = nm.ParamStore(0)
         p = ps.add("p", np.array([[0.5]]))
 
-        def loss():
-            h = nm.add(nm.mul(p, nm.log(p)),
-                       nm.mul(nm.affine(p, -1.0, 1.0), nm.log(nm.affine(p, -1.0, 1.0))))
-            return nm.affine(h, -1.0)
+        def loss():  # the binary entropy
+            return nm.bernoulli_loglik(p, np.zeros((1, 1)), np.zeros((1, 1)), -np.ones((1, 1)))
 
         report = nm.finite_diff_check(ps, loss, step=1e-4, tol=1e-4)
         assert report.passed
@@ -302,7 +303,7 @@ class TestFiniteDiffCheck:
         # every adjoint 0.1% too large: no step size rescues it
         sweep = nm.backward_sweep
         monkeypatch.setattr(nm, "backward_sweep",
-                            lambda root: sweep(nm.affine(root, 1.001)))
+                            lambda root: sweep(nm.mul(root, nm.constant([[1.001]]))))
         ps = nm.ParamStore(0)
         x = ps.add("x", np.array([[3.0]]))
         report = nm.finite_diff_check(ps, lambda: nm.mul(x, x))
@@ -317,7 +318,7 @@ class TestFiniteDiffCheck:
 
         def loss():
             state["calls"] += 1
-            return nm.affine(x, float(state["calls"]))
+            return nm.mul(x, nm.constant([[float(state["calls"])]]))
 
         with pytest.raises(ContractError):
             nm.finite_diff_check(ps, loss)
@@ -335,9 +336,7 @@ class TestFiniteDiffCheck:
             def loss():
                 h = nm.relu(nm.dense_forward(nm.constant(x), ps.groups["l0"]))
                 p = nm.sigmoid(nm.dense_forward(h, ps.groups["l1"]))
-                ll = nm.add(nm.mul_const(nm.log(p), y),
-                            nm.mul_const(nm.log(nm.affine(p, -1.0, 1.0)), 1.0 - y))
-                return nm.affine(nm.sum_all(ll), -1.0 / len(y))
+                return nm.sum_all(bce_terms(p, y))
 
             report = nm.finite_diff_check(ps, loss, tol=1e-4)
             assert report.passed, f"seed {seed}: {report}"
@@ -376,7 +375,7 @@ def test_broadcast_ops_pass_finite_differences(case):
 
     weights = rng.normal(size=output().shape)
     report = nm.finite_diff_check(
-        ps, lambda: nm.sum_all(nm.mul_const(output(), weights)), tol=1e-6)
+        ps, lambda: nm.sum_all(nm.mul(output(), nm.constant(weights))), tol=1e-6)
     assert report.passed, report
     # every operand the case reads has a gradient, through the group views too
     for name in ("x", "l0.w", "l1.w", "l0.b", "l1.b"):
@@ -432,7 +431,7 @@ def test_dense_forward_on_random_broadcasting_shapes(case):
 
     def loss():
         outs = [nm.dense_forward(x, wb) for _ in weights]
-        terms = [nm.sum_all(nm.mul_const(out, w)) for out, w in zip(outs, weights)]
+        terms = [nm.sum_all(nm.mul(out, nm.constant(w))) for out, w in zip(outs, weights)]
         return outs[0], terms[0] if uses == 1 else nm.add(*terms)
 
     ps.values[...] = rng.normal(size=ps.values.size)
@@ -451,3 +450,61 @@ def test_dense_forward_on_random_broadcasting_shapes(case):
     nm.backward_sweep(fresh_root)
     assert replayed == (fresh_out.value.tobytes(), fresh_root.value.tobytes(),
                         ps.grads.tobytes())
+
+
+@st.composite
+def bernoulli_cases(draw):
+    """(rows, cols, uses, seed): probabilities and weights of one shape, the
+    op read once or twice so that p's adjoint adds up."""
+    return (draw(st.integers(1, 4)), draw(st.integers(1, 40)), draw(st.integers(1, 2)),
+            draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(case=bernoulli_cases())
+def test_bernoulli_loglik_value_gradient_and_replay(case):
+    rows, cols, uses, seed = case
+    rng = np.random.default_rng(seed)
+    ps = nm.ParamStore(seed)
+    # more than a difference step away from 0 and 1, with the clamp's extremes
+    p_arr = rng.uniform(0.01, 0.99, size=(rows, cols))
+    p_arr.flat[0] = 0.01
+    p = ps.add("p", p_arr)
+    ws = [rng.normal(size=(rows, cols)) for _ in range(3)]
+    scale = nm.constant(rng.normal(size=(rows, cols)))
+
+    pv, (w_pos, w_neg, w_ent) = p.value, ws
+    q = 1.0 - pv
+    reference = (w_pos * np.log(pv) + w_neg * np.log(q)
+                 + w_ent * (pv * np.log(pv) + q * np.log(q)))
+    npt.assert_allclose(nm.bernoulli_loglik(p, *ws).value, reference, rtol=1e-13, atol=1e-15)
+
+    def loss():
+        # an upstream adjoint other than one, and a second read when uses is 2
+        terms = [nm.mul(nm.bernoulli_loglik(p, *ws), scale) for _ in range(uses)]
+        return nm.sum_all(terms[0] if uses == 1 else nm.add(*terms))
+
+    report = nm.finite_diff_check(ps, loss, tol=1e-6)
+    assert report.passed, report
+
+    # a tape recorded on other weights and probabilities, refilled in place
+    # and replayed, gives the bytes of a fresh node
+    root = loss()
+    order = nm.record(root)
+    for w in ws:
+        w[...] = rng.normal(size=w.shape)
+    ps.values[...] = rng.uniform(0.01, 0.99, size=ps.values.size)
+    nm.replay(order)
+    nm.backward_sweep(root, order)
+    replayed = root.value.tobytes(), ps.grads.tobytes()
+    fresh = loss()
+    nm.backward_sweep(fresh)
+    assert replayed == (fresh.value.tobytes(), ps.grads.tobytes())
+
+
+def test_bernoulli_loglik_weights_must_match_the_probabilities():
+    p = nm.constant(np.full((2, 3), 0.5))
+    good, bad = np.ones((2, 3)), np.ones((1, 3))
+    for weights in ((bad, good, good), (good, bad, good), (good, good, bad)):
+        with pytest.raises(DimensionError, match=r"\(1, 3\).*\(2, 3\)"):
+            nm.bernoulli_loglik(p, *weights)

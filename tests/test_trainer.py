@@ -92,6 +92,25 @@ class TestTrainRun:
         assert err.value.epoch == 1
         assert "epoch 1" in str(err.value)
 
+    @pytest.mark.parametrize("learning_rate", [1e300, float("inf")])
+    def test_divergence_on_an_epochs_last_step(self, learning_rate):
+        # one batch per epoch: its step leaves parameters that overflow the
+        # diagnostics' forward pass (1e300) or are non-finite (inf), and no
+        # later step's loss check sees them first
+        cfg = fs.SimConfig(n=400, seed=0)
+        examples = fs.observe(fs.generate(cfg))
+        splits = ds.split_oot(examples, fs.oot_cutoff_day(cfg))
+        std = ds.Standardizer.fit(splits.train)
+        splits = ds.Splits(std.apply(splits.train), std.apply(splits.validation),
+                           std.apply(splits.test))
+        train_cfg = T.TrainConfig(epochs=2, patience=1, batch_size=4096,
+                                  learning_rate=learning_rate, seeds=(0,))
+        with pytest.raises(T.TrainingDiverged) as err:
+            T.train_run(M.MsisConfig(), L.LossConfig(), train_cfg, splits, seed=0)
+        assert (err.value.epoch, err.value.batch_index) == (1, 0)
+        assert str(err.value).startswith("non-finite parameters")
+        assert not np.isfinite(err.value.value) or err.value.value > 1e299
+
     def test_best_checkpoint_restored(self, sim_splits):
         cfg = T.TrainConfig(epochs=8, patience=3, batch_size=256, seeds=(0,))
         params, history = T.train_run(M.MsisConfig(), L.LossConfig(), cfg,
@@ -269,6 +288,19 @@ class TestReplayedStep:
         cfg = T.TrainConfig(epochs=3, patience=2, batch_size=64, seeds=(0,))
         T.train_run(self.CFG, L.LossConfig(), cfg, splits, seed=0)
         assert recorded == [64, 22]
+
+    def test_loss_config_validated_once_per_tape(self, monkeypatch):
+        # train_run's own check, then one where each row count's loss is
+        # built; a replayed batch is not validated again
+        examples = random_label_examples(150, seed=5)  # batches of 64, 64 and 22
+        splits = ds.Splits(examples, examples[:0], examples[:1])
+        calls = []
+        validate = L.LossConfig.validate
+        monkeypatch.setattr(L.LossConfig, "validate",
+                            lambda self: calls.append(1) or validate(self))
+        cfg = T.TrainConfig(epochs=3, patience=2, batch_size=64, seeds=(0,))
+        T.train_run(self.CFG, L.LossConfig(), cfg, splits, seed=0)
+        assert len(calls) == 3
 
 
 @pytest.mark.parametrize("poison,error", [("feature", DomainError),
