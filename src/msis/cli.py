@@ -135,14 +135,16 @@ def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
 # run directories and manifests
 # ---------------------------------------------------------------------------
 
-def _run_dir(args, cfg: ExperimentConfig) -> Path:
+def _run_dir(args, cfg: ExperimentConfig) -> tuple[Path, bool]:
+    """The command's output directory, and whether this call made it."""
     if args.out:
         path = Path(args.out)
     else:
         stamp = time.strftime("%Y%m%d-%H%M%S", time.gmtime())
         path = Path("runs") / f"{stamp}-{cfg.sha256()[:8]}"
+    made = not path.exists()
     path.mkdir(parents=True, exist_ok=True)
-    return path
+    return path, made
 
 
 def _sha256_file(path: Path) -> str:
@@ -528,7 +530,13 @@ def main(argv: list[str] | None = None) -> int:
                               f"in train.seeds, got {list(cfg.train.seeds)}")
         if args.command == "report":
             args.named_rows = _read_runs(args)
-        return args.fn(args, cfg, _run_dir(args, cfg))
+        out, made = _run_dir(args, cfg)
+        try:
+            return args.fn(args, cfg, out)
+        except MsisError:
+            if made and not any(out.iterdir()):  # failed before writing, as on bad data
+                out.rmdir()
+            raise
     except MsisError as exc:
         kind = "configuration error" if isinstance(exc, ConfigError) else "error"
         print(f"{kind}: {exc}", file=sys.stderr)

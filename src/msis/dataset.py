@@ -173,9 +173,21 @@ def save_csv(table: Batch, path: str | Path) -> None:
                                *[_LABEL_FIELD[c] for c in labels]]) + "\r\n")
 
 
+def csv_rows(path: str | Path, fh):
+    """csv.reader over a data file opened as text, raising ParseError, named
+    after the file, where its bytes do not decode or csv rejects them."""
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not "
+                         f"{exc.encoding} text") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def load_csv(path: str | Path) -> Batch:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(path, fh)
         try:
             header = next(reader)
         except StopIteration:

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .dataset import DEFAULT_STAGES, TARGETS, Batch, by_target, python_rows
+from .dataset import DEFAULT_STAGES, TARGETS, Batch, by_target, csv_rows, python_rows
 from .errors import ConfigError, ContractError, ParseError
 
 HORIZON_DAYS = 365
@@ -248,7 +248,7 @@ def save_counterfactuals(population: Population, path: str | Path) -> None:
 def load_counterfactuals(path: str | Path) -> Counterfactuals:
     ids, flags, seen = array("q"), bytearray(), set()
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(path, fh)
         header = next(reader, None)
         if header != COUNTERFACTUAL_HEADER:
             raise ParseError(f"{path}, line 1: counterfactual header does not match schema")

@@ -6,11 +6,12 @@ matrix of probabilities that the forward pass stacks: each labeled row
 weights log p and log(1-p) by its label, each unlabeled row weights the
 binary entropy, and every normalizer (labeled count, gamma, unlabeled
 reduction, targets per stage, stage weight) is folded into the weights.
-`loss_weights` builds them once per batch, so the graph's shapes depend
-on the batch size alone, never on its label pattern. Labels enter
-through np.where(mask, labels, 0): the NaN poison behind a zero mask
-never reaches a product, so it cannot leak into a gradient, while a NaN
-under a set mask raises ContractError. On the tape, for every config,
+`loss_weights` builds them for a whole epoch's batches in one pass, each
+batch normalized by its own counts, so the graph's shapes depend on the
+batch size alone, never on its label pattern. Labels are zeroed
+wherever their mask is not set: the NaN poison behind a zero mask never
+reaches a product, so it cannot leak into a gradient, while a NaN under
+a set mask raises ContractError. On the tape, for every config,
 the sum is one `numerics.bernoulli_loglik` node and its `sum_all`; the
 gradient check's value-only loss (`make_fast_loss_value_fn`) sums that
 op's value function over the fused forward's probabilities.
@@ -23,6 +24,7 @@ about the rows they never got labels for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -88,16 +90,22 @@ class TargetLoss:
 
 @dataclass
 class LossBreakdown:
-    """A batch's loss: the per-target numbers of the training log and the
-    tape's (1, 1) root. A replay of the tape on another batch of the same
-    rows copies that batch's folded weights into `weights`, the arrays its
-    bernoulli_loglik node reads, and takes the per-target numbers from the
-    replayed stacked probabilities `probs`."""
+    """A batch's loss: the tape's (1, 1) root, the arrays its
+    bernoulli_loglik node reads (`weights`), the stacked probabilities
+    `probs`, and the weights of the batch the tape last ran (`batch`). A
+    replay of the tape on another batch of the same rows copies that
+    batch's folded weights into `weights` and makes it `batch`;
+    `per_target` reads the training log's numbers off the replayed
+    probabilities."""
 
-    per_target: dict[str, TargetLoss]
     total: Node
     weights: tuple[np.ndarray, np.ndarray, np.ndarray]
     probs: Node
+    batch: LossWeights
+
+    @property
+    def per_target(self) -> dict[str, TargetLoss]:
+        return per_target_losses(self.batch, self.probs.value)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +121,8 @@ class LossWeights:
     one minus it, and one on unlabeled rows, each zero elsewhere. A
     target's supervised loss is
     -sum(pos log p + neg log(1-p)) / max(labeled, 1) and its entropy term
-    -sum(unl (p log p + (1-p) log(1-p))) / ent_div."""
+    -sum(unl (p log p + (1-p) log(1-p))) / ent_div. sup and ent are the
+    (n_targets, 1) factors that fold every normalizer into them."""
 
     targets: tuple[str, ...]
     pos: np.ndarray
@@ -122,40 +131,52 @@ class LossWeights:
     labeled: np.ndarray      # (n_targets,) row counts
     unlabeled: np.ndarray
     ent_div: np.ndarray      # (n_targets,) unlabeled count for "mean", 1 for "sum"
-    gamma: np.ndarray
-    stage_coef: np.ndarray   # stage weight / targets in the stage
+    sup: np.ndarray
+    ent: np.ndarray
 
-    def folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def folded(self, out=(None, None, None)) -> tuple[np.ndarray, ...]:
         """Weights of log p, log(1-p) and p log p + (1-p) log(1-p) whose
-        weighted sum is the stage-weighted total. The scalar factors are
-        combined in the order the chain rule combines them through a sum of
-        per-target means, which keeps training gradients bit-identical to
-        that formulation."""
-        sup = (-self.stage_coef / np.maximum(self.labeled, 1))[:, None]
-        ent = (-(self.stage_coef * self.gamma) / self.ent_div)[:, None]
-        return self.pos * sup, self.neg * sup, self.unl * ent
+        weighted sum is the stage-weighted total, written into `out` when
+        given. The scalar factors are combined in the order the chain rule
+        combines them through a sum of per-target means, which keeps
+        training gradients bit-identical to that formulation."""
+        return tuple(np.multiply(w, f, out=o) for w, f, o in
+                     zip((self.pos, self.neg, self.unl), (self.sup, self.sup, self.ent), out))
 
 
-def loss_weights(batch: Batch, config: LossConfig,
-                 stages: tuple[tuple[str, tuple[str, ...]], ...]) -> LossWeights:
-    """The loss weights of one batch, under a validated config; raises
-    ContractError on a non-finite label under a set mask."""
+def loss_weights(batches: Sequence[Batch], config: LossConfig,
+                 stages: tuple[tuple[str, tuple[str, ...]], ...]) -> list[LossWeights]:
+    """The loss weights of each of a run of non-empty batches, such as an
+    epoch's, under a validated config. They are built in one pass over all
+    the rows, each batch's counts normalizing its own rows, and each
+    batch's arrays are views of that pass's. Raises ContractError on a
+    non-finite label under a set mask."""
     targets = tuple(t for _, stage_targets in stages for t in stage_targets)
     rows = [TARGET_INDEX[t] for t in targets]
-    masks = batch.mask_matrix[rows]
+    bounds = np.cumsum([0] + [len(batch) for batch in batches])
+    masks = np.concatenate([batch.mask_matrix[rows] for batch in batches], axis=1)
     obs, unobs = masks == 1.0, masks == 0.0
-    y = np.where(obs, batch.label_matrix[rows], 0.0)
+    y = np.concatenate([batch.label_matrix[rows] for batch in batches], axis=1)
+    np.copyto(y, 0.0, where=~obs)
     if not np.isfinite(y).all():
         bad = [t for t, ok in zip(targets, np.isfinite(y).all(axis=1)) if not ok]
         raise ContractError(f"poisoned label consumed for targets {bad}")
-    labeled, unlabeled = obs.sum(axis=1), unobs.sum(axis=1)
+    # (n_targets, n_batches) counts and factors
+    labeled = np.add.reduceat(obs, bounds[:-1], axis=1, dtype=np.int64)
+    unlabeled = np.add.reduceat(unobs, bounds[:-1], axis=1, dtype=np.int64)
     ent_div = (np.maximum(unlabeled, 1.0) if config.unlabeled_reduction == "mean"
-               else np.ones(len(targets)))
-    stage_coef = np.array([(1.0 / len(stage_targets)) * config.stage_weight(sname)
+               else np.ones(labeled.shape))
+    stage_coef = np.array([[(1.0 / len(stage_targets)) * config.stage_weight(sname)]
                            for sname, stage_targets in stages for _ in stage_targets])
-    gamma = np.array([config.gamma(t) for t in targets])
-    return LossWeights(targets, y, np.where(obs, 1.0 - y, 0.0), unobs.astype(np.float64),
-                       labeled, unlabeled, ent_div, gamma, stage_coef)
+    gamma = np.array([[config.gamma(t)] for t in targets])
+    sup = -stage_coef / np.maximum(labeled, 1)
+    ent = -(stage_coef * gamma) / ent_div
+    neg = np.subtract(1.0, y, out=masks)  # the masks are spent: their buffer is reused
+    np.copyto(neg, 0.0, where=~obs)
+    unl = unobs.astype(np.float64)
+    return [LossWeights(targets, y[:, a:b], neg[:, a:b], unl[:, a:b], labeled[:, i],
+                        unlabeled[:, i], ent_div[:, i], sup[:, i:i + 1], ent[:, i:i + 1])
+            for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +190,27 @@ def total_loss(result, batch: Batch, config: LossConfig,
     result's stacked (n_targets, batch) probabilities. The config is
     validated here, where a loss is built, and not on a replay."""
     config.validate()
-    w = loss_weights(batch, config, stages)
+    w, = loss_weights([batch], config, stages)
     weights = w.folded()
     p = result.stacked
     total = nm.sum_all(nm.bernoulli_loglik(p, *weights))
-    return LossBreakdown(per_target_losses(w, p.value), total, weights, p)
+    return LossBreakdown(total, weights, p, w)
 
 
-def per_target_losses(w: LossWeights, p: np.ndarray) -> dict[str, TargetLoss]:
-    """The training log's per-target numbers, from the stacked
-    probabilities, outside the tape."""
+def target_terms(w: LossWeights, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per target, the supervised loss and the entropy term of one batch,
+    as (n_targets,) arrays, from the stacked probabilities, outside the
+    tape."""
     q = 1.0 - p
     log_p, log_q = np.log(p), np.log(q)
     supervised = -(w.pos * log_p + w.neg * log_q).sum(axis=1) / np.maximum(w.labeled, 1)
     entropy = -(w.unl * (p * log_p + q * log_q)).sum(axis=1) / w.ent_div
+    return supervised, entropy
+
+
+def per_target_losses(w: LossWeights, p: np.ndarray) -> dict[str, TargetLoss]:
+    """`target_terms` and the row counts, by target."""
+    supervised, entropy = target_terms(w, p)
     return {t: TargetLoss(float(supervised[i]), float(entropy[i]),
                           int(w.labeled[i]), int(w.unlabeled[i]))
             for i, t in enumerate(w.targets)}
@@ -209,7 +237,7 @@ def make_fast_loss_value_fn(params, model_cfg: MsisConfig, loss_cfg: LossConfig,
     affordable."""
     run = make_fused_forward(params, model_cfg, batch.features)
     loss_cfg.validate()
-    weights = loss_weights(batch, loss_cfg, model_cfg.stages).folded()
+    weights = loss_weights([batch], loss_cfg, model_cfg.stages)[0].folded()
 
     def value() -> float:
         return float(nm.bernoulli_loglik_value(run(), *weights).sum())

@@ -149,13 +149,45 @@ FUSE_IN_PARTS = ("proj_in", "score_in.g1", "score_in.g2")
 FUSE_SELF_PARTS = ("proj_self", "score_self.g1", "score_self.g2")
 
 
-def init_params(config: MsisConfig, seed: int) -> ParamStore:
-    """Create every trainable tensor, in a fixed order, from one seed.
+def dense_layers(config: MsisConfig) -> list[tuple[str, int, int]]:
+    """Every dense layer of a valid config as (name, fan_in, fan_out), in
+    the order init_params creates them.
 
     Corridor projections are only created where they carry gradient:
     source-side attention exists for every stage but the last (and its
     g1/g2 pair only when that stage has multiple targets), fusion
-    parameters for every stage but the first.
+    parameters for every stage but the first."""
+    targets = config.all_targets()
+    d = config.corridor_dim
+    widths = (config.input_dim,) + config.shared_widths
+    layers = [(f"shared.{i}", widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
+    dims = (config.rep_dim,) + config.tower_widths
+    layers += [(f"tower.{t}.{i}", dims[i], dims[i + 1])
+               for t in targets for i in range(len(config.tower_widths))]
+    layers += [(f"head.{t}", config.tower_out_dim, 1) for t in targets]
+    if config.uses_corridor:
+        for si in range(len(config.stages) - 1):
+            sname, stargets = config.stages[si]
+            names = ["g1", "g2", "g3"] if len(stargets) > 1 else ["g3"]
+            layers += [(f"intra.{sname}.{g}", d, d) for g in names]
+            layers.append((f"corridor.{sname}-{config.stages[si + 1][0]}.f", d, d))
+        layers += [(f"fuse.{t}.{part}", d, d) for _, stargets in config.stages[1:]
+                   for t in stargets
+                   for part in ("proj_in", "proj_self", "score_in.g1", "score_in.g2",
+                                "score_self.g1", "score_self.g2")]
+    return layers
+
+
+def param_shapes(config: MsisConfig) -> dict[str, tuple[int, int]]:
+    """The name and shape of every tensor init_params creates: each dense
+    layer's weight `.w`, (fan_in, fan_out), and bias `.b`, (1, fan_out)."""
+    return {f"{name}.{part}": shape for name, fan_in, fan_out in dense_layers(config)
+            for part, shape in (("w", (fan_in, fan_out)), ("b", (1, fan_out)))}
+
+
+def init_params(config: MsisConfig, seed: int) -> ParamStore:
+    """Create every trainable tensor, the layers of `dense_layers` in their
+    order, from one seed.
 
     The store is then packed into one flat vector, each layer's weight rows
     followed by its bias row, so every dense layer is one
@@ -168,31 +200,8 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
     config.validate()
     ps = ParamStore(seed)
     targets = config.all_targets()
-    d = config.corridor_dim
-
-    prev = config.input_dim
-    for i, width in enumerate(config.shared_widths):
-        ps.add_dense(f"shared.{i}", prev, width)
-        prev = width
-    dims = (config.rep_dim,) + config.tower_widths
-    for t in targets:
-        for i, width in enumerate(config.tower_widths):
-            ps.add_dense(f"tower.{t}.{i}", dims[i], width)
-    for t in targets:
-        ps.add_dense(f"head.{t}", config.tower_out_dim, 1)
-    if config.uses_corridor:
-        for si in range(len(config.stages) - 1):
-            sname, stargets = config.stages[si]
-            if len(stargets) > 1:
-                ps.add_dense(f"intra.{sname}.g1", d, d)
-                ps.add_dense(f"intra.{sname}.g2", d, d)
-            ps.add_dense(f"intra.{sname}.g3", d, d)
-            ps.add_dense(f"corridor.{sname}-{config.stages[si + 1][0]}.f", d, d)
-        for _, stargets in config.stages[1:]:
-            for t in stargets:
-                for part in ("proj_in", "proj_self", "score_in.g1", "score_in.g2",
-                             "score_self.g1", "score_self.g2"):
-                    ps.add_dense(f"fuse.{t}.{part}", d, d)
+    for name, fan_in, fan_out in dense_layers(config):
+        ps.add_dense(name, fan_in, fan_out)
 
     stacks = {f"tower.{i}": [f"tower.{t}.{i}" for t in targets]
               for i in range(len(config.tower_widths))}
@@ -566,9 +575,15 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, MsisConfig]:
     for name, value in values.items():
         if not np.isfinite(value).all():
             raise ContractError(f"{path}: parameter {name!r} holds non-finite values")
+    # checked before init_params, which allocates what the config asks for
+    shapes = param_shapes(config)
+    wrong = [f"{name} {values[name].shape if name in values else 'missing'} "
+             f"(config: {shapes.get(name, 'none')})"
+             for name in sorted(values.keys() | shapes.keys(), key=str)
+             if name not in values or values[name].shape != shapes.get(name)]
+    if wrong:
+        raise ContractError(f"{path}: parameters do not match the config: "
+                            f"{', '.join(wrong[:3])}{', ...' if len(wrong) > 3 else ''}")
     params = init_params(config, seed=seed)
-    try:
-        params.load_values(values)
-    except (ContractError, DimensionError) as exc:
-        raise ContractError(f"{path}: {exc}") from None
+    params.load_values(values)
     return params, config

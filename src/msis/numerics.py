@@ -5,6 +5,11 @@ on a leading axis, (n_targets, batch, d) activations against
 (n_targets, d_in + 1, d_out) weight/bias blocks, so one op runs every
 target: `dense_forward`, `add` and `mul` broadcast like NumPy, and their backward
 passes sum each adjoint back to its operand's shape (`unbroadcast`).
+As in the fused evaluator, a dense layer multiplies its own copy of the
+input, which carries a ones column, by the whole block: one matmul
+forward, bias included, and one for the block's adjoint, bias row
+included. Sums along the last axis (`row_dot`, and `mul`'s adjoint for a
+(..., 1) operand) are matmuls by ones too.
 `index`, `row_dot`, `softmax`, `sum_axis` and `concat` work along an axis.
 `bernoulli_loglik`, weighted log-likelihoods of probabilities, is the loss's one op.
 Calling the ops builds the tape (a dynamic graph). `record` fixes its
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -130,64 +136,78 @@ def dense_forward(x: Node, wb: Node) -> Node:
     """out = x @ w + b over the last two axes, wb being a dense layer's
     (..., d_in + 1, d_out) block: the rows of w, then b's one row. Leading
     axes broadcast, so a (batch, d_in) input against a stacked
-    (n, d_in + 1, d_out) block runs n layers in one op. The weight and the
-    bias are views of the block, and so are their adjoints."""
-    if len(wb.shape) < 2 or x.shape[-1] + 1 != wb.shape[-2]:
+    (n, d_in + 1, d_out) block runs n layers in one op.
+
+    As in the fused evaluator, the bias rides inside the matmul: the node
+    keeps its own copy of x with a trailing ones column, set once here, and
+    each run copies x into it and multiplies it by the whole block. The
+    backward is one matmul for the block too, x1^T @ g, whose last row (the
+    sums of g over the rows) is the bias's adjoint; a stacked input read by
+    one layer folds its lead axes into the rows of that one 2-D product.
+    x's adjoint is g @ w^T."""
+    d_in = x.shape[-1]
+    if len(wb.shape) < 2 or d_in + 1 != wb.shape[-2]:
         raise DimensionError(f"dense: input {x.shape} and weight/bias block {wb.shape} "
                              f"do not conform")
-    xv, wv, bv = x.value, wb.value[..., :-1, :], wb.value[..., -1:, :]
+    xv, wbv = x.value, wb.value
+    x1 = np.ones(x.shape[:-1] + (d_in + 1,))
+    body = x1[..., :-1]
 
     def compute(out=None):
-        out = np.matmul(xv, wv, out=out)
-        return np.add(out, bv, out=out)
+        np.copyto(body, xv)
+        return np.matmul(x1, wbv, out=out)
 
     try:
         value = compute()
     except ValueError as exc:
         raise DimensionError(f"dense: lead axes of input {x.shape} and weight/bias block "
                              f"{wb.shape} do not broadcast") from exc
-    w_t, x_t = np.swapaxes(wv, -1, -2), np.swapaxes(xv, -1, -2)
-    # an operand the product does not broadcast gets g @ w^T (or x^T @ g)
-    # written straight into its adjoint on the first contribution; a stacked
-    # block's weight matrices are strided apart, but each one's rows are
-    # contiguous, which is all matmul needs to write it in place
-    x_direct = value.shape[:-1] + (wv.shape[-2],) == x.shape and xv.flags.c_contiguous
-    w_direct = (value.shape[:-2] + wv.shape[-2:] == wv.shape
-                and wv.strides[-1] == wv.itemsize
-                and wv.strides[-2] == wv.shape[-1] * wv.itemsize)
+    w_t = np.swapaxes(wbv[..., :-1, :], -1, -2)
+    # an input the product does not broadcast gets g @ w^T written straight
+    # into its adjoint on the first contribution
+    x_direct = value.shape[:-1] + (d_in,) == x.shape and xv.flags.c_contiguous
+    x1_t = np.swapaxes(x1, -1, -2)
+    if wb.shape[:-2] == value.shape[:-2]:  # one product per block matrix
+        block_grad = partial(np.matmul, x1_t)
+    elif len(wb.shape) == 2:  # one layer over a stack: all its rows in one product
+        rows_t = x1.reshape(-1, d_in + 1).T
+
+        def block_grad(g, out=None):
+            return np.matmul(rows_t, g.reshape(-1, g.shape[-1]), out=out)
+    else:
+
+        def block_grad(g, out=None):
+            grad = unbroadcast(np.matmul(x1_t, g), wb.shape)
+            return grad if out is None else np.copyto(out, grad)
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
         if x_direct and first[0]:
             np.matmul(g, w_t, out=x.adjoint)
         else:
             _give(x, unbroadcast(g @ w_t, x.shape), first[0])
-        w_adj, b_adj = wb.adjoint[..., :-1, :], wb.adjoint[..., -1:, :]
-        if not first[1]:
-            w_adj += unbroadcast(x_t @ g, wv.shape)
-            b_adj += unbroadcast(g, bv.shape)
-            return
-        if w_direct:
-            np.matmul(x_t, g, out=w_adj)
+        if first[1]:
+            block_grad(g, out=wb.adjoint)
         else:
-            np.copyto(w_adj, unbroadcast(x_t @ g, wv.shape))
-        np.copyto(b_adj, unbroadcast(g, bv.shape))
+            wb.adjoint += block_grad(g)
 
     return Node(value, (x, wb), backward, compute)
 
 
 def _give_rectified(x: Node, g: np.ndarray, slope: float, first: bool) -> None:
     """_give(x, g * factor, first), factor being a rectifier's slope at x:
-    1 above zero, `slope` below, and the symmetric subgradient halfway
-    between at exactly zero, where the central difference sees the
-    average of the one-sided slopes. A first contribution builds the
-    factor in the adjoint itself."""
+    1 above zero, `slope` (in [0, 1)) below, and the symmetric subgradient
+    halfway between, (1 - slope) / 2 + slope, at exactly zero, where the
+    central difference sees the average of the one-sided slopes. A first
+    contribution builds the factor in the adjoint itself."""
     factor = x.adjoint if first else np.empty_like(g)
     np.sign(x.value, out=factor)
-    factor += 1.0
-    factor *= 0.5
-    if slope:
-        factor *= 1.0 - slope
-        factor += slope
+    if slope:  # -1, 0, 1 -> halfway - 1 (below 0), halfway, halfway + 1, then clamped
+        factor += 0.5 * (1.0 - slope) + slope
+        np.maximum(factor, slope, out=factor)
+        np.minimum(factor, 1.0, out=factor)
+    else:
+        factor += 1.0
+        factor *= 0.5
     if first:
         factor *= g
     else:
@@ -207,8 +227,11 @@ def relu(x: Node) -> Node:
 
 
 def leaky_relu(x: Node, slope: float = LEAKY_SLOPE) -> Node:
-    """max(x, slope*x): rectification that never flattens to an exact zero,
-    so downstream layers cannot sit on a kink for whole rows."""
+    """max(x, slope*x), 0 <= slope < 1: rectification that never flattens
+    to an exact zero, so downstream layers cannot sit on a kink for whole
+    rows."""
+    if not 0.0 <= slope < 1.0:
+        raise DomainError(f"leaky_relu: slope must lie in [0, 1), got {slope}")
     xv = x.value
 
     def compute(out=None):
@@ -265,13 +288,26 @@ def add(a: Node, b: Node) -> Node:
 
 def mul(a: Node, b: Node) -> Node:
     """Elementwise product of operands that broadcast against each other,
-    such as (n, batch, 1) weights against (n, batch, d) vectors."""
+    such as (n, batch, 1) weights against (n, batch, d) vectors. Such a
+    weight's adjoint, the row sums of g times the vectors, is a matmul by
+    ones."""
     value, compute = _broadcast(np.multiply, a, b)
     av, bv = a.value, b.value
+    ones = np.ones((value.shape[-1], 1)) if value.ndim else None
+
+    def give(node: Node, other: np.ndarray, g: np.ndarray, first: bool) -> None:
+        if node.shape == value.shape:
+            _give_product(node, g, other, first)
+        elif node.shape == value.shape[:-1] + (1,):
+            sums = np.matmul(g * other, ones, out=node.adjoint if first else None)
+            if not first:
+                node.adjoint += sums
+        else:
+            _give(node, unbroadcast(g * other, node.shape), first)
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
-        _give(a, unbroadcast(g * bv, a.shape), first[0])
-        _give(b, unbroadcast(g * av, b.shape), first[1])
+        give(a, bv, g, first[0])
+        give(b, av, g, first[1])
 
     return Node(value, (a, b), backward, compute)
 
@@ -364,15 +400,17 @@ def index(x: Node, key) -> Node:
 
 
 def row_dot(a: Node, b: Node, scale: float) -> Node:
-    """scale * <a, b> along the last axis, which is kept with size 1."""
+    """scale * <a, b> along the last axis, which is kept with size 1; the
+    sum is a matmul by ones, as in the fused evaluator."""
     if a.shape != b.shape:
         raise DimensionError(f"row_dot: shapes {a.shape} and {b.shape} differ")
     av, bv = a.value, b.value
     prod = av * bv
+    ones = np.ones((a.shape[-1], 1))
 
     def compute(out=None):
         np.multiply(av, bv, out=prod)
-        out = np.sum(prod, axis=-1, keepdims=True, out=out)
+        out = np.matmul(prod, ones, out=out)
         return np.multiply(out, scale, out=out)
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:

@@ -25,7 +25,7 @@ from . import numerics as nm
 from .dataset import Batch, Splits, batches
 from .errors import ConfigError, TrainingDiverged
 from .evaluation import try_auc
-from .loss import LossBreakdown, LossConfig, loss_weights, per_target_losses, total_loss
+from .loss import LossBreakdown, LossConfig, LossWeights, loss_weights, target_terms, total_loss
 from .model import MsisConfig, check_features, forward, init_params, predict_probs
 from .numerics import ParamStore
 
@@ -105,26 +105,25 @@ class TrainHistory:
 class _Step:
     """One training step's tape, built on the first batch of its row count
     and replayed on every later one: the batch's features and folded loss
-    weights are copied into the constants the tape owns, and its ops re-run
-    in place over the same buffers."""
+    weights (its slice of the epoch's, `loss.loss_weights`) are copied into
+    the constants the tape owns, and its ops re-run in place over the same
+    buffers."""
 
     def __init__(self, params: ParamStore, model_cfg: MsisConfig, loss_cfg: LossConfig,
                  batch: Batch):
-        self.model_cfg, self.loss_cfg = model_cfg, loss_cfg
+        self.model_cfg = model_cfg
         result = forward(params, model_cfg, batch.features)
         self.features = result.features.value
         self.loss: LossBreakdown = total_loss(result, batch, loss_cfg, model_cfg.stages)
         self.order = nm.record(self.loss.total)
 
-    def replay(self, batch: Batch) -> None:
-        # the checks a fresh build makes, before the tape is touched
+    def replay(self, batch: Batch, weights: LossWeights) -> None:
+        # the check a fresh build makes, before the tape is touched
         check_features(self.model_cfg, batch.features)
-        w = loss_weights(batch, self.loss_cfg, self.model_cfg.stages)
         np.copyto(self.features, batch.features)
-        for tape_weights, batch_weights in zip(self.loss.weights, w.folded()):
-            np.copyto(tape_weights, batch_weights)
+        weights.folded(out=self.loss.weights)
+        self.loss.batch = weights
         nm.replay(self.order)
-        self.loss.per_target = per_target_losses(w, self.loss.probs.value)
 
 
 def _mean_entropy(probs: np.ndarray) -> float:
@@ -164,18 +163,18 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
     best_values = params.values.copy()
     for epoch in range(1, train_cfg.epochs + 1):
         loss_sum = 0.0
-        sup_sums = {t: 0.0 for t in targets}
-        ent_sums = {t: 0.0 for t in targets}
+        sup_sums, ent_sums = np.zeros(len(targets)), np.zeros(len(targets))
         epoch_batches = batches(splits.train, train_cfg.batch_size, seed, epoch)
+        epoch_weights = loss_weights(epoch_batches, loss_cfg, model_cfg.stages)
         # a diverging step overflows inside NumPy: TrainingDiverged reports the
         # non-finite loss in place of NumPy's warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for bi, batch in enumerate(epoch_batches):
+            for bi, (batch, weights) in enumerate(zip(epoch_batches, epoch_weights)):
                 step = steps.get(len(batch))
                 if step is None:
                     step = steps[len(batch)] = _Step(params, model_cfg, loss_cfg, batch)
                 else:
-                    step.replay(batch)
+                    step.replay(batch, weights)
                 breakdown = step.loss
                 value = float(breakdown.total.value[0, 0])
                 if not math.isfinite(value):
@@ -184,9 +183,9 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
                 nm.backward_sweep(breakdown.total, step.order)
                 optimizer.step()
                 loss_sum += value
-                for t in targets:
-                    sup_sums[t] += breakdown.per_target[t].supervised
-                    ent_sums[t] += breakdown.per_target[t].entropy
+                supervised, entropy = target_terms(weights, breakdown.probs.value)
+                sup_sums += supervised
+                ent_sums += entropy
 
         n_batches = len(epoch_batches)
         try:  # no loss check follows the epoch's last step
@@ -201,8 +200,8 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
         history.epochs.append(EpochRecord(
             epoch=epoch,
             train_loss=loss_sum / n_batches,
-            supervised={t: sup_sums[t] / n_batches for t in targets},
-            entropy={t: ent_sums[t] / n_batches for t in targets},
+            supervised={t: float(sup_sums[i] / n_batches) for i, t in enumerate(targets)},
+            entropy={t: float(ent_sums[i] / n_batches) for i, t in enumerate(targets)},
             val_auc=val_auc,
             unlabeled_entropy=unlabeled_entropy))
 

@@ -258,6 +258,23 @@ class TestCommands:
         assert len(err.splitlines()) == 1 and fragment in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("damaged", ["dataset.csv", "counterfactuals.csv"])
+    def test_undecodable_data_file_exits_one_without_a_run_dir(self, tiny_config, data_dir,
+                                                                tmp_path, capsys, damaged):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        raw = bytearray((data / damaged).read_bytes())
+        raw[50] = 0xFF
+        (data / damaged).write_bytes(raw)
+        out = tmp_path / "run"
+        command = "train" if damaged == "dataset.csv" else "ablate"
+        assert cli.main([command, "--config", tiny_config, "--data", str(data),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        assert err.startswith(f"error: {data / damaged}: byte 0xff"), err
+        assert not out.exists()
+
     def test_divergence_exits_one_with_one_line(self, tiny_config, data_dir, tmp_path,
                                                 capsys):
         # batches of 128 diverge at a later step's loss; one batch per epoch

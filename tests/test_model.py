@@ -2,12 +2,13 @@ import dataclasses
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msis import baselines as bl
@@ -768,32 +769,23 @@ def _mutated(raw: bytes, mutation) -> bytes:
     return json.dumps(tree).encode()
 
 
-def _small_config(raw: bytes) -> bool:
-    """Whether every number in a checkpoint's config is small enough that
-    init_params allocates at most a few MB."""
-    try:
-        todo = [json.loads(raw)["config"]]
-    except (ValueError, TypeError, KeyError):
-        return True
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (dict, list)):
-            todo.extend(node.values() if isinstance(node, dict) else node)
-        elif isinstance(node, (int, float)) and not abs(node) <= 64:
-            return False
-    return True
-
-
 @pytest.fixture(scope="module")
 def run_files(tmp_path_factory):
-    """A tiny model's checkpoint and a standardizer's file, as written, and
-    a path to write mutated copies to."""
+    """A tiny model's checkpoint, a standardizer's file and the two data
+    files of a 60-application simulation, as written, and a path to write
+    mutated copies to."""
     root = tmp_path_factory.mktemp("run_files")
     M.save_checkpoint(M.init_params(TINY_CFG, seed=1), TINY_CFG, root / "ckpt.json")
     ds.Standardizer(np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.25, 3.0])).to_json(
         root / "std.json")
+    population = fs.generate(fs.SimConfig(n=60, seed=0))
+    ds.save_csv(fs.observe(population), root / "dataset.csv")
+    fs.save_counterfactuals(population, root / "counterfactuals.csv")
     return {"checkpoint": (root / "ckpt.json").read_bytes(),
-            "standardizer": (root / "std.json").read_bytes(), "path": root / "mutated.json"}
+            "standardizer": (root / "std.json").read_bytes(),
+            "dataset": (root / "dataset.csv").read_bytes(),
+            "counterfactuals": (root / "counterfactuals.csv").read_bytes(),
+            "path": root / "mutated.json"}
 
 
 def _loads_or_names_the_file(load, path, raw: bytes) -> None:
@@ -811,9 +803,10 @@ def _loads_or_names_the_file(load, path, raw: bytes) -> None:
 @example(mutation=("delete", ("params", 1, 1, 0), None))
 @example(mutation=("set", ("config", "shared_widths", 0), 0))
 @example(mutation=("set", ("params", 0, 0), "no.such.tensor"))
+# a config far larger than the file's parameters: rejected before it allocates
+@example(mutation=("set", ("config", "input_dim"), 10**9))
 def test_mutated_checkpoint_loads_or_names_the_file(run_files, mutation):
     raw = _mutated(run_files["checkpoint"], mutation)
-    assume(_small_config(raw))
     _loads_or_names_the_file(M.load_checkpoint, run_files["path"], raw)
 
 
@@ -822,3 +815,71 @@ def test_mutated_checkpoint_loads_or_names_the_file(run_files, mutation):
 def test_mutated_standardizer_loads_or_names_the_file(run_files, mutation):
     raw = _mutated(run_files["standardizer"], mutation)
     _loads_or_names_the_file(ds.Standardizer.from_json, run_files["path"], raw)
+
+
+def test_oversized_config_rejected_before_init_params(run_files):
+    # a few kB of file whose config asks for a 2000-wide model: the store
+    # it implies would take tens of MB
+    payload = json.loads(run_files["checkpoint"])
+    payload["config"].update(input_dim=2000, shared_widths=[2000])
+    path = run_files["path"]
+    path.write_text(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractError) as err:
+            M.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(path) in str(err.value) and "shared.0.w" in str(err.value)
+    assert peak < 1 << 20
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(cfg=msis_configs())
+def test_param_shapes_are_the_stores(cfg):
+    params = M.init_params(cfg, seed=0)
+    assert list(M.param_shapes(cfg).items()) == [(name, node.shape)
+                                                 for name, node in params.items()]
+
+
+CSV_FIELDS = st.sampled_from(["", "0", "1", "2", "-1", "0.5", "nan", "inf", "1e309", "x",
+                              '"', ",", "\r", "\xff", "\u00e9", " 1", "9" * 30, "1" * 5000]) \
+    | st.text(max_size=4)
+
+# one edit of a CSV file: ("bytes", ...) as in MUTATIONS, ("field", index,
+# text) replacing a field, or ("delete", index, "field" or "line"); the
+# fields and lines are counted over the whole file, and indices wrap
+CSV_MUTATIONS = (st.tuples(st.just("bytes"), st.integers(0, 10**6),
+                           st.tuples(st.integers(0, 3), BYTES))
+                 | st.tuples(st.just("field"), st.integers(0, 10**6), CSV_FIELDS)
+                 | st.tuples(st.just("delete"), st.integers(0, 10**6),
+                             st.sampled_from(["field", "line"])))
+
+
+def _mutated_csv(raw: bytes, mutation) -> bytes:
+    kind, where, arg = mutation
+    if kind == "bytes":
+        return _mutated(raw, mutation)
+    lines = [line.split(",") for line in raw.decode().split("\r\n")]
+    if arg == "line":
+        del lines[where % len(lines)]
+    else:
+        cells = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+        i, j = cells[where % len(cells)]
+        if arg == "field":
+            del lines[i][j]
+        else:
+            lines[i][j] = arg
+    return "\r\n".join(",".join(line) for line in lines).encode()
+
+
+@pytest.mark.parametrize("name,load", [("dataset", ds.load_csv),
+                                       ("counterfactuals", fs.load_counterfactuals)])
+@settings(max_examples=250, derandomize=True, database=None, deadline=None)
+@given(mutation=CSV_MUTATIONS)
+# a byte that is not UTF-8 text escaped as a bare UnicodeDecodeError
+@example(mutation=("bytes", 50, (1, b"\xff")))
+def test_mutated_data_file_loads_or_names_the_file(run_files, name, load, mutation):
+    raw = _mutated_csv(run_files[name], mutation)
+    _loads_or_names_the_file(load, run_files["path"], raw)

@@ -396,11 +396,12 @@ def test_forward_determinism():
 def dense_cases(draw):
     """(input lead, block lead, rows, d_in, d_out, uses, seed): a 2-D input,
     or one stacked on n or on 1 (which broadcasts), against a 0-lead block or
-    one stacked on n or on (k, n), as the model's fusion sides are; the loss
-    reads the layer once, or twice so that the block's adjoint adds up."""
+    one stacked on n or on (k, n), as the model's fusion sides are, or on 1
+    (which broadcasts); the loss reads the layer once, or twice so that the
+    block's adjoint adds up."""
     n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     x_lead = draw(st.sampled_from([(), (n,), (1,)]))
-    wb_lead = draw(st.sampled_from([(), (n,), (k, n)]))
+    wb_lead = draw(st.sampled_from([(), (n,), (k, n), (1,)]))
     return (x_lead, wb_lead, draw(st.integers(1, 70)), draw(st.integers(1, 5)),
             draw(st.integers(1, 5)), draw(st.integers(1, 2)), draw(st.integers(0, 2**16)))
 
@@ -443,6 +444,74 @@ def test_dense_forward_on_random_broadcasting_shapes(case):
     out, root = loss()
     order = nm.record(root)
     ps.values[...] = rng.normal(size=ps.values.size)
+    nm.replay(order)
+    nm.backward_sweep(root, order)
+    replayed = out.value.tobytes(), root.value.tobytes(), ps.grads.tobytes()
+    fresh_out, fresh_root = loss()
+    nm.backward_sweep(fresh_root)
+    assert replayed == (fresh_out.value.tobytes(), fresh_root.value.tobytes(),
+                        ps.grads.tobytes())
+
+
+@st.composite
+def elementwise_cases(draw):
+    """(op, lead, rows, d, uses, swap, zeros, seed) for the ops whose
+    backward reduces rows or builds a rectifier's factor: `mul` of a
+    (lead, rows, 1) operand and a (lead, rows, d) one, in either order
+    (swap); `row_dot` of two operands, or of one with itself (swap); `relu`
+    and `leaky_relu`. A share `zeros` of the leaf values is exactly zero,
+    where a rectifier sits on its kink; the loss reads the op once, or
+    twice so that the operands' adjoints add up."""
+    return (draw(st.sampled_from(["mul", "row_dot", "relu", "leaky_relu"])),
+            draw(st.sampled_from([(), (3,), (2, 3)])), draw(st.integers(1, 16)),
+            draw(st.integers(1, 8)), draw(st.integers(1, 2)), draw(st.booleans()),
+            draw(st.sampled_from([0.0, 0.1, 0.5])), draw(st.integers(0, 2**16)))
+
+
+ELEMENTWISE_OPS = {
+    "mul": lambda a, b, swap: nm.mul(b, a) if swap else nm.mul(a, b),
+    "row_dot": lambda a, b, swap: nm.row_dot(a, a if swap else b, 0.7),
+    "relu": lambda a, b, swap: nm.relu(b),
+    "leaky_relu": lambda a, b, swap: nm.leaky_relu(b),
+}
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=elementwise_cases())
+def test_elementwise_ops_on_random_shapes(case):
+    op, lead, rows, d, uses, swap, zeros, seed = case
+    rng = np.random.default_rng(seed)
+    ps = nm.ParamStore(seed)
+    a_shape = lead + (rows, 1 if op == "mul" else d)
+    b_shape = lead + (rows, d)
+    shapes = {"a": a_shape, "b": b_shape}
+    for name, shape in shapes.items():
+        ps.add(name, np.zeros((math.prod(shape[:-1]), shape[-1])))
+    ps.pack()
+    a, b = (_store_view(ps[name], shape) for name, shape in shapes.items())
+
+    def draw_values():
+        values = rng.normal(size=ps.values.size)
+        values[rng.random(values.size) < zeros] = 0.0
+        ps.values[...] = values
+
+    draw_values()
+    out_shape = ELEMENTWISE_OPS[op](a, b, swap).shape
+    weights = [rng.normal(size=out_shape) for _ in range(uses)]
+
+    def loss():
+        outs = [ELEMENTWISE_OPS[op](a, b, swap) for _ in weights]
+        terms = [nm.sum_all(nm.mul(out, nm.constant(w))) for out, w in zip(outs, weights)]
+        return outs[0], terms[0] if uses == 1 else nm.add(*terms)
+
+    report = nm.finite_diff_check(ps, lambda: loss()[1], tol=1e-6)
+    assert report.passed, report
+
+    # a tape recorded on other leaf values, refilled and replayed, gives the
+    # bytes of a fresh tape: values and every adjoint
+    out, root = loss()
+    order = nm.record(root)
+    draw_values()
     nm.replay(order)
     nm.backward_sweep(root, order)
     replayed = out.value.tobytes(), root.value.tobytes(), ps.grads.tobytes()

@@ -268,7 +268,7 @@ class TestReplayedStep:
         self.sweep(params, step)
         for name in replays:
             batch = step_batches[name]
-            step.replay(batch)
+            step.replay(batch, L.loss_weights([batch], lcfg, self.CFG.stages)[0])
             got, got_grads = self.sweep(params, step)
             want, want_grads = self.fresh(params, batch, lcfg)
             npt.assert_array_equal(got.total.value, want.total.value, err_msg=name)
