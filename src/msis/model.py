@@ -9,15 +9,17 @@ way around.
 
 Both passes compute on stacked tensors, (n_targets, batch, d): every
 target's tower and fusion is one batched matmul over a group of the flat
-parameter store, and one head over every target feeds one clamped sigmoid.
-Each dense layer's weight rows and bias row sit next to each other in the
-store, one (d_in + 1, d_out) block. `forward` records that on the tape
+parameter store, a stage's three intra-stage projections are one more,
+and one head over every target feeds one clamped sigmoid. Each dense
+layer's weight rows and bias row sit next to each other in the store, one
+(d_in + 1, d_out) block. `forward` records that on the tape
 (training, attention inspection); `make_fused_forward` compiles the same
 math, with no tape, into one list of in-place steps, each writing a
 buffer carved from one flat scratch vector where the step is built,
 because a value-only evaluation costs a fraction of building tape nodes.
 There every buffer a dense layer reads carries a ones column, so the
-layer, bias included, is one matmul by its block. Tests hold the two to
+layer, bias included, is one matmul by its block, and both candidates of
+a fusion share one buffer, so one step scores them. Tests hold the two to
 1e-12 relative.
 
 `make_fused_forward` is the one source of compiled evaluators, for
@@ -195,8 +197,11 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
     the forward passes run together sit next to each other, stacked into
     one block: tower layer i and the heads over all targets,
     (n_targets, ...); each fusion side of a stage,
-    (3 parts, n_stage_targets, ...). Checkpoints and every other reader
-    see ordinary named 2-D tensors."""
+    (3 parts, n_stage_targets, ...); and the g1, g2 and g3 projections of
+    a stage with more than one target that feeds a corridor, (3, 1, ...),
+    which broadcasts against the stage's (n_stage_targets, batch, d + 1)
+    rows. Checkpoints and every other reader see ordinary named 2-D
+    tensors."""
     config.validate()
     ps = ParamStore(seed)
     targets = config.all_targets()
@@ -207,6 +212,9 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
               for i in range(len(config.tower_widths))}
     stacks["head"] = [f"head.{t}" for t in targets]
     if config.uses_corridor:
+        for sname, stargets in config.stages[:-1]:
+            if len(stargets) > 1:
+                stacks[f"intra.{sname}"] = [[f"intra.{sname}.{g}"] for g in ("g1", "g2", "g3")]
         for sname, stargets in config.stages[1:]:
             for side, parts in (("in", FUSE_IN_PARTS), ("self", FUSE_SELF_PARTS)):
                 stacks[f"fuse_{side}.{sname}"] = [
@@ -291,13 +299,12 @@ def forward(params: ParamStore, config: MsisConfig,
                     {t: nm.Node(beta.value[:, j, :, 0].T) for j, t in enumerate(targets)})
             outs.append(out)
             if si < len(config.stages) - 1:
-                g3 = projection(f"intra.{sname}.g3", out)
                 if len(targets) == 1:  # nothing to attend over: alpha is exactly [1]
-                    e_ou = nm.index(g3, 0)
+                    e_ou = nm.index(projection(f"intra.{sname}.g3", out), 0)
                     alpha = nm.constant(np.ones((features.shape[0], 1)))
-                else:
-                    e_ou, weights = attend(projection(f"intra.{sname}.g1", out),
-                                           projection(f"intra.{sname}.g2", out), g3, d)
+                else:  # (part: key g1, query g2, value g3) x (target)
+                    g = projection(f"intra.{sname}", out)
+                    e_ou, weights = attend(*(nm.index(g, k) for k in range(3)), d)
                     alpha = nm.Node(weights.value[:, :, 0].T)
         top = nm.concat(outs, axis=0)
 
@@ -368,7 +375,10 @@ def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndar
     forward, one head and the clamped sigmoid over every target last.
     Each dense layer is one matmul: every buffer a dense layer reads, the
     input included, carries a trailing ones column that meets the bias
-    row of the layer's (d_in + 1, d_out) block. Each step writes a view
+    row of the layer's (d_in + 1, d_out) block. Each stacked block is one
+    matmul too: a stage's intra-stage projections, and each fusion side,
+    whose output is its half of the stage's candidate buffer. The default
+    model runs 34 steps at every row count. Each step writes a view
     carved, as the step is built, from the store's one scratch vector; the
     input and the returned array are such views too, so a run overwrites
     what any other evaluator of the store returned, ones columns
@@ -420,21 +430,33 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver
     its slice, is the concat that one head and the clamped sigmoid read.
     Every buffer that a dense layer reads is carved with a ones column, so
     `x @ w + b` is one matmul by the layer's block; the first step sets all
-    of those columns, which `relu` and `leaky` leave at 1."""
+    of those columns, which `relu` and `leaky` leave at 1. A fusion carves
+    value, key and query of both its candidates as one
+    (3, 2, n_stage_targets, b, d) buffer, part-major so that each part of
+    a candidate stays one contiguous block: the two fusion sides' matmuls
+    write its halves, and one `leaky` and one closure of eight ufunc calls
+    finish it. Every view a closure reads is bound where it is built. The
+    temporaries of `leaky` and of the closures, none of which outlives its
+    step, share one spare buffer."""
     G = lambda name: params.groups[name].value
     mm, add, mul, sub = np.matmul, np.add, np.multiply, np.subtract
     d, scale = config.corridor_dim, 1.0 / math.sqrt(config.corridor_dim)
     ones_d = np.ones(d)  # row sums over d as matmuls: axis-2 .sum() is several times slower
     steps = []
     x = take(b, config.input_dim, ones=True)
-    # every leaky's temporary; the largest is a fusion side, (3, n_stage_targets, b, d)
-    spare = take(3 * max(len(t) for _, t in config.stages) * b * d if config.uses_corridor else 0)
+    # the largest temporary is a leaky's over a stage's fusion candidates
+    spare = take(6 * max(len(t) for _, t in config.stages) * b * d if config.uses_corridor else 0)
 
-    def dense(src, wb, ones=False):
+    def temporaries(*shapes):
+        carve = _Carver(spare)
+        return [carve(*shape) for shape in shapes]
+
+    def dense(src, wb, ones=False, out=None):
         # with ones, the output carries its own column for the dense that reads it
         d_out = wb.shape[-1]
-        out = take(*np.broadcast_shapes(src.shape[:-2], wb.shape[:-2]), src.shape[-2], d_out,
-                   ones=ones)
+        if out is None:
+            out = take(*np.broadcast_shapes(src.shape[:-2], wb.shape[:-2]), src.shape[-2],
+                       d_out, ones=ones)
         steps.append(partial(mm, src, wb, out[..., :d_out]))
         return out
 
@@ -452,37 +474,38 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver
         return leaky(dense(src, G(name), ones))
 
     def fuse(e_in, own, sname: str):
-        # value, key and query of both candidates, (part, target, b, d) as the groups;
-        # the fused rows overwrite `own` but its ones column, and only the
-        # fuse_self dense reads the tower rows they replace
-        e = leaky(dense(e_in, G(f"fuse_in.{sname}")))
-        h = leaky(dense(own, G(f"fuse_self.{sname}")))
-        fused = own[..., :d]
-        prod, s_in, s_self = take(*fused.shape), take(*own.shape[:2]), take(*own.shape[:2])
+        # value, key and query of both candidates in one buffer, (part,
+        # candidate: incoming then own, target, b, d); the fused rows
+        # overwrite `own` but its ones column, and only the fuse_self dense
+        # reads the tower rows they replace
+        cand = take(3, 2, *own.shape[:2], d)
+        dense(e_in, G(f"fuse_in.{sname}"), out=cand[:, 0])
+        dense(own, G(f"fuse_self.{sname}"), out=cand[:, 1])
+        value, key, query = leaky(cand)
+        prod, score = temporaries(key.shape, key.shape[:-1])
+        s_in, s_self, beta = score[0], score[1], score[..., None]
+        v_in, v_self, fused = value[0], value[1], own[..., :d]
 
         @steps.append
         def _():  # a two-candidate softmax is the logistic of the score difference
-            mul(e[1], e[2], out=prod)
-            mm(prod, ones_d, out=s_in)
-            mul(h[1], h[2], out=prod)
-            mm(prod, ones_d, out=s_self)
+            mul(key, query, out=prod)
+            mm(prod, ones_d, out=score)
             sub(s_in, s_self, out=s_in)
             mul(s_in, scale, out=s_in)
             expit(s_in, out=s_in)
             sub(1.0, s_in, out=s_self)
-            # each candidate weighed in place, so only the sum writes the towers' strided rows
-            mul(s_in[:, :, None], e[0], out=e[0])
-            mul(s_self[:, :, None], h[0], out=h[0])
-            add(e[0], h[0], out=fused)
+            # both candidates weighed in place, so only the sum writes the towers' strided rows
+            mul(beta, value, out=value)
+            add(v_in, v_self, out=fused)
 
     def attend(reps, sname: str):
-        # the stage's corridor vector, with the ones column of the dense that reads it
-        g3 = projection(f"intra.{sname}.g3", reps, ones=len(reps) == 1)
         if len(reps) == 1:  # nothing to attend over: alpha is exactly [1]
-            return g3[0]
-        g1 = projection(f"intra.{sname}.g1", reps)
-        g2 = projection(f"intra.{sname}.g2", reps)
-        score, zrow, e_ou = take(*reps.shape[:2]), take(b), take(b, d, ones=True)
+            # the stage's corridor vector, with the ones column of the dense that reads it
+            return projection(f"intra.{sname}.g3", reps, ones=True)[0]
+        g1, g2, g3 = projection(f"intra.{sname}", reps)  # key, query and value of each target
+        e_ou = take(b, d, ones=True)
+        score, zrow = temporaries(reps.shape[:2], (b,))
+        alpha, e_sum = score[:, :, None], e_ou[:, :d]
 
         @steps.append
         def _():
@@ -494,8 +517,8 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver
             np.exp(score, out=score)
             score.sum(axis=0, out=zrow)
             np.divide(score, zrow, out=score)
-            mul(score[:, :, None], g3, out=g3)
-            g3.sum(axis=0, out=e_ou[:, :d])
+            mul(alpha, g3, out=g3)
+            g3.sum(axis=0, out=e_sum)
         return e_ou
 
     top = x

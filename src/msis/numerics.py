@@ -116,8 +116,9 @@ def _give_product(node: Node, a: np.ndarray, b, first: bool) -> None:
 
 def _op(compute: Callable, parents: tuple[Node, ...], backward: Callable) -> Node:
     """A tape node whose value compute(out=None) allocates and whose
-    replay re-runs compute(out=value)."""
-    return Node(compute(), parents, backward, compute)
+    replay re-runs compute(out=value). A 0-d result is kept as an array,
+    not the NumPy scalar a reduction returns, so a replay can write it."""
+    return Node(np.asarray(compute()), parents, backward, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +143,12 @@ def dense_forward(x: Node, wb: Node) -> Node:
     keeps its own copy of x with a trailing ones column, set once here, and
     each run copies x into it and multiplies it by the whole block. The
     backward is one matmul for the block too, x1^T @ g, whose last row (the
-    sums of g over the rows) is the bias's adjoint; a stacked input read by
-    one layer folds its lead axes into the rows of that one 2-D product.
-    x's adjoint is g @ w^T."""
+    sums of g over the rows) is the bias's adjoint. A stacked input read by
+    one layer, or by a block stacked only on size-1 axes where the input is
+    stacked (the model's (3, 1, d + 1, d) intra-stage projections over a
+    stage's (n, rows, d) rows), folds its lead axes into the rows: one
+    product per layer, x1 laid out as (lead·rows, d_in + 1). x's adjoint
+    is g @ w^T."""
     d_in = x.shape[-1]
     if len(wb.shape) < 2 or d_in + 1 != wb.shape[-2]:
         raise DimensionError(f"dense: input {x.shape} and weight/bias block {wb.shape} "
@@ -167,13 +171,21 @@ def dense_forward(x: Node, wb: Node) -> Node:
     # into its adjoint on the first contribution
     x_direct = value.shape[:-1] + (d_in,) == x.shape and xv.flags.c_contiguous
     x1_t = np.swapaxes(x1, -1, -2)
+    lead = wb.shape[:-2]
+    while lead and lead[-1] == 1:
+        lead = lead[:-1]
     if wb.shape[:-2] == value.shape[:-2]:  # one product per block matrix
         block_grad = partial(np.matmul, x1_t)
-    elif len(wb.shape) == 2:  # one layer over a stack: all its rows in one product
+    elif value.shape[:-2] == lead + x.shape[:-2]:
+        # each layer over a stack, the block stacked only on size-1 axes
+        # where the input is: all of a layer's rows in one product
         rows_t = x1.reshape(-1, d_in + 1).T
+        d_out = value.shape[-1]
 
         def block_grad(g, out=None):
-            return np.matmul(rows_t, g.reshape(-1, g.shape[-1]), out=out)
+            out = None if out is None else out.reshape(lead + (d_in + 1, d_out))
+            grad = np.matmul(rows_t, g.reshape(lead + (-1, d_out)), out=out)
+            return grad.reshape(wb.shape)
     else:
 
         def block_grad(g, out=None):
@@ -269,7 +281,7 @@ def _broadcast(ufunc, a: Node, b: Node) -> tuple[np.ndarray, Callable]:
         return ufunc(av, bv, out=out)
 
     try:
-        return compute(), compute
+        return np.asarray(compute()), compute  # a 0-d result too, as in _op
     except ValueError as exc:
         raise DimensionError(
             f"{ufunc.__name__}: shapes {a.shape} and {b.shape} do not broadcast") from exc

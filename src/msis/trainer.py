@@ -44,6 +44,12 @@ class TrainConfig:
     def validate(self) -> None:
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        # a beta of 1 zeroes Adam's bias correction, one above 1 grows the moments
+        for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
+            if not 0 <= beta < 1:
+                raise ConfigError(f"{name} must lie in [0, 1), got {beta}")
+        if self.epsilon <= 0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if not 0 < self.patience < self.epochs:
             raise ConfigError(
                 f"patience must lie in (0, epochs), got {self.patience} vs {self.epochs}")

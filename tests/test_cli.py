@@ -275,6 +275,20 @@ class TestCommands:
         assert err.startswith(f"error: {data / damaged}: byte 0xff"), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("assignment", ["train.beta1=1.0", "train.beta2=2.0",
+                                            "train.epsilon=-1"])
+    def test_bad_adam_hyperparameter_exits_one_without_a_run_dir(
+            self, tiny_config, data_dir, tmp_path, capsys, assignment):
+        # a beta1 of 1 used to end in a non-finite loss, the others trained
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", tiny_config, "--data", str(data_dir),
+                         "--set", assignment, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        field = assignment[len("train."):assignment.index("=")]
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"configuration error: {field} must"), err
+        assert not out.exists()
+
     def test_divergence_exits_one_with_one_line(self, tiny_config, data_dir, tmp_path,
                                                 capsys):
         # batches of 128 diverge at a later step's loss; one batch per epoch

@@ -54,6 +54,20 @@ def test_bad_values_are_config_errors(cls, field, value, fragment):
         from_dict(cls, {**base, field: value})
 
 
+@pytest.mark.parametrize("field, value, fragment", [
+    ("beta1", 1.0, r"beta1 must lie in \[0, 1\), got 1.0"),
+    ("beta1", -0.1, "beta1 must lie in"),
+    ("beta2", 2.0, r"beta2 must lie in \[0, 1\), got 2.0"),
+    ("beta2", 1.0, "beta2 must lie in"),
+    ("epsilon", -1.0, "epsilon must be positive, got -1.0"),
+    ("epsilon", 0.0, "epsilon must be positive"),
+])
+def test_adam_hyperparameters_are_validated(field, value, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        tr.TrainConfig(**{field: value}).validate()
+    tr.TrainConfig(beta1=0.0, beta2=0.0).validate()  # no momentum is a valid Adam
+
+
 def test_takes_exactly_the_fields():
     base = to_dict(M.MsisConfig())
     del base["corridor_dim"]

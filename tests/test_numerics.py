@@ -4,7 +4,7 @@ import types
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from msis import numerics as nm
@@ -392,16 +392,48 @@ def test_forward_determinism():
     assert np.array_equal(out1.value, out2.value)
 
 
+def _passes_and_replays(ps: nm.ParamStore, outputs, weights, refill) -> None:
+    """outputs() builds the graph under test over ps's leaves and returns
+    its output nodes; the loss weighs each by its fixed array of `weights`
+    and sums. The loss passes finite differences at tol 1e-6, and a tape
+    recorded on other leaf values, refilled by refill() and replayed, gives
+    the bytes of a fresh tape: values and every adjoint."""
+
+    def loss():
+        outs = outputs()
+        terms = [nm.sum_all(nm.mul(out, nm.constant(w))) for out, w in zip(outs, weights)]
+        root = terms[0]
+        for term in terms[1:]:
+            root = nm.add(root, term)
+        return outs, root
+
+    report = nm.finite_diff_check(ps, lambda: loss()[1], tol=1e-6)
+    assert report.passed, report
+
+    outs, root = loss()
+    order = nm.record(root)
+    refill()
+    nm.replay(order)
+    nm.backward_sweep(root, order)
+    replayed = [out.value.tobytes() for out in outs] + [root.value.tobytes(),
+                                                        ps.grads.tobytes()]
+    fresh_outs, fresh_root = loss()
+    nm.backward_sweep(fresh_root)
+    assert replayed == [out.value.tobytes() for out in fresh_outs] + [
+        fresh_root.value.tobytes(), ps.grads.tobytes()]
+
+
 @st.composite
 def dense_cases(draw):
     """(input lead, block lead, rows, d_in, d_out, uses, seed): a 2-D input,
     or one stacked on n or on 1 (which broadcasts), against a 0-lead block or
-    one stacked on n or on (k, n), as the model's fusion sides are, or on 1
-    (which broadcasts); the loss reads the layer once, or twice so that the
-    block's adjoint adds up."""
+    one stacked on n or on (k, n), as the model's fusion sides are, on
+    (k, 1), as a stage's intra-stage projections are over its (n, rows, d)
+    rows, or on 1 (which broadcasts); the loss reads the layer once, or
+    twice so that the block's adjoint adds up."""
     n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    x_lead = draw(st.sampled_from([(), (n,), (1,)]))
-    wb_lead = draw(st.sampled_from([(), (n,), (k, n), (1,)]))
+    wb_lead = draw(st.sampled_from([(), (n,), (k, n), (k, 1), (1,)]))
+    x_lead = (n,) if wb_lead == (k, 1) else draw(st.sampled_from([(), (n,), (1,)]))
     return (x_lead, wb_lead, draw(st.integers(1, 70)), draw(st.integers(1, 5)),
             draw(st.integers(1, 5)), draw(st.integers(1, 2)), draw(st.integers(0, 2**16)))
 
@@ -414,8 +446,28 @@ def _store_view(node: nm.Node, shape: tuple[int, ...]) -> nm.Node:
     return view
 
 
+def _leaves(ps: nm.ParamStore, shapes: dict[str, tuple[int, ...]]) -> list[nm.Node]:
+    """Packs ps with one stored tensor per name and returns leaves of the
+    given shapes over them, their adjoints views of the tensors'."""
+    for name, shape in shapes.items():
+        ps.add(name, np.zeros((math.prod(shape[:-1]), shape[-1])))
+    ps.pack()
+    return [_store_view(ps[name], shape) for name, shape in shapes.items()]
+
+
+def _refill(ps: nm.ParamStore, rng: np.random.Generator, scale: float = 1.0):
+    """A function that draws new normal values for every scalar of ps."""
+
+    def draw_values():
+        ps.values[...] = rng.normal(scale=scale, size=ps.values.size)
+    return draw_values
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(case=dense_cases())
+# both folds of a block's adjoint over a stacked input, each read twice
+@example(case=((3,), (), 5, 2, 3, 2, 1))
+@example(case=((3,), (2, 1), 5, 2, 3, 2, 1))
 def test_dense_forward_on_random_broadcasting_shapes(case):
     x_lead, wb_lead, rows, d_in, d_out, uses, seed = case
     rng = np.random.default_rng(seed)
@@ -430,27 +482,10 @@ def test_dense_forward_on_random_broadcasting_shapes(case):
     out_shape = np.broadcast_shapes(x_lead, wb_lead) + (rows, d_out)
     weights = [rng.normal(size=out_shape) for _ in range(uses)]
 
-    def loss():
-        outs = [nm.dense_forward(x, wb) for _ in weights]
-        terms = [nm.sum_all(nm.mul(out, nm.constant(w))) for out, w in zip(outs, weights)]
-        return outs[0], terms[0] if uses == 1 else nm.add(*terms)
-
-    ps.values[...] = rng.normal(size=ps.values.size)
-    report = nm.finite_diff_check(ps, lambda: loss()[1], tol=1e-6)
-    assert report.passed, report
-
-    # a tape recorded on other leaf values, refilled and replayed, gives the
-    # bytes of a fresh tape: values and every adjoint
-    out, root = loss()
-    order = nm.record(root)
-    ps.values[...] = rng.normal(size=ps.values.size)
-    nm.replay(order)
-    nm.backward_sweep(root, order)
-    replayed = out.value.tobytes(), root.value.tobytes(), ps.grads.tobytes()
-    fresh_out, fresh_root = loss()
-    nm.backward_sweep(fresh_root)
-    assert replayed == (fresh_out.value.tobytes(), fresh_root.value.tobytes(),
-                        ps.grads.tobytes())
+    draw_values = _refill(ps, rng)
+    draw_values()
+    _passes_and_replays(ps, lambda: [nm.dense_forward(x, wb) for _ in weights], weights,
+                        draw_values)
 
 
 @st.composite
@@ -484,11 +519,7 @@ def test_elementwise_ops_on_random_shapes(case):
     ps = nm.ParamStore(seed)
     a_shape = lead + (rows, 1 if op == "mul" else d)
     b_shape = lead + (rows, d)
-    shapes = {"a": a_shape, "b": b_shape}
-    for name, shape in shapes.items():
-        ps.add(name, np.zeros((math.prod(shape[:-1]), shape[-1])))
-    ps.pack()
-    a, b = (_store_view(ps[name], shape) for name, shape in shapes.items())
+    a, b = _leaves(ps, {"a": a_shape, "b": b_shape})
 
     def draw_values():
         values = rng.normal(size=ps.values.size)
@@ -498,27 +529,103 @@ def test_elementwise_ops_on_random_shapes(case):
     draw_values()
     out_shape = ELEMENTWISE_OPS[op](a, b, swap).shape
     weights = [rng.normal(size=out_shape) for _ in range(uses)]
+    _passes_and_replays(ps, lambda: [ELEMENTWISE_OPS[op](a, b, swap) for _ in weights],
+                        weights, draw_values)
 
-    def loss():
-        outs = [ELEMENTWISE_OPS[op](a, b, swap) for _ in weights]
-        terms = [nm.sum_all(nm.mul(out, nm.constant(w))) for out, w in zip(outs, weights)]
-        return outs[0], terms[0] if uses == 1 else nm.add(*terms)
 
-    report = nm.finite_diff_check(ps, lambda: loss()[1], tol=1e-6)
-    assert report.passed, report
+@st.composite
+def index_cases(draw):
+    """(shape, axis, parts, seed): integer reads of a stacked tensor's
+    parts along one lead axis, as the model reads the parts of a projection
+    stack, (slice(None),) * axis + (part,): every part once, so that the
+    reads tile the tensor, every part twice, so that the adjoint adds up,
+    or some parts, so that the first read's zero fill shows; in any order."""
+    lead = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+    shape = tuple(lead) + (draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    axis = draw(st.integers(0, len(lead) - 1))
+    every = list(range(shape[axis]))
+    reads = draw(st.sampled_from(["once", "twice", "some"]))
+    if reads == "some":
+        parts = draw(st.lists(st.sampled_from(every), min_size=1, max_size=len(every)))
+    else:
+        parts = draw(st.permutations(every * (2 if reads == "twice" else 1)))
+    return shape, axis, parts, draw(st.integers(0, 2**16))
 
-    # a tape recorded on other leaf values, refilled and replayed, gives the
-    # bytes of a fresh tape: values and every adjoint
-    out, root = loss()
-    order = nm.record(root)
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=index_cases())
+def test_index_reads_on_random_shapes(case):
+    shape, axis, parts, seed = case
+    rng = np.random.default_rng(seed)
+    ps = nm.ParamStore(seed)
+    (x,) = _leaves(ps, {"x": shape})
+    keys = [(slice(None),) * axis + (part,) for part in parts]
+    draw_values = _refill(ps, rng)
     draw_values()
-    nm.replay(order)
-    nm.backward_sweep(root, order)
-    replayed = out.value.tobytes(), root.value.tobytes(), ps.grads.tobytes()
-    fresh_out, fresh_root = loss()
-    nm.backward_sweep(fresh_root)
-    assert replayed == (fresh_out.value.tobytes(), fresh_root.value.tobytes(),
-                        ps.grads.tobytes())
+    weights = [rng.normal(size=x.value[key].shape) for key in keys]
+    _passes_and_replays(ps, lambda: [nm.index(x, key) for key in keys], weights, draw_values)
+
+
+@st.composite
+def concat_cases(draw):
+    """(shapes, axis, order, seed): one to three tensors of 1 to 3 axes
+    that differ only along the joined axis (negative too), joined in any
+    order, a tensor possibly more than once."""
+    base = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    axis = draw(st.integers(-len(base), len(base) - 1))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    shapes = []
+    for size in sizes:
+        shape = list(base)
+        shape[axis] = size
+        shapes.append(tuple(shape))
+    order = draw(st.lists(st.integers(0, len(sizes) - 1), min_size=1, max_size=4))
+    return shapes, axis, order, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=concat_cases())
+def test_concat_on_random_shapes(case):
+    shapes, axis, order, seed = case
+    rng = np.random.default_rng(seed)
+    ps = nm.ParamStore(seed)
+    leaves = _leaves(ps, {f"p{i}": shape for i, shape in enumerate(shapes)})
+    draw_values = _refill(ps, rng)
+    draw_values()
+    parts = [leaves[i] for i in order]
+    out_shape = np.concatenate([p.value for p in parts], axis=axis).shape
+    weights = [rng.normal(size=out_shape)]
+    _passes_and_replays(ps, lambda: [nm.concat(parts, axis=axis)], weights, draw_values)
+
+
+@st.composite
+def axis_cases(draw):
+    """(op, shape, axis, uses, scale, seed): `softmax` or `sum_axis` over
+    any axis (negative too) of a tensor of 1 to 4 axes, its values drawn at
+    a scale that leaves the softmax soft or nearly one-hot; the loss reads
+    the op once, or twice so that the adjoint adds up."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    return (draw(st.sampled_from(["softmax", "sum_axis"])), shape,
+            draw(st.integers(-len(shape), len(shape) - 1)), draw(st.integers(1, 2)),
+            draw(st.sampled_from([0.1, 1.0, 10.0])), draw(st.integers(0, 2**16)))
+
+
+AXIS_OPS = {"softmax": nm.softmax, "sum_axis": nm.sum_axis}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=axis_cases())
+def test_axis_ops_on_random_shapes(case):
+    op, shape, axis, uses, scale, seed = case
+    rng = np.random.default_rng(seed)
+    ps = nm.ParamStore(seed)
+    (x,) = _leaves(ps, {"x": shape})
+    draw_values = _refill(ps, rng, scale)
+    draw_values()
+    out_shape = AXIS_OPS[op](x, axis=axis).shape
+    weights = [rng.normal(size=out_shape) for _ in range(uses)]
+    _passes_and_replays(ps, lambda: [AXIS_OPS[op](x, axis=axis) for _ in weights],
+                        weights, draw_values)
 
 
 @st.composite
