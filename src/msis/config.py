@@ -10,11 +10,22 @@ import math
 import types
 import typing
 
+import numpy as np
+
 from .errors import ConfigError
 
 # what a value of each annotated type must be, for error messages
 EXPECTED = {bool: "true or false", int: "a whole number", float: "a finite number",
             str: "a string", tuple: "a list", dict: "an object"}
+
+
+def check_array_entries(entries: int, what: str) -> None:
+    """Reject a config whose `what` needs one float64 array of `entries`
+    values, when that array would take more bytes than an intp counts:
+    NumPy refuses such a size with its own ValueError."""
+    if entries > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"{what} need an array of {entries} values, "
+                          f"more than one array can hold")
 
 
 def to_dict(config) -> dict:

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
+from .config import check_array_entries
 from .dataset import DEFAULT_STAGES, TARGETS, Batch, by_target, csv_rows, python_rows
 from .errors import ConfigError, ContractError, ParseError
 
@@ -84,6 +85,10 @@ class SimConfig:
         if self.n_terms < 6:
             raise ConfigError(
                 f"n_terms must be >= 6 to define the term-6 label, got {self.n_terms}")
+        # the widest of generate's (n, ·) arrays: the features or the term draws
+        check_array_entries(self.n * max(self.feature_dim, self.n_terms),
+                            f"n={self.n}, feature_dim={self.feature_dim} and "
+                            f"n_terms={self.n_terms}")
 
 
 @dataclass(eq=False)

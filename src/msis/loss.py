@@ -228,13 +228,13 @@ def make_fast_loss_value_fn(params, model_cfg: MsisConfig, loss_cfg: LossConfig,
     sum_all sums it.
 
     Each call copies the batch's features in again and reruns the forward,
-    because the evaluator shares the store's scratch with its others,
-    which predict_probs may run between two calls. The value is
-    total_loss's on the fused probabilities bit for bit, and agrees with
-    the tape total to float rounding (tested at 1e-12 relative). Gradient
-    checking over every scalar of the default model needs roughly a
-    hundred thousand loss evaluations; this is the path that makes that
-    affordable."""
+    because the evaluator is the store's one for the batch's row count,
+    which a predict_probs call of that many rows may run on other features
+    between two calls. The value is total_loss's on the fused
+    probabilities bit for bit, and agrees with the tape total to float
+    rounding (tested at 1e-12 relative). Gradient checking over every
+    scalar of the default model needs roughly a hundred thousand loss
+    evaluations; this is the path that makes that affordable."""
     run = make_fused_forward(params, model_cfg, batch.features)
     loss_cfg.validate()
     weights = loss_weights([batch], loss_cfg, model_cfg.stages)[0].folded()

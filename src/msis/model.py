@@ -15,26 +15,24 @@ layer's weight rows and bias row sit next to each other in the store, one
 (d_in + 1, d_out) block. `forward` records that on the tape
 (training, attention inspection); `make_fused_forward` compiles the same
 math, with no tape, into one list of in-place steps, each writing a
-buffer carved from one flat scratch vector where the step is built,
-because a value-only evaluation costs a fraction of building tape nodes.
-There every buffer a dense layer reads carries a ones column, so the
-layer, bias included, is one matmul by its block, and both candidates of
-a fusion share one buffer, so one step scores them. Tests hold the two to
-1e-12 relative.
+buffer allocated where the step is built, because a value-only
+evaluation costs a fraction of building tape nodes. There every buffer a
+dense layer reads carries a ones column, set once at compile time, so
+the layer, bias included, is one matmul by its block, and both
+candidates of a fusion share one buffer, so one step scores them. Tests
+hold the two to 1e-12 relative.
 
 `make_fused_forward` is the one source of compiled evaluators, for
 scoring (`predict_probs`) and the gradient check's loss alike. It
 compiles once per store, config and row count: the parameter store keeps
-the last few evaluators, which read its live weights, and all of them
-share the store's one scratch vector, so evaluators of one store run one
-at a time.
+the last few evaluators, which read its live weights. Each evaluator
+owns its buffers, so evaluators of one store share no memory.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -43,7 +41,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import numerics as nm
-from .config import from_dict, to_dict
+from .config import check_array_entries, from_dict, to_dict
 from .dataset import DEFAULT_STAGES, TARGETS
 from .errors import ConfigError, ContractError, DimensionError, DomainError
 from .numerics import ParamStore
@@ -79,6 +77,9 @@ class MsisConfig:
                 raise ConfigError(
                     f"tower output width {self.tower_widths[-1]} must equal "
                     f"corridor_dim {self.corridor_dim}")
+        # the store packs every parameter into one vector
+        check_array_entries(sum((fan_in + 1) * fan_out for _, fan_in, fan_out
+                                in dense_layers(self)), "the model's parameters")
 
     def all_targets(self) -> tuple[str, ...]:
         return tuple(t for _, targets in self.stages for t in targets)
@@ -227,12 +228,13 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
 # forward pass
 # ---------------------------------------------------------------------------
 
-# rows per fused-forward evaluation in predict_probs: a store's scratch
-# vector, sized to its largest evaluator, stays at about 2 MB
+# rows per fused-forward evaluation in predict_probs: the default model's
+# evaluator of a full chunk owns about 1.6 MB of buffers
 PREDICT_CHUNK_ROWS = 256
 # evaluators a store keeps, the least recently used dropped first: each
-# holds about 16 kB of views and closures, and a store that serves a few
-# request sizes and one bulk tail keeps all of its shapes
+# owns buffers that grow with its rows (about 24 kB at 1 row for the
+# default model), and a store that serves a few request sizes and one bulk
+# tail keeps all of its shapes
 EVALUATORS_KEPT = 8
 
 
@@ -317,9 +319,10 @@ def predict_probs(params: ParamStore, config: MsisConfig,
                   features: np.ndarray) -> dict[str, np.ndarray]:
     """Per-target probabilities as flat vectors of a fresh array, scored
     through the fused forward PREDICT_CHUNK_ROWS rows at a time. Each chunk
-    runs on the store's evaluator for its row count (make_fused_forward), so
-    calls on one store must not overlap. Each chunk checks its own rows'
-    width and values; a matrix with no rows has no chunk to check it."""
+    runs on the store's evaluator for its row count (make_fused_forward),
+    whose buffers two overlapping calls of that row count would share. Each
+    chunk checks its own rows' width and values; a matrix with no rows has
+    no chunk to check it."""
     if features.ndim != 2 or features.shape[0] == 0:
         check_features(config, features)  # raises
     probs = np.empty((len(config.all_targets()), len(features)))
@@ -327,39 +330,6 @@ def predict_probs(params: ParamStore, config: MsisConfig,
         chunk = slice(start, start + PREDICT_CHUNK_ROWS)
         probs[:, chunk] = make_fused_forward(params, config, features[chunk])()
     return {t: probs[i] for i, t in enumerate(config.all_targets())}
-
-
-class _Carver:
-    """Consecutive views, of any shape, of a flat float64 vector from its
-    start. A view asked for `ones` has one more column, which a dense layer
-    that reads it multiplies by its bias row; the carver records the flat
-    offsets of that column in `ones`, for the evaluator to keep at 1.
-    Without a vector it only counts the scalars asked for and hands out
-    zero-stride views of the asked shapes, which is how a compile measures
-    the scratch it needs."""
-
-    def __init__(self, flat: np.ndarray | None):
-        self.flat, self.used = flat, 0
-        self.ones: list[np.ndarray] = []
-
-    def __call__(self, *shape: int, ones: bool = False) -> np.ndarray:
-        start = self.used
-        if ones:
-            shape = shape[:-1] + (shape[-1] + 1,)
-        self.used += math.prod(shape)
-        if ones:  # the last entry of every row, one row length apart
-            self.ones.append(np.arange(start + shape[-1] - 1, self.used, shape[-1]))
-        if self.flat is None:
-            return np.broadcast_to(0.0, shape)
-        return self.flat[start:self.used].reshape(shape)  # ValueError past its end
-
-
-def _scratch_size(params: ParamStore, config: MsisConfig, rows: int) -> int:
-    """Scalars of scratch that a fused evaluator of this many rows carves,
-    its input included."""
-    count = _Carver(None)
-    _compile_fused(params, config, rows, count)
-    return count.used
 
 
 def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndarray):
@@ -378,18 +348,15 @@ def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndar
     row of the layer's (d_in + 1, d_out) block. Each stacked block is one
     matmul too: a stage's intra-stage projections, and each fusion side,
     whose output is its half of the stage's candidate buffer. The default
-    model runs 34 steps at every row count. Each step writes a view
-    carved, as the step is built, from the store's one scratch vector; the
-    input and the returned array are such views too, so a run overwrites
-    what any other evaluator of the store returned, ones columns
-    included, and evaluators must run one at a time (msis is
-    single-threaded). Each run sets its ones columns in its first step
-    and writes every other buffer before reading it. When the scratch must
-    grow for a new shape, the store drops the evaluators carved from the old
-    vector; an evaluator already handed out keeps that vector alive and
-    stays valid. An evaluator holds the store's groups (views into its
-    flat parameter vector, kept live because training, load_values and
-    the best-epoch restore write that vector in place) but not the store.
+    model runs 34 steps at every row count. Each step writes a buffer of
+    the evaluator's own, allocated as the step is built, and its input and
+    the returned array are its own too: a run overwrites only what the
+    same evaluator returned before, and evaluators of one store share no
+    memory. The ones columns are set at compile time, and a run writes
+    every other buffer before reading it. An evaluator holds the store's
+    groups (views into its flat parameter vector, kept live because
+    training, load_values and the best-epoch restore write that vector in
+    place) but not the store.
 
     This is the path for every value-only evaluation: scoring through
     predict_probs, and the gradient check, which re-evaluates the loss
@@ -404,13 +371,9 @@ def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndar
         if "head" not in params.groups:
             raise ContractError(
                 "make_fused_forward needs the stacked parameter groups of init_params")
-        need = _scratch_size(params, config, rows)
-        if params.scratch.size < need:  # the evaluators carved from the old vector go
-            params.evaluators.clear()
-            params.scratch = np.empty(need)
-        elif len(params.evaluators) == EVALUATORS_KEPT:  # drop the least recently used
+        if len(params.evaluators) == EVALUATORS_KEPT:  # drop the least recently used
             del params.evaluators[next(iter(params.evaluators))]
-        cached = _compile_fused(params, config, rows, _Carver(params.scratch))
+        cached = _compile_fused(params, config, rows)
     params.evaluators[key] = chunk, run = cached  # insertion order is recency order
 
     def evaluate() -> np.ndarray:
@@ -420,36 +383,47 @@ def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndar
     return evaluate
 
 
-def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver):
+def _compile_fused(params: ParamStore, config: MsisConfig, b: int):
     """The (b, input_dim) input buffer and the evaluator that reads it: each
-    builder below carves its output from `take` and appends the in-place
-    steps that fill it to `steps`, which the evaluator runs. A step is a
-    ufunc call with its arguments bound (`out` positional, which spares the
-    call a keyword, where NumPy allows it) or a closure of several. As on
-    the tape, the stacked tower buffer, each stage's fused rows written over
-    its slice, is the concat that one head and the clamped sigmoid read.
-    Every buffer that a dense layer reads is carved with a ones column, so
-    `x @ w + b` is one matmul by the layer's block; the first step sets all
-    of those columns, which `relu` and `leaky` leave at 1. A fusion carves
-    value, key and query of both its candidates as one
-    (3, 2, n_stage_targets, b, d) buffer, part-major so that each part of
-    a candidate stays one contiguous block: the two fusion sides' matmuls
-    write its halves, and one `leaky` and one closure of eight ufunc calls
-    finish it. Every view a closure reads is bound where it is built. The
-    temporaries of `leaky` and of the closures, none of which outlives its
-    step, share one spare buffer."""
+    builder below allocates its output with `take` and appends the
+    in-place steps that fill it to `steps`, which the evaluator runs. A
+    step is a ufunc call with its arguments bound (`out` positional, which
+    spares the call a keyword, where NumPy allows it) or a closure of
+    several. As on the tape, the stacked tower buffer, each stage's fused
+    rows written over its slice, is the concat that one head and the
+    clamped sigmoid read. Every buffer that a dense layer reads is
+    allocated with a ones column, set here once, so `x @ w + b` is one
+    matmul by the layer's block; no step writes those columns but `relu`
+    and `leaky`, which leave them at 1. A fusion allocates value, key and
+    query of both its candidates as one (3, 2, n_stage_targets, b, d)
+    buffer, part-major so that each part of a candidate stays one
+    contiguous block: the two fusion sides' matmuls write its halves, and
+    one `leaky` and one closure of eight ufunc calls finish it. Every view
+    a closure reads is bound where it is built. The temporaries of `leaky`
+    and of the closures, none of which outlives its step, share one spare
+    buffer."""
     G = lambda name: params.groups[name].value
     mm, add, mul, sub = np.matmul, np.add, np.multiply, np.subtract
     d, scale = config.corridor_dim, 1.0 / math.sqrt(config.corridor_dim)
     ones_d = np.ones(d)  # row sums over d as matmuls: axis-2 .sum() is several times slower
     steps = []
+
+    def take(*shape: int, ones: bool = False) -> np.ndarray:
+        buf = np.empty(shape[:-1] + (shape[-1] + 1,) if ones else shape)
+        if ones:  # the column that meets the bias row of the dense reading the buffer
+            buf[..., -1] = 1.0
+        return buf
+
     x = take(b, config.input_dim, ones=True)
     # the largest temporary is a leaky's over a stage's fusion candidates
     spare = take(6 * max(len(t) for _, t in config.stages) * b * d if config.uses_corridor else 0)
 
     def temporaries(*shapes):
-        carve = _Carver(spare)
-        return [carve(*shape) for shape in shapes]
+        views, used = [], 0
+        for shape in shapes:
+            views.append(spare[used:used + math.prod(shape)].reshape(shape))
+            used += math.prod(shape)
+        return views
 
     def dense(src, wb, ones=False, out=None):
         # with ones, the output carries its own column for the dense that reads it
@@ -541,7 +515,6 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int, take: _Carver
     probs = dense(top, G("head"))[:, :, 0]
     steps.extend((partial(expit, probs, probs),
                   partial(np.clip, probs, nm.CLAMP_EPS, 1.0 - nm.CLAMP_EPS, probs)))
-    steps.insert(0, partial(operator.setitem, take.flat, np.concatenate(take.ones), 1.0))
 
     def run() -> np.ndarray:
         for step in steps:

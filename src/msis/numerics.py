@@ -264,7 +264,7 @@ def sigmoid(x: Node) -> Node:
         out = expit(xv, out=out)
         return np.clip(out, CLAMP_EPS, 1.0 - CLAMP_EPS, out=out)
 
-    s = compute()
+    s = compute(np.empty(xv.shape))  # a 0-d result too stays an array, as in _op
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
         _give_product(x, g, s * (1.0 - s), first[0])
@@ -394,8 +394,12 @@ def sum_axis(x: Node, axis: int) -> Node:
 def index(x: Node, key) -> Node:
     """Basic indexing: integers, slices (strided too), None and Ellipsis.
     The value is a view, so it follows x through every replay and needs no
-    forward_fn; each entry of x appears at most once in it."""
+    forward_fn; each entry of x appears at most once in it. An integer for
+    every axis reads a 0-d view, not NumPy's scalar copy."""
     value = x.value[key]
+    if not isinstance(value, np.ndarray):
+        key = (key if isinstance(key, tuple) else (key,)) + (Ellipsis,)
+        value = x.value[key]
     whole = value.size == x.value.size
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
@@ -585,7 +589,7 @@ class ParamStore:
 
     Because the vectors never move after `pack`, the store can also keep
     the fused evaluators that `model.make_fused_forward` compiles over them
-    (`evaluators`, with their shared `scratch`): they read the live
+    (`evaluators`, each with buffers of its own): they read the live
     weights, and they are freed with the store.
     """
 
@@ -598,10 +602,8 @@ class ParamStore:
         self._grads: np.ndarray | None = None
         self._layers: list[str] = []  # add_dense's names, in creation order
         self.groups: dict[str, Node] = {}
-        # model.make_fused_forward's compiled evaluators, keyed by (config,
-        # rows), and the one scratch vector they all carve their buffers from
+        # model.make_fused_forward's compiled evaluators, keyed by (config, rows)
         self.evaluators: dict = {}
-        self.scratch = np.empty(0)
 
     def add(self, name: str, value: np.ndarray) -> Node:
         if name in self._params:

@@ -1,11 +1,17 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msis import cli
 
@@ -289,6 +295,20 @@ class TestCommands:
         assert err.startswith(f"configuration error: {field} must"), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--set", "sim.n=10000000000000000000000"],
+        ["gradcheck", "--set", "model.shared_widths=[100000000000000000000]",
+         "--set", "train.seeds=[0]"]], ids=lambda command: command[0])
+    def test_unindexable_size_exits_one_without_a_run_dir(self, tmp_path, capsys, command):
+        # sizes NumPy refuses before it allocates anything, which used to
+        # escape as its ValueError's traceback
+        out = tmp_path / "run"
+        assert cli.main([*command, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+        assert err.startswith("configuration error: ") and "one array can hold" in err, err
+        assert not out.exists()
+
     def test_divergence_exits_one_with_one_line(self, tiny_config, data_dir, tmp_path,
                                                 capsys):
         # batches of 128 diverge at a later step's loss; one batch per epoch
@@ -320,3 +340,46 @@ class TestCommands:
                          "--run", str(run), "--out", str(tmp_path / "ev")]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# every field of every section, as --set names it
+FIELDS = [f"{name}.{field.name}"
+          for name, section in typing.get_type_hints(cli.ExperimentConfig).items()
+          for field in dataclasses.fields(section)]
+
+# values a field may accept, and huge, non-finite and mistyped ones
+JSON_SCALARS = st.one_of(
+    st.integers(-3, 300), st.floats(-1.0, 2.0), st.integers(-10**30, 10**30),
+    st.sampled_from([2**63, -2**63 - 1, 10**22]), st.floats(allow_nan=True, allow_infinity=True),
+    st.none(), st.booleans(), st.text(max_size=8))
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+# a JSON text (NaN and Infinity included, as Python's json reads them) or a raw string
+SET_VALUES = st.one_of(JSON_VALUES.map(json.dumps), st.text(max_size=12))
+
+
+@pytest.fixture(scope="module")
+def rows_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("rows") / "rows.csv"
+    path.write_text("seed,target,auc\n0,mob6,0.7\n1,mob6,0.8\n")
+    return path
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(assignments=st.lists(st.tuples(st.sampled_from(FIELDS), SET_VALUES),
+                            min_size=1, max_size=2))
+def test_any_set_value_exits_zero_or_one_with_one_line(rows_file, assignments):
+    args = [arg for field, value in assignments for arg in ("--set", f"{field}={value}")]
+    out = rows_file.parent / "rep"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["report", *args, "--out", str(out), f"a={rows_file}", f"b={rows_file}"])
+    err = stderr.getvalue()
+    assert rc in (0, 1), (assignments, rc)
+    if rc == 1:
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, (assignments, err)
+        assert not out.exists(), assignments
+    else:
+        assert (out / "comparison.csv").exists(), assignments
+        shutil.rmtree(out)

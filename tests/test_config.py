@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from msis import cli
@@ -66,6 +67,18 @@ def test_adam_hyperparameters_are_validated(field, value, fragment):
     with pytest.raises(ConfigError, match=fragment):
         tr.TrainConfig(**{field: value}).validate()
     tr.TrainConfig(beta1=0.0, beta2=0.0).validate()  # no momentum is a valid Adam
+
+
+def test_array_sizes_past_numpy_are_config_errors():
+    # checked by arithmetic alone: nothing of either size is allocated
+    largest = np.iinfo(np.intp).max // 8
+    fs.SimConfig(n=largest // 32).validate()
+    with pytest.raises(ConfigError, match="n=.*feature_dim=32 and n_terms=6"):
+        fs.SimConfig(n=largest // 32 + 1).validate()
+    width = largest // 33  # a 32-wide input: shared.0's block is (33, width)
+    with pytest.raises(ConfigError, match="the model's parameters"):
+        M.MsisConfig(shared_widths=(width,)).validate()
+    M.MsisConfig(shared_widths=(10**6,), tower_widths=(8,)).validate()
 
 
 def test_takes_exactly_the_fields():

@@ -307,7 +307,8 @@ class TestGradients:
         value_fn = ls.make_fast_loss_value_fn(params, cfg, ls.LossConfig(), batch)
         first = value_fn()
         rng = np.random.default_rng(6)
-        # another row count on the same scratch, then a chunk that grows it
+        # another row count, the batch's own (which shares its evaluator), then a
+        # chunk and a tail
         for rows in (5, len(batch), 300):
             M.predict_probs(params, cfg, rng.normal(size=(rows, 32)))
             assert value_fn() == first, rows

@@ -349,22 +349,29 @@ class TestEvaluatorCache:
             served = _stacked(default_cfg, M.predict_probs(params, default_cfg, x))
             assert served.tobytes() == _fresh_per_chunk(params, default_cfg, x).tobytes()
 
-    def test_scratch_is_one_vector_bounded_by_a_full_chunk(self, default_cfg):
+    def test_evaluators_share_no_memory(self, default_cfg):
         params = M.init_params(default_cfg, seed=15)
-        for rows in self.SHAPES:
-            M.predict_probs(params, default_cfg, np.zeros((rows, 32)))
-        full = M._scratch_size(params, default_cfg, M.PREDICT_CHUNK_ROWS)
-        assert params.scratch.size == full
-        assert params.evaluators
-        for chunk, run in params.evaluators.values():
-            assert np.shares_memory(chunk, params.scratch)
-            assert np.shares_memory(run(), params.scratch)
+        rng = np.random.default_rng(5)
+        counts = (256, 1, 5, 64, 128, 247)  # a full chunk first, as a bulk score runs it
+        for rows in counts:
+            M.make_fused_forward(params, default_cfg, rng.normal(size=(rows, 32)))()
+        evaluators = {rows: params.evaluators[(default_cfg, rows)] for rows in counts}
+        for rows, (chunk, run) in evaluators.items():
+            out = run()
+            kept = chunk.copy(), out.copy()
+            for other, (other_chunk, other_run) in evaluators.items():
+                if other != rows:
+                    other_chunk[...] = rng.normal(size=other_chunk.shape)
+                    other_run()
+            assert np.array_equal(chunk, kept[0]) and np.array_equal(out, kept[1]), rows
+            for array in (chunk, out):
+                assert not np.shares_memory(array, params.values), rows
 
     def test_cache_keeps_the_most_recently_used_shapes(self, default_cfg):
         params = M.init_params(default_cfg, seed=17)
         rng = np.random.default_rng(4)
         kept = M.EVALUATORS_KEPT
-        # a full chunk first sizes the scratch once, so no miss regrows it
+        # a full chunk first, which the misses below drop as the least recently used
         M.predict_probs(params, default_cfg, rng.normal(size=(M.PREDICT_CHUNK_ROWS, 32)))
         for rows in range(1, M.PREDICT_CHUNK_ROWS):
             x = rng.normal(size=(rows, 32))
@@ -428,7 +435,7 @@ def test_fused_evaluator_matches_tape_and_fresh_compiles(cfg, rows, seed):
     x = np.random.default_rng(seed).normal(size=(rows, cfg.input_dim))
     served = _stacked(cfg, M.predict_probs(params, cfg, x))
     npt.assert_allclose(served, M.forward(params, cfg, x).stacked.value, rtol=1e-12, atol=0)
-    # another shape runs on the shared scratch before the cached evaluators rerun
+    # another shape's evaluator runs before the cached evaluators rerun
     M.predict_probs(params, cfg, x[:1] + 1.0)
     cached = _stacked(cfg, M.predict_probs(params, cfg, x))
     assert cached.tobytes() == _fresh_per_chunk(params, cfg, x).tobytes()

@@ -170,6 +170,21 @@ class TestBackwardSweep:
         fd = central_diff(lambda: float(build()[1].value[0, 0]), scores, step=1e-5)
         npt.assert_allclose(s.adjoint, fd, atol=1e-8)
 
+    @pytest.mark.parametrize("key", [(0, 1), (1, -1)])
+    def test_index_of_one_entry_follows_a_refill(self, key):
+        # an integer for every axis reads a 0-d view of x, not a copy of the entry
+        x = nm.constant(np.arange(6.0).reshape(2, 3))
+        entry = nm.index(x, key)
+        root = nm.sum_all(nm.mul(entry, entry))
+        order = nm.record(root)
+        x.value[...] = 10.0
+        nm.replay(order)
+        assert entry.value.shape == () and root.value[0, 0] == 100.0
+        nm.backward_sweep(root, order)
+        expected = np.zeros((2, 3))
+        expected[key] = 20.0
+        npt.assert_array_equal(x.adjoint, expected)
+
     def test_column_gradients(self):
         rng = np.random.default_rng(11)
         x_arr = rng.normal(size=(6, 3))
@@ -450,7 +465,7 @@ def _leaves(ps: nm.ParamStore, shapes: dict[str, tuple[int, ...]]) -> list[nm.No
     """Packs ps with one stored tensor per name and returns leaves of the
     given shapes over them, their adjoints views of the tensors'."""
     for name, shape in shapes.items():
-        ps.add(name, np.zeros((math.prod(shape[:-1]), shape[-1])))
+        ps.add(name, np.zeros((1, math.prod(shape))))
     ps.pack()
     return [_store_view(ps[name], shape) for name, shape in shapes.items()]
 
@@ -530,6 +545,45 @@ def test_elementwise_ops_on_random_shapes(case):
     out_shape = ELEMENTWISE_OPS[op](a, b, swap).shape
     weights = [rng.normal(size=out_shape) for _ in range(uses)]
     _passes_and_replays(ps, lambda: [ELEMENTWISE_OPS[op](a, b, swap) for _ in weights],
+                        weights, draw_values)
+
+
+@st.composite
+def add_sigmoid_sum_cases(draw):
+    """(op, a_shape, b_shape, uses, same, seed): `add` of two operands whose
+    shapes broadcast against each other, suffixes of one shape of 0 to 3
+    axes with some sizes 1, or of one operand with itself (same); `sigmoid`
+    and `sum_all` of the second. 0-d and 1-axis operands are among them;
+    the loss reads the op once, or twice so that the adjoints add up."""
+    base = draw(st.lists(st.integers(1, 4), max_size=3))
+
+    def operand():
+        suffix = base[len(base) - draw(st.integers(0, len(base))):]
+        return tuple(1 if draw(st.booleans()) else n for n in suffix)
+
+    return (draw(st.sampled_from(["add", "sigmoid", "sum_all"])), operand(), operand(),
+            draw(st.integers(1, 2)), draw(st.booleans()), draw(st.integers(0, 2**16)))
+
+
+ADD_SIGMOID_SUM_OPS = {
+    "add": lambda a, b, same: nm.add(b, b) if same else nm.add(a, b),
+    "sigmoid": lambda a, b, same: nm.sigmoid(b),
+    "sum_all": lambda a, b, same: nm.sum_all(b),
+}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=add_sigmoid_sum_cases())
+def test_add_sigmoid_and_sum_all_on_random_shapes(case):
+    op, a_shape, b_shape, uses, same, seed = case
+    rng = np.random.default_rng(seed)
+    ps = nm.ParamStore(seed)
+    a, b = _leaves(ps, {"a": a_shape, "b": b_shape})
+    draw_values = _refill(ps, rng)
+    draw_values()
+    out_shape = ADD_SIGMOID_SUM_OPS[op](a, b, same).shape
+    weights = [rng.normal(size=out_shape) for _ in range(uses)]
+    _passes_and_replays(ps, lambda: [ADD_SIGMOID_SUM_OPS[op](a, b, same) for _ in weights],
                         weights, draw_values)
 
 
