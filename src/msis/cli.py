@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 import typing
@@ -41,6 +42,10 @@ class SplitConfig:
     seed: int = 0
     cutoff_day: int | None = None  # None: the simulator's out-of-time cutoff
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"split.seed must be >= 0, got {self.seed}")
+
 
 @dataclasses.dataclass(frozen=True)
 class SweepConfig:
@@ -57,6 +62,25 @@ class ExperimentConfig:
     train: tr.TrainConfig = tr.TrainConfig()
     split: SplitConfig = SplitConfig()
     sweep: SweepConfig = SweepConfig()
+
+    def __post_init__(self) -> None:
+        unweighted = [name for name, _ in self.model.stages
+                      if name not in self.loss.stage_weights]
+        if unweighted:
+            raise ConfigError(f"model.stages {unweighted} have no loss.stage_weights entry")
+        # every grid value, before a sweep trains the ones before it
+        for param in (f.name for f in dataclasses.fields(SweepConfig)):
+            for value in getattr(self.sweep, param):
+                try:
+                    self.sweep_point(param, value)
+                except ConfigError as exc:
+                    raise ConfigError(f"sweep.{param} value {value}: {exc}") from None
+
+    def sweep_point(self, param: str, value) -> tuple[mo.MsisConfig, lo.LossConfig]:
+        """The model and loss configs `msis sweep --param <param>` trains at `value`."""
+        if param == "corridor_dim":
+            return self.model.with_corridor_dim(value), self.loss
+        return self.model, dataclasses.replace(self.loss, gammas=lo.default_gammas(value))
 
     @property
     def cutoff_day(self) -> int:
@@ -112,23 +136,7 @@ def load_config(path: str | None, overrides: list[str]) -> ExperimentConfig:
         for part in reversed(dotted.split(".")):
             value = {part: value}
         resolved = _merge(ExperimentConfig, resolved, value)
-    cfg = from_dict(ExperimentConfig, resolved, where="")
-    for section in (cfg.sim, cfg.model, cfg.loss, cfg.train):
-        section.validate()
-    if cfg.split.seed < 0:
-        raise ConfigError(f"split.seed must be >= 0, got {cfg.split.seed}")
-    # every grid value, before a sweep trains the ones before it
-    grid = [(f"sweep.corridor_dim value {v}", cfg.model.with_corridor_dim(v))
-            for v in cfg.sweep.corridor_dim]
-    grid += [(f"sweep.gamma value {v}",
-              dataclasses.replace(cfg.loss, gammas=lo.default_gammas(v)))
-             for v in cfg.sweep.gamma]
-    for where, section in grid:
-        try:
-            section.validate()
-        except ConfigError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    return cfg
+    return from_dict(ExperimentConfig, resolved, where="")
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +212,13 @@ def _scope(name: str, data_dir: Path):
     return ev.OBSERVED, None
 
 
+ROWS_HEADER = ["seed", "target", "auc"]
+
+
 def _write_rows_csv(path: Path, rows: list[dict], seeds) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["seed", "target", "auc"])
+        writer.writerow(ROWS_HEADER)
         for seed, row in zip(seeds, rows):
             for target, value in row.items():
                 writer.writerow([seed, target,
@@ -216,14 +227,18 @@ def _write_rows_csv(path: Path, rows: list[dict], seeds) -> None:
 
 def _read_rows_csv(path: Path) -> list[dict]:
     """The per-seed rows that _write_rows_csv wrote. A missing file is a
-    ConfigError, a malformed line a ParseError naming the file and line."""
+    ConfigError, a wrong header or a malformed line a ParseError naming
+    the file and line."""
     if not path.is_file():
         raise ConfigError(f"missing rows file {path}")
     by_seed: dict[str, dict] = {}
     with open(path, newline="") as fh:
-        for line, row in enumerate(csv.reader(fh), 1):
-            if line == 1:  # the header
-                continue
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ROWS_HEADER:
+            raise ParseError(f"{path}, line 1: expected the header "
+                             f"{','.join(ROWS_HEADER)}, got {header!r}")
+        for line, row in enumerate(reader, 2):
             try:
                 seed, target, value = row
                 auc = float(value) if value else None
@@ -353,11 +368,7 @@ def cmd_sweep(args, cfg: ExperimentConfig, out: Path) -> int:
     table: list[tuple[float, dict]] = []
     artifacts = []
     for value in getattr(cfg.sweep, args.param):
-        model_cfg, loss_cfg = cfg.model, cfg.loss
-        if args.param == "corridor_dim":
-            model_cfg = cfg.model.with_corridor_dim(value)
-        else:
-            loss_cfg = dataclasses.replace(cfg.loss, gammas=lo.default_gammas(value))
+        model_cfg, loss_cfg = cfg.sweep_point(args.param, value)
         rows = []
         for seed in cfg.train.seeds:
             params, _ = tr.train_run(model_cfg, loss_cfg, cfg.train, splits, seed)
@@ -525,6 +536,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "train" and args.model != "msis":  # before any file is written
             kind, _, target = args.model.partition(":")
             bl.baseline_model_config(kind, target or None, cfg.model)
+        if args.command == "gradcheck" and not 0 < args.tol < math.inf:
+            raise ConfigError(f"--tol must be a finite number > 0, got {args.tol}")
+        if args.command == "gradcheck" and args.batch < 1:
+            raise ConfigError(f"--batch must be >= 1, got {args.batch}")
         if args.command in ("evaluate", "ablate", "sweep") and len(cfg.train.seeds) < 2:
             raise ConfigError(f"{args.command} reports over seeds and needs at least 2 "
                               f"in train.seeds, got {list(cfg.train.seeds)}")

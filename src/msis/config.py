@@ -1,6 +1,7 @@
 """The config dataclasses as their own schema: `to_dict` writes one as
 JSON values, `from_dict` reads one back, taking exactly the class's fields
-and coercing each to its annotated type, or raising ConfigError."""
+and coercing each to its annotated type, or raising ConfigError. Each
+class checks its values itself, in `__post_init__`, when it is built."""
 
 from __future__ import annotations
 

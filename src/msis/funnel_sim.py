@@ -64,7 +64,7 @@ class SimConfig:
     oot_fraction: float = 0.2
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n <= 0:
             raise ConfigError(f"n must be positive, got {self.n}")
         if self.feature_dim <= 0:
@@ -124,7 +124,6 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 def generate(config: SimConfig) -> Population:
     """Draw a through-the-door population, deterministic given the seed."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     n, d = config.n, config.feature_dim
     rho = config.policy_alignment

@@ -23,7 +23,7 @@ about the rows they never got labels for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +49,10 @@ class LossConfig:
     gammas: dict[str, float] = field(default_factory=default_gammas)
     unlabeled_reduction: str = "mean"  # or "sum"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        # its own copies: editing a dict the caller passed cannot unmake it
+        object.__setattr__(self, "stage_weights", dict(self.stage_weights))
+        object.__setattr__(self, "gammas", dict(self.gammas))
         unknown = sorted(set(self.gammas) - set(TARGETS))
         if unknown:
             raise ConfigError(f"gammas for unknown targets {unknown}; must be among {TARGETS}")
@@ -76,36 +79,19 @@ class LossConfig:
             raise ConfigError(f"no stage weight configured for stage {stage!r}") from None
 
     def supervised_only(self) -> "LossConfig":
-        return LossConfig(dict(self.stage_weights), {t: 0.0 for t in self.gammas},
-                          self.unlabeled_reduction)
-
-
-@dataclass
-class TargetLoss:
-    supervised: float
-    entropy: float
-    labeled: int
-    unlabeled: int
+        return replace(self, gammas={t: 0.0 for t in self.gammas})
 
 
 @dataclass
 class LossBreakdown:
     """A batch's loss: the tape's (1, 1) root, the arrays its
-    bernoulli_loglik node reads (`weights`), the stacked probabilities
-    `probs`, and the weights of the batch the tape last ran (`batch`). A
-    replay of the tape on another batch of the same rows copies that
-    batch's folded weights into `weights` and makes it `batch`;
-    `per_target` reads the training log's numbers off the replayed
-    probabilities."""
+    bernoulli_loglik node reads (`weights`), and the stacked probabilities
+    `probs`. A replay of the tape on another batch of the same rows copies
+    that batch's folded weights into `weights`."""
 
     total: Node
     weights: tuple[np.ndarray, np.ndarray, np.ndarray]
     probs: Node
-    batch: LossWeights
-
-    @property
-    def per_target(self) -> dict[str, TargetLoss]:
-        return per_target_losses(self.batch, self.probs.value)
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +110,10 @@ class LossWeights:
     -sum(unl (p log p + (1-p) log(1-p))) / ent_div. sup and ent are the
     (n_targets, 1) factors that fold every normalizer into them."""
 
-    targets: tuple[str, ...]
     pos: np.ndarray
     neg: np.ndarray
     unl: np.ndarray
     labeled: np.ndarray      # (n_targets,) row counts
-    unlabeled: np.ndarray
     ent_div: np.ndarray      # (n_targets,) unlabeled count for "mean", 1 for "sum"
     sup: np.ndarray
     ent: np.ndarray
@@ -147,10 +131,10 @@ class LossWeights:
 def loss_weights(batches: Sequence[Batch], config: LossConfig,
                  stages: tuple[tuple[str, tuple[str, ...]], ...]) -> list[LossWeights]:
     """The loss weights of each of a run of non-empty batches, such as an
-    epoch's, under a validated config. They are built in one pass over all
-    the rows, each batch's counts normalizing its own rows, and each
-    batch's arrays are views of that pass's. Raises ContractError on a
-    non-finite label under a set mask."""
+    epoch's. They are built in one pass over all the rows, each batch's
+    counts normalizing its own rows, and each batch's arrays are views of
+    that pass's. Raises ContractError on a non-finite label under a set
+    mask."""
     targets = tuple(t for _, stage_targets in stages for t in stage_targets)
     rows = [TARGET_INDEX[t] for t in targets]
     bounds = np.cumsum([0] + [len(batch) for batch in batches])
@@ -174,8 +158,8 @@ def loss_weights(batches: Sequence[Batch], config: LossConfig,
     neg = np.subtract(1.0, y, out=masks)  # the masks are spent: their buffer is reused
     np.copyto(neg, 0.0, where=~obs)
     unl = unobs.astype(np.float64)
-    return [LossWeights(targets, y[:, a:b], neg[:, a:b], unl[:, a:b], labeled[:, i],
-                        unlabeled[:, i], ent_div[:, i], sup[:, i:i + 1], ent[:, i:i + 1])
+    return [LossWeights(y[:, a:b], neg[:, a:b], unl[:, a:b], labeled[:, i], ent_div[:, i],
+                        sup[:, i:i + 1], ent[:, i:i + 1])
             for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
@@ -187,14 +171,11 @@ def total_loss(result, batch: Batch, config: LossConfig,
                stages: tuple[tuple[str, tuple[str, ...]], ...]) -> LossBreakdown:
     """Per target: supervised + gamma * entropy; targets average within their
     stage; stages combine under the configured weights. Reads the forward
-    result's stacked (n_targets, batch) probabilities. The config is
-    validated here, where a loss is built, and not on a replay."""
-    config.validate()
-    w, = loss_weights([batch], config, stages)
-    weights = w.folded()
+    result's stacked (n_targets, batch) probabilities."""
+    weights = loss_weights([batch], config, stages)[0].folded()
     p = result.stacked
     total = nm.sum_all(nm.bernoulli_loglik(p, *weights))
-    return LossBreakdown(total, weights, p, w)
+    return LossBreakdown(total, weights, p)
 
 
 def target_terms(w: LossWeights, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,14 +187,6 @@ def target_terms(w: LossWeights, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     supervised = -(w.pos * log_p + w.neg * log_q).sum(axis=1) / np.maximum(w.labeled, 1)
     entropy = -(w.unl * (p * log_p + q * log_q)).sum(axis=1) / w.ent_div
     return supervised, entropy
-
-
-def per_target_losses(w: LossWeights, p: np.ndarray) -> dict[str, TargetLoss]:
-    """`target_terms` and the row counts, by target."""
-    supervised, entropy = target_terms(w, p)
-    return {t: TargetLoss(float(supervised[i]), float(entropy[i]),
-                          int(w.labeled[i]), int(w.unlabeled[i]))
-            for i, t in enumerate(w.targets)}
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +209,6 @@ def make_fast_loss_value_fn(params, model_cfg: MsisConfig, loss_cfg: LossConfig,
     scalar of the default model needs roughly a hundred thousand loss
     evaluations; this is the path that makes that affordable."""
     run = make_fused_forward(params, model_cfg, batch.features)
-    loss_cfg.validate()
     weights = loss_weights([batch], loss_cfg, model_cfg.stages)[0].folded()
 
     def value() -> float:

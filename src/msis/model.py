@@ -55,7 +55,7 @@ class MsisConfig:
     stages: tuple[tuple[str, tuple[str, ...]], ...] = DEFAULT_STAGES
     corridor_enabled: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.input_dim < 1:
             raise ConfigError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.corridor_dim < 1:
@@ -203,7 +203,6 @@ def init_params(config: MsisConfig, seed: int) -> ParamStore:
     which broadcasts against the stage's (n_stage_targets, batch, d + 1)
     rows. Checkpoints and every other reader see ordinary named 2-D
     tensors."""
-    config.validate()
     ps = ParamStore(seed)
     targets = config.all_targets()
     for name, fan_in, fan_out in dense_layers(config):
@@ -367,7 +366,6 @@ def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndar
     key = (config, rows)
     cached = params.evaluators.pop(key, None)
     if cached is None:
-        config.validate()
         if "head" not in params.groups:
             raise ContractError(
                 "make_fused_forward needs the stacked parameter groups of init_params")
@@ -557,7 +555,6 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, MsisConfig]:
         raise ContractError(f"{path}: only post_fusion attention_input models load")
     try:
         config = from_dict(MsisConfig, config, where="config")
-        config.validate()
     except ConfigError as exc:
         raise ContractError(f"{path}: {exc}") from None
     seed = payload.get("seed")

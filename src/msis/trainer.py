@@ -41,7 +41,7 @@ class TrainConfig:
     patience: int = 5
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         # a beta of 1 zeroes Adam's bias correction, one above 1 grows the moments
@@ -117,18 +117,14 @@ class _Step:
 
     def __init__(self, params: ParamStore, model_cfg: MsisConfig, loss_cfg: LossConfig,
                  batch: Batch):
-        self.model_cfg = model_cfg
         result = forward(params, model_cfg, batch.features)
         self.features = result.features.value
         self.loss: LossBreakdown = total_loss(result, batch, loss_cfg, model_cfg.stages)
         self.order = nm.record(self.loss.total)
 
     def replay(self, batch: Batch, weights: LossWeights) -> None:
-        # the check a fresh build makes, before the tape is touched
-        check_features(self.model_cfg, batch.features)
         np.copyto(self.features, batch.features)
         weights.folded(out=self.loss.weights)
-        self.loss.batch = weights
         nm.replay(self.order)
 
 
@@ -154,14 +150,15 @@ def _epoch_diagnostics(params, model_cfg, train_eval: Batch,
 
 def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfig,
               splits: Splits, seed: int) -> tuple[ParamStore, TrainHistory]:
-    model_cfg.validate()
-    loss_cfg.validate()
-    train_cfg.validate()
+    # checked once, here: every batch is a take of the training rows
+    check_features(model_cfg, splits.train.features)
+    val_eval = splits.validation if len(splits.validation) else None
+    if val_eval is not None:
+        check_features(model_cfg, val_eval.features)
     params = init_params(model_cfg, seed)
     optimizer = Adam(params, train_cfg)
     targets = model_cfg.all_targets()
     final_targets = model_cfg.stages[-1][1]
-    val_eval = splits.validation if len(splits.validation) else None
 
     history = TrainHistory()
     steps: dict[int, _Step] = {}  # by batch rows

@@ -253,7 +253,10 @@ class TestCommands:
         (None, "configuration error: missing rows file"),
         ("seed,target,auc\n0,mob6\n", "rows.csv, line 2"),
         ("seed,target,auc\n0,mob6,0.7\n1,mob6,high\n", "rows.csv, line 3"),
-        ("seed,target,auc\n0,mob6,nan\n", "rows.csv, line 2")])
+        ("seed,target,auc\n0,mob6,nan\n", "rows.csv, line 2"),
+        ("0,mob6,0.7\n1,mob6,0.8\n2,mob6,0.9\n", "rows.csv, line 1"),
+        ("seed,target,score\n0,mob6,0.7\n", "rows.csv, line 1"),
+        ("", "rows.csv, line 1")])
     def test_bad_rows_file_exits_one_with_one_line(self, tmp_path, capsys, body, fragment):
         rows = tmp_path / "rows.csv"
         if body is not None:
@@ -293,6 +296,31 @@ class TestCommands:
         field = assignment[len("train."):assignment.index("=")]
         assert len(err.splitlines()) == 1, err
         assert err.startswith(f"configuration error: {field} must"), err
+        assert not out.exists()
+
+    def test_unweighted_stage_exits_one_without_a_run_dir(self, tiny_config, data_dir,
+                                                          tmp_path, capsys):
+        # used to fail on the first loss, after standardizer.json was written
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", tiny_config, "--data", str(data_dir),
+                         "--set", 'model.stages=[["xx",["credit"]]]', "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("configuration error: model.stages ['xx'] have no "), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"),
+                                             ("--tol", "inf"), ("--batch", "0")])
+    def test_bad_gradcheck_flag_exits_one_without_a_run_dir(self, tiny_config, tmp_path,
+                                                            capsys, flag, value):
+        # a NaN or negative tol used to sweep every scalar and print FAIL, an
+        # infinite one PASS
+        out = tmp_path / "gc"
+        assert cli.main(["gradcheck", "--config", tiny_config, "--set", "model.shared_widths=[8]",
+                         "--set", "model.tower_widths=[4]", "--set", "model.corridor_dim=4",
+                         "--set", "train.seeds=[0]", flag, value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"configuration error: {flag} must")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
@@ -366,20 +394,48 @@ def rows_file(tmp_path_factory):
     return path
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(assignments=st.lists(st.tuples(st.sampled_from(FIELDS), SET_VALUES),
-                            min_size=1, max_size=2))
-def test_any_set_value_exits_zero_or_one_with_one_line(rows_file, assignments):
-    args = [arg for field, value in assignments for arg in ("--set", f"{field}={value}")]
+def report_exits_zero_or_one_with_one_line(rows_file, args):
+    """`msis report` with extra arguments: exit 0 with its table, or exit 1
+    with one stderr line, no traceback and no run directory."""
     out = rows_file.parent / "rep"
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(["report", *args, "--out", str(out), f"a={rows_file}", f"b={rows_file}"])
     err = stderr.getvalue()
-    assert rc in (0, 1), (assignments, rc)
+    assert rc in (0, 1), (args, rc)
     if rc == 1:
-        assert len(err.splitlines()) == 1 and "Traceback" not in err, (assignments, err)
-        assert not out.exists(), assignments
+        assert len(err.splitlines()) == 1 and "Traceback" not in err, (args, err)
+        assert not out.exists(), args
     else:
-        assert (out / "comparison.csv").exists(), assignments
+        assert (out / "comparison.csv").exists(), args
         shutil.rmtree(out)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(assignments=st.lists(st.tuples(st.sampled_from(FIELDS), SET_VALUES),
+                            min_size=1, max_size=2))
+def test_any_set_value_exits_zero_or_one_with_one_line(rows_file, assignments):
+    args = [arg for field, value in assignments for arg in ("--set", f"{field}={value}")]
+    report_exits_zero_or_one_with_one_line(rows_file, args)
+
+
+# a section's overrides: some of its fields, each any JSON value
+SECTION_OVERRIDES = [
+    st.tuples(st.just(name), st.one_of(
+        st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(section)]),
+                        JSON_VALUES, max_size=3),
+        JSON_VALUES))
+    for name, section in typing.get_type_hints(cli.ExperimentConfig).items()]
+# a config file's JSON: sections with their overrides, an unknown key or any value
+CONFIG_FILES = st.one_of(
+    st.lists(st.one_of(*SECTION_OVERRIDES, st.tuples(st.text(max_size=6), JSON_VALUES)),
+             max_size=4).map(dict),
+    JSON_VALUES)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(body=CONFIG_FILES)
+def test_any_config_file_exits_zero_or_one_with_one_line(rows_file, body):
+    path = rows_file.parent / "config.json"
+    path.write_text(json.dumps(body))
+    report_exits_zero_or_one_with_one_line(rows_file, ["--config", str(path)])

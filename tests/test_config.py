@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -65,20 +67,80 @@ def test_bad_values_are_config_errors(cls, field, value, fragment):
 ])
 def test_adam_hyperparameters_are_validated(field, value, fragment):
     with pytest.raises(ConfigError, match=fragment):
-        tr.TrainConfig(**{field: value}).validate()
-    tr.TrainConfig(beta1=0.0, beta2=0.0).validate()  # no momentum is a valid Adam
+        tr.TrainConfig(**{field: value})
+    tr.TrainConfig(beta1=0.0, beta2=0.0)  # no momentum is a valid Adam
+
+
+LARGEST = np.iinfo(np.intp).max // 8
+
+
+# one invalid value per check, with the message it raises
+@pytest.mark.parametrize("base, changes, message", [
+    (fs.SimConfig(n=500), {"n": 0}, "n must be positive, got 0"),
+    (fs.SimConfig(n=500), {"feature_dim": 0}, "feature_dim must be positive, got 0"),
+    (fs.SimConfig(n=500), {"acceptance_rate": 1.0}, "acceptance_rate must lie in (0, 1), got 1.0"),
+    (fs.SimConfig(n=500), {"policy_alignment": 1.5},
+     "policy_alignment must lie in [0, 1], got 1.5"),
+    (fs.SimConfig(n=500), {"oot_fraction": 0.0}, "oot_fraction must lie in (0, 1), got 0.0"),
+    (fs.SimConfig(n=500), {"draw_horizons": (90, 30)}, "draw_horizons must increase, got (90, 30)"),
+    (fs.SimConfig(n=500), {"seed": -1}, "seed must be >= 0, got -1"),
+    (fs.SimConfig(n=500), {"n_terms": 5}, "n_terms must be >= 6 to define the term-6 label, got 5"),
+    (fs.SimConfig(n=500), {"n": LARGEST}, "more than one array can hold"),
+    (M.MsisConfig(), {"input_dim": 0}, "input_dim must be >= 1, got 0"),
+    (M.MsisConfig(), {"corridor_dim": 0}, "corridor_dim must be >= 1, got 0"),
+    (M.MsisConfig(), {"shared_widths": (0,)}, "layer widths must be positive"),
+    (M.MsisConfig(), {"stages": (("ar", ()),)}, "every stage needs at least one target"),
+    (M.MsisConfig(), {"stages": (("ar", ("credit",)), ("ws", ("credit",)))},
+     "targets must be unique across stages"),
+    (M.MsisConfig(), {"stages": (("ar", ("frob",)),)}, "unknown targets ['frob']; must be among"),
+    (M.MsisConfig(), {"tower_widths": ()}, "corridor requires at least one tower layer"),
+    (M.MsisConfig(), {"tower_widths": (16, 4)}, "tower output width 4 must equal corridor_dim 8"),
+    (M.MsisConfig(), {"shared_widths": (LARGEST // 33,)}, "the model's parameters need an array"),
+    (ls.LossConfig(), {"gammas": {"mob_6": 0.0}}, "gammas for unknown targets ['mob_6']"),
+    (ls.LossConfig(), {"stage_weights": {"gbx": 2.0}}, "stage_weights for unknown stages ['gbx']"),
+    (ls.LossConfig(), {"stage_weights": {"ar": -1.0}}, "stage weights must be non-negative"),
+    (ls.LossConfig(), {"gammas": {"mob1": -1e-3}}, "semi-supervised weights must be non-negative"),
+    (ls.LossConfig(), {"unlabeled_reduction": "median"},
+     "unlabeled_reduction must be sum or mean, got 'median'"),
+    (tr.TrainConfig(), {"learning_rate": 0.0}, "learning_rate must be positive, got 0.0"),
+    (tr.TrainConfig(), {"beta1": 1.0}, "beta1 must lie in [0, 1), got 1.0"),
+    (tr.TrainConfig(), {"beta2": -0.1}, "beta2 must lie in [0, 1), got -0.1"),
+    (tr.TrainConfig(), {"epsilon": 0.0}, "epsilon must be positive, got 0.0"),
+    (tr.TrainConfig(), {"patience": 50}, "patience must lie in (0, epochs), got 50 vs 50"),
+    (tr.TrainConfig(), {"batch_size": 0}, "batch_size must be >= 1, got 0"),
+    (tr.TrainConfig(), {"seeds": ()}, "at least one seed is required"),
+    (tr.TrainConfig(), {"seeds": (0, -1)}, "seeds must be >= 0, got [0, -1]"),
+    (cli.SplitConfig(), {"seed": -1}, "split.seed must be >= 0, got -1"),
+    (cli.ExperimentConfig(), {"sweep": cli.SweepConfig(corridor_dim=(2, 0))},
+     "sweep.corridor_dim value 0: corridor_dim must be >= 1, got 0"),
+    (cli.ExperimentConfig(), {"sweep": cli.SweepConfig(gamma=(-1.0,))},
+     "sweep.gamma value -1.0: semi-supervised weights must be non-negative"),
+    (cli.ExperimentConfig(), {"model": M.MsisConfig(stages=(("xx", ("credit",)),))},
+     "model.stages ['xx'] have no loss.stage_weights entry"),
+], ids=lambda v: type(v).__name__ if dataclasses.is_dataclass(v)
+   else ",".join(v) if isinstance(v, dict) else None)
+def test_a_config_checks_itself_when_built(base, changes, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        dataclasses.replace(base, **changes)
+
+
+def test_loss_config_keeps_its_own_dicts():
+    weights, gammas = {"ar": 1.0, "ws": 1.0, "gb": 1.0}, ls.default_gammas()
+    cfg = ls.LossConfig(stage_weights=weights, gammas=gammas)
+    weights["ar"], gammas["mob1"] = -1.0, -1.0
+    assert cfg == ls.LossConfig()
 
 
 def test_array_sizes_past_numpy_are_config_errors():
     # checked by arithmetic alone: nothing of either size is allocated
     largest = np.iinfo(np.intp).max // 8
-    fs.SimConfig(n=largest // 32).validate()
+    fs.SimConfig(n=largest // 32)
     with pytest.raises(ConfigError, match="n=.*feature_dim=32 and n_terms=6"):
-        fs.SimConfig(n=largest // 32 + 1).validate()
+        fs.SimConfig(n=largest // 32 + 1)
     width = largest // 33  # a 32-wide input: shared.0's block is (33, width)
     with pytest.raises(ConfigError, match="the model's parameters"):
-        M.MsisConfig(shared_widths=(width,)).validate()
-    M.MsisConfig(shared_widths=(10**6,), tower_widths=(8,)).validate()
+        M.MsisConfig(shared_widths=(width,))
+    M.MsisConfig(shared_widths=(10**6,), tower_widths=(8,))
 
 
 def test_takes_exactly_the_fields():

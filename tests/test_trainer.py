@@ -11,7 +11,7 @@ from msis import loss as L
 from msis import model as M
 from msis import numerics as nm
 from msis import trainer as T
-from msis.errors import ConfigError, ContractError, DomainError
+from msis.errors import ConfigError, ContractError, DimensionError, DomainError
 
 
 def random_label_examples(n, seed=0, dim=32):
@@ -143,11 +143,11 @@ class TestTrainRun:
 
     def test_config_validation(self, sim_splits):
         with pytest.raises(ConfigError):
-            T.TrainConfig(learning_rate=0.0).validate()
+            T.TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
-            T.TrainConfig(patience=50, epochs=50).validate()
+            T.TrainConfig(patience=50, epochs=50)
         with pytest.raises(ConfigError):
-            T.TrainConfig(seeds=()).validate()
+            T.TrainConfig(seeds=())
 
 
 class LoopAdam:
@@ -268,11 +268,13 @@ class TestReplayedStep:
         self.sweep(params, step)
         for name in replays:
             batch = step_batches[name]
-            step.replay(batch, L.loss_weights([batch], lcfg, self.CFG.stages)[0])
+            weights = L.loss_weights([batch], lcfg, self.CFG.stages)[0]
+            step.replay(batch, weights)
             got, got_grads = self.sweep(params, step)
             want, want_grads = self.fresh(params, batch, lcfg)
             npt.assert_array_equal(got.total.value, want.total.value, err_msg=name)
-            assert got.per_target == want.per_target, name
+            npt.assert_array_equal(L.target_terms(weights, got.probs.value),
+                                   L.target_terms(weights, want.probs.value), err_msg=name)
             npt.assert_array_equal(got_grads, want_grads, err_msg=name)
 
     def test_each_row_count_records_one_tape(self, monkeypatch):
@@ -289,25 +291,13 @@ class TestReplayedStep:
         T.train_run(self.CFG, L.LossConfig(), cfg, splits, seed=0)
         assert recorded == [64, 22]
 
-    def test_loss_config_validated_once_per_tape(self, monkeypatch):
-        # train_run's own check, then one where each row count's loss is
-        # built; a replayed batch is not validated again
-        examples = random_label_examples(150, seed=5)  # batches of 64, 64 and 22
-        splits = ds.Splits(examples, examples[:0], examples[:1])
-        calls = []
-        validate = L.LossConfig.validate
-        monkeypatch.setattr(L.LossConfig, "validate",
-                            lambda self: calls.append(1) or validate(self))
-        cfg = T.TrainConfig(epochs=3, patience=2, batch_size=64, seeds=(0,))
-        T.train_run(self.CFG, L.LossConfig(), cfg, splits, seed=0)
-        assert len(calls) == 3
-
 
 @pytest.mark.parametrize("poison,error", [("feature", DomainError),
                                           ("label", ContractError)])
 def test_bad_row_in_a_replayed_batch_raises_its_typed_error(poison, error):
-    # the bad row sits in the second batch of the first epoch: the first
-    # recorded the 64-row tape, so this one replays it
+    # the bad row sits in the second batch of the first epoch, which would
+    # replay the 64-row tape the first recorded: train_run's feature check
+    # and the epoch's loss weights meet it before any step
     examples = random_label_examples(200, seed=4)
     row = ds.batches(examples, 64, 0, 1)[1].features[0]
     victim = np.flatnonzero((examples.features == row).all(axis=1))[0]
@@ -320,6 +310,27 @@ def test_bad_row_in_a_replayed_batch_raises_its_typed_error(poison, error):
     with pytest.raises(error) as err:
         T.train_run(M.MsisConfig(), L.LossConfig(), cfg, splits, seed=0)
     assert not isinstance(err.value, T.TrainingDiverged)
+
+
+@pytest.mark.parametrize("split", ["train", "validation"])
+def test_bad_features_raise_before_the_first_step(monkeypatch, split):
+    examples = random_label_examples(200, seed=4)
+    splits = ds.Splits(examples[:150], examples[150:], examples[:1])
+    getattr(splits, split).features[5, 3] = np.nan
+    built = []
+    monkeypatch.setattr(T, "forward", lambda *args: built.append(1) or M.forward(*args))
+    cfg = T.TrainConfig(epochs=2, patience=1, batch_size=64, seeds=(0,))
+    with pytest.raises(DomainError):
+        T.train_run(M.MsisConfig(), L.LossConfig(), cfg, splits, seed=0)
+    assert not built
+
+
+def test_empty_training_split_is_a_dimension_error():
+    examples = random_label_examples(10)
+    splits = ds.Splits(examples[:0], examples, examples[:1])
+    cfg = T.TrainConfig(epochs=2, patience=1, batch_size=64, seeds=(0,))
+    with pytest.raises(DimensionError, match="no rows"):
+        T.train_run(M.MsisConfig(), L.LossConfig(), cfg, splits, seed=0)
 
 
 def test_recorded_tapes_leave_no_reference_cycles(sim_splits):
