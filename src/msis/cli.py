@@ -257,7 +257,7 @@ def _read_rows_csv(path: Path) -> list[dict]:
 
 def cmd_simulate(args, cfg: ExperimentConfig, out: Path) -> int:
     population = fs.generate(cfg.sim)
-    examples = fs.observe(population, cfg.sim.draw_horizons)
+    examples = fs.observe(population)
     ds.save_csv(examples, out / "dataset.csv")
     fs.save_counterfactuals(population, out / "counterfactuals.csv")
     write_manifest(out, "simulate", cfg,
@@ -401,7 +401,7 @@ def cmd_sweep(args, cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_gradcheck(args, cfg: ExperimentConfig, out: Path) -> int:
     sim_cfg = dataclasses.replace(cfg.sim, n=max(256, 4 * args.batch))
-    examples = fs.observe(fs.generate(sim_cfg), sim_cfg.draw_horizons)
+    examples = fs.observe(fs.generate(sim_cfg))
     examples = ds.Standardizer.fit(examples).apply(examples)
     worst = 0.0
     lines = []

@@ -20,6 +20,22 @@ EXPECTED = {bool: "true or false", int: "a whole number", float: "a finite numbe
             str: "a string", tuple: "a list", dict: "an object"}
 
 
+class ReadOnlyDict(dict):
+    """A dict that refuses every edit once built, so a config that checked
+    its dict-typed fields in `__post_init__` keeps the values it checked.
+    It compares, prints and writes to JSON as a plain dict, and pickles and
+    copies by rebuilding itself from its items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 def check_array_entries(entries: int, what: str) -> None:
     """Reject a config whose `what` needs one float64 array of `entries`
     values, when that array would take more bytes than an intp counts:

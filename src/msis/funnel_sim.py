@@ -176,13 +176,13 @@ def generate(config: SimConfig) -> Population:
                       np.stack([outcomes[t] for t in TARGETS]))
 
 
-def observe(population: Population, draw_horizons: tuple[int, int] = (30, 90)) -> Batch:
+def observe(population: Population) -> Batch:
     """Apply the two selection gates: rejected applicants hide everything past
-    the credit decision, silent users (no draw within the longer horizon)
-    hide repayment. Label values are never altered, only their visibility."""
+    the credit decision, silent users (no draw within the longer horizon,
+    the population's own `draw_90` label) hide repayment. Label values are
+    never altered, only their visibility."""
     credit = population.labels["credit"]
-    day = population.draw_day
-    drawn = credit & (day >= 1) & (day <= draw_horizons[1])
+    drawn = credit & population.labels["draw_90"]
     (_, ws_targets), (_, gb_targets) = DEFAULT_STAGES[1:]
     visible = {"credit": np.ones_like(credit)}
     visible.update({t: credit for t in ws_targets})

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import numerics as nm
 from .dataset import DEFAULT_STAGES, TARGET_INDEX, TARGETS, Batch
+from .config import ReadOnlyDict
 from .errors import ConfigError, ContractError
 from .model import MsisConfig, make_fused_forward
 from .numerics import Node
@@ -50,9 +51,10 @@ class LossConfig:
     unlabeled_reduction: str = "mean"  # or "sum"
 
     def __post_init__(self) -> None:
-        # its own copies: editing a dict the caller passed cannot unmake it
-        object.__setattr__(self, "stage_weights", dict(self.stage_weights))
-        object.__setattr__(self, "gammas", dict(self.gammas))
+        # its own read-only copies: no edit, through the caller's dicts or
+        # through the config's, can unmake what is checked below
+        object.__setattr__(self, "stage_weights", ReadOnlyDict(self.stage_weights))
+        object.__setattr__(self, "gammas", ReadOnlyDict(self.gammas))
         unknown = sorted(set(self.gammas) - set(TARGETS))
         if unknown:
             raise ConfigError(f"gammas for unknown targets {unknown}; must be among {TARGETS}")

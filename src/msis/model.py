@@ -77,7 +77,7 @@ class MsisConfig:
                 raise ConfigError(
                     f"tower output width {self.tower_widths[-1]} must equal "
                     f"corridor_dim {self.corridor_dim}")
-        # the store packs every parameter into one vector
+        # the store lays out every parameter in one vector
         check_array_entries(sum((fan_in + 1) * fan_out for _, fan_in, fan_out
                                 in dense_layers(self)), "the model's parameters")
 
@@ -188,39 +188,53 @@ def param_shapes(config: MsisConfig) -> dict[str, tuple[int, int]]:
             for part, shape in (("w", (fan_in, fan_out)), ("b", (1, fan_out)))}
 
 
-def init_params(config: MsisConfig, seed: int) -> ParamStore:
-    """Create every trainable tensor, the layers of `dense_layers` in their
-    order, from one seed.
+def param_groups(config: MsisConfig) -> dict[str, str | list]:
+    """The store's groups of dense layers, in layout order.
 
-    The store is then packed into one flat vector, each layer's weight rows
-    followed by its bias row, so every dense layer is one
-    (d_in + 1, d_out) block of the store's groups. Per-target layers that
-    the forward passes run together sit next to each other, stacked into
-    one block: tower layer i and the heads over all targets,
+    First the per-target layers that the forward passes run together,
+    each stack one block: tower layer i and the heads over all targets,
     (n_targets, ...); each fusion side of a stage,
     (3 parts, n_stage_targets, ...); and the g1, g2 and g3 projections of
     a stage with more than one target that feeds a corridor, (3, 1, ...),
     which broadcasts against the stage's (n_stage_targets, batch, d + 1)
-    rows. Checkpoints and every other reader see ordinary named 2-D
-    tensors."""
-    ps = ParamStore(seed)
+    rows. Then every other layer of `dense_layers`, in its order, as its
+    own 0-lead block."""
     targets = config.all_targets()
-    for name, fan_in, fan_out in dense_layers(config):
-        ps.add_dense(name, fan_in, fan_out)
-
-    stacks = {f"tower.{i}": [f"tower.{t}.{i}" for t in targets]
-              for i in range(len(config.tower_widths))}
-    stacks["head"] = [f"head.{t}" for t in targets]
+    groups: dict[str, str | list] = {
+        f"tower.{i}": [f"tower.{t}.{i}" for t in targets]
+        for i in range(len(config.tower_widths))}
+    groups["head"] = [f"head.{t}" for t in targets]
     if config.uses_corridor:
         for sname, stargets in config.stages[:-1]:
             if len(stargets) > 1:
-                stacks[f"intra.{sname}"] = [[f"intra.{sname}.{g}"] for g in ("g1", "g2", "g3")]
+                groups[f"intra.{sname}"] = [[f"intra.{sname}.{g}"] for g in ("g1", "g2", "g3")]
         for sname, stargets in config.stages[1:]:
             for side, parts in (("in", FUSE_IN_PARTS), ("self", FUSE_SELF_PARTS)):
-                stacks[f"fuse_{side}.{sname}"] = [
+                groups[f"fuse_{side}.{sname}"] = [
                     [f"fuse.{t}.{part}" for t in stargets] for part in parts]
-    ps.pack(stacks)
-    return ps
+    stacked = {str(m) for members in groups.values() for m in np.ravel(members)}
+    groups.update((name, name) for name, _, _ in dense_layers(config) if name not in stacked)
+    return groups
+
+
+def init_params(config: MsisConfig, seed: int) -> ParamStore:
+    """Every trainable tensor, drawn from one seed: the layers of
+    `dense_layers` in their order, each weight `.w` uniform in
+    +-sqrt(6 / (fan_in + fan_out)) (Glorot) and each bias `.b` zero, in a
+    store laid out by `param_groups`. The order of the draws is part of the
+    determinism contract: the same config and seed give the same bytes.
+
+    Each dense layer is one (d_in + 1, d_out) block of the store's flat
+    vector, its weight rows followed by its bias row, and each stack of
+    `param_groups` one (*lead, d_in + 1, d_out) block. Checkpoints and
+    every other reader see ordinary named 2-D tensors."""
+    rng = np.random.default_rng(seed)
+    tensors = {}
+    for name, fan_in, fan_out in dense_layers(config):
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        tensors[f"{name}.w"] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        tensors[f"{name}.b"] = np.zeros((1, fan_out))
+    return ParamStore(seed, tensors, param_groups(config))
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +368,8 @@ def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndar
     memory. The ones columns are set at compile time, and a run writes
     every other buffer before reading it. An evaluator holds the store's
     groups (views into its flat parameter vector, kept live because
-    training, load_values and the best-epoch restore write that vector in
-    place) but not the store.
+    training and the best-epoch restore write that vector in place) but
+    not the store.
 
     This is the path for every value-only evaluation: scoring through
     predict_probs, and the gradient check, which re-evaluates the loss
@@ -542,6 +556,12 @@ def save_checkpoint(params: ParamStore, config: MsisConfig, path: str | Path) ->
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, MsisConfig]:
+    """The store and config a checkpoint file holds. Its config, seed and
+    tensors are checked first: every tensor finite, and exactly the names
+    and shapes of `param_shapes`. The store is then built from the file's
+    values alone, in `param_shapes` order and laid out by `param_groups`
+    as `init_params` lays out its own, with no random draw. Any fault is
+    a ContractError that names the file."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -568,7 +588,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, MsisConfig]:
     for name, value in values.items():
         if not np.isfinite(value).all():
             raise ContractError(f"{path}: parameter {name!r} holds non-finite values")
-    # checked before init_params, which allocates what the config asks for
+    # checked before the store is built: it holds exactly the config's tensors
     shapes = param_shapes(config)
     wrong = [f"{name} {values[name].shape if name in values else 'missing'} "
              f"(config: {shapes.get(name, 'none')})"
@@ -577,6 +597,4 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, MsisConfig]:
     if wrong:
         raise ContractError(f"{path}: parameters do not match the config: "
                             f"{', '.join(wrong[:3])}{', ...' if len(wrong) > 3 else ''}")
-    params = init_params(config, seed=seed)
-    params.load_values(values)
-    return params, config
+    return ParamStore(seed, {name: values[name] for name in shapes}, param_groups(config)), config

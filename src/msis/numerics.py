@@ -22,11 +22,12 @@ evaluation of the model skips the tape and runs the model's fused
 forward (`model.make_fused_forward`); the gradient check's loss value is
 `bernoulli_loglik_value` over that forward's output, with no tape at all.
 
-Trainable tensors live in a `ParamStore`, which packs all of them into
-one contiguous parameter vector and one gradient vector: each tensor's
-value and adjoint are reshaped views into those, so the optimizer updates
-the whole model with a few vector operations. Each dense layer's bias row
-follows its weight rows there, so the layer is one block.
+Trainable tensors live in a `ParamStore`, which lays all of them out,
+when it is built, in one contiguous parameter vector and one gradient
+vector: each tensor's value and adjoint are reshaped views into those, so
+the optimizer updates the whole model with a few vector operations. Each
+dense layer's bias row follows its weight rows there, and the layers of
+a group follow each other, so a group is one stacked block.
 """
 
 from __future__ import annotations
@@ -562,144 +563,86 @@ def backward_sweep(root: Node, order: Sequence[Node] | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 class ParamStore:
-    """Named trainable tensors with deterministic, seeded initialization,
-    stored in two contiguous float64 vectors.
+    """Named trainable tensors in two contiguous float64 vectors, laid out
+    once, when the store is built.
 
-    Weight matrices are drawn uniform(+-sqrt(6/(fan_in+fan_out))), biases
-    start at zero. Insertion order is preserved and is part of the
-    determinism contract: the same creation sequence under the same seed
-    yields identical parameters.
+    `tensors` maps each name to its initial matrix; their order is the
+    order of `items()` and of checkpoints. `groups` maps a group name to a
+    dense layer, or to a nested list of dense layers of one shape, a dense
+    layer `L` being the pair `L.w`, (d_in, d_out), and `L.b`, (1, d_out).
+    A group's layers are laid out in list order, each layer's weight rows
+    followed by its bias row, so the group is one (*lead, d_in + 1, d_out)
+    block, lead being the nesting shape (none for a plain layer name). The
+    tensors that no group lists follow, in their order.
 
-    Tensors are created one by one (`add`, `add_dense`), then `pack` lays
-    them all out in `values`, with their gradients at the same offsets in
-    `grads`. From then on every tensor's `Node.value` and `Node.adjoint`
-    are reshaped views into those two vectors, so a whole-model update
+    `values` holds every scalar in that layout and `grads` their adjoints.
+    Every tensor's `Node.value` and `Node.adjoint`, and every group's, are
+    reshaped views into those two vectors, so a whole-model update
     (`trainer.Adam`), zeroing, snapshot or restore is one vector operation.
-    A dense layer's weight rows are followed by its bias row, so each layer
-    is one (d_in + 1, d_out) block, and `groups` holds one Node per block
-    whose value and adjoint are views of it in the two vectors: every layer
-    `add_dense` made, and every stack of same-shaped layers that `pack` was
-    given, as one (*lead, d_in + 1, d_out) block. The model puts blocks on
-    the tape (`dense_forward`), so their gradients land in the members'
-    adjoints too. A store that was never packed explicitly is packed on
-    first use of its vectors.
+    The model puts groups on the tape (`dense_forward`), so their gradients
+    land in the members' adjoints too.
 
-    Checkpoints keep the v1 per-name format: `load_values` copies each
-    named tensor into its view, whatever the layout.
-
-    Because the vectors never move after `pack`, the store can also keep
-    the fused evaluators that `model.make_fused_forward` compiles over them
+    Because the vectors never move, the store can also keep the fused
+    evaluators that `model.make_fused_forward` compiles over them
     (`evaluators`, each with buffers of its own): they read the live
-    weights, and they are freed with the store.
+    weights, and they are freed with the store. `seed` is the one the
+    tensors were drawn from, kept for checkpoints.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, tensors: dict[str, np.ndarray],
+                 groups: dict[str, str | Sequence]):
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
-        self._params: dict[str, Node] = {}
-        self._slices: dict[str, slice] = {}
-        self._values: np.ndarray | None = None
-        self._grads: np.ndarray | None = None
-        self._layers: list[str] = []  # add_dense's names, in creation order
-        self.groups: dict[str, Node] = {}
         # model.make_fused_forward's compiled evaluators, keyed by (config, rows)
         self.evaluators: dict = {}
+        tensors = {name: tensor2d(value) for name, value in tensors.items()}
 
-    def add(self, name: str, value: np.ndarray) -> Node:
-        if name in self._params:
-            raise ContractError(f"duplicate parameter name {name!r}")
-        if self._values is not None:
-            raise ContractError(f"cannot add {name!r}: the store is already packed")
-        node = Node(tensor2d(value))
-        self._params[name] = node
-        return node
+        def block_shape(layer) -> tuple[int, int] | None:
+            w, b = tensors.get(f"{layer}.w"), tensors.get(f"{layer}.b")
+            if w is None or b is None or b.shape != (1, w.shape[1]):
+                return None
+            return w.shape[0] + 1, w.shape[1]
 
-    def add_dense(self, name: str, fan_in: int, fan_out: int) -> tuple[Node, Node]:
-        """Create an initialized weight/bias pair, `name.w` then `name.b`,
-        whose block is groups[name] once the store is packed."""
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        w = self._rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        weight = self.add(name + ".w", w)
-        bias = self.add(name + ".b", np.zeros((1, fan_out)))
-        self._layers.append(name)
-        return weight, bias
-
-    def pack(self, stacks: dict[str, Sequence] | None = None) -> None:
-        """Move every tensor into the flat `values`/`grads` vectors.
-
-        stacks maps a group name to a (possibly nested) list of dense layers
-        of one shape; each member's `.w` and then its `.b` are laid out in
-        list order, and groups[name] becomes a Node over their
-        (*lead, d_in + 1, d_out) block, lead being the nesting shape. The
-        remaining tensors follow in insertion order, and each remaining
-        layer, its `.w` and `.b` adjacent as `add_dense` made them, becomes
-        the 0-lead block groups[layer]. Packing an already packed store
-        without stacks does nothing."""
-        if self._values is not None:
-            if stacks:
-                raise ContractError("the store is already packed")
-            return
         order: list[str] = []
         blocks: dict[str, tuple[str, tuple[int, ...]]] = {}  # first tensor, block shape
-        for group, members in (stacks or {}).items():
+        for group, members in groups.items():
             layers = np.asarray(members, dtype=object)
-            unknown = sorted(m for m in layers.flat if m not in self._layers)
+            unknown = sorted(m for m in layers.flat if block_shape(m) is None)
             if unknown:
                 raise ContractError(f"group {group!r} lists {unknown}, which are not dense layers")
-            shapes = {self._block_shape(m) for m in layers.flat}
+            shapes = {block_shape(m) for m in layers.flat}
             if len(shapes) != 1:
                 raise ContractError(f"group {group!r} mixes shapes {sorted(shapes)}")
-            blocks[group] = (layers.flat[0] + ".w", layers.shape + shapes.pop())
+            blocks[group] = (f"{layers.flat[0]}.w", layers.shape + shapes.pop())
             order.extend(f"{m}.{p}" for m in layers.flat for p in "wb")
         grouped = set(order)
         if len(grouped) != len(order):
             raise ContractError("a parameter is listed in more than one group")
-        order += [name for name in self._params if name not in grouped]
-        for layer in self._layers:
-            if layer + ".w" not in grouped:
-                blocks[layer] = (layer + ".w", self._block_shape(layer))
+        order += [name for name in tensors if name not in grouped]
 
+        self._slices: dict[str, slice] = {}
         offset = 0
         for name in order:
-            size = self._params[name].value.size
-            self._slices[name] = slice(offset, offset + size)
-            offset += size
-        self._values = np.empty(offset)
-        self._grads = np.zeros(offset)
-        for name in order:
-            node = self._params[name]
-            value = self._values[self._slices[name]].reshape(node.value.shape)
-            value[...] = node.value
-            adjoint = self._grads[self._slices[name]].reshape(node.value.shape)
-            if node.adjoint is not None:
-                adjoint[...] = node.adjoint
-            node.value, node.adjoint = value, adjoint
+            self._slices[name] = slice(offset, offset + tensors[name].size)
+            offset += tensors[name].size
+        self.values = np.empty(offset)
+        self.grads = np.zeros(offset)
 
+        def leaf(span: slice, shape: tuple[int, ...]) -> Node:
+            node = Node(self.values[span].reshape(shape))
+            node.adjoint = self.grads[span].reshape(shape)
+            return node
+
+        self._params: dict[str, Node] = {}
+        for name, value in tensors.items():
+            node = self._params[name] = leaf(self._slices[name], value.shape)
+            node.value[...] = value
+        self.groups: dict[str, Node] = {}
         for group, (first, shape) in blocks.items():
             start = self._slices[first].start
-            span = slice(start, start + math.prod(shape))
-            node = self.groups[group] = Node(self._values[span].reshape(shape))
-            node.adjoint = self._grads[span].reshape(shape)
-
-    def _block_shape(self, layer: str) -> tuple[int, int]:
-        d_in, d_out = self._params[layer + ".w"].value.shape
-        return d_in + 1, d_out
-
-    @property
-    def values(self) -> np.ndarray:
-        """Every parameter scalar, one contiguous vector in layout order."""
-        self.pack()
-        return self._values
-
-    @property
-    def grads(self) -> np.ndarray:
-        """The adjoint of every parameter scalar, laid out like `values`."""
-        self.pack()
-        return self._grads
+            self.groups[group] = leaf(slice(start, start + math.prod(shape)), shape)
 
     def as_named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Per-name views of a vector laid out like `values`."""
-        self.pack()
         return {name: flat[self._slices[name]].reshape(node.value.shape)
                 for name, node in self._params.items()}
 
@@ -709,9 +652,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -719,25 +659,10 @@ class ParamStore:
         return iter(self._params.items())
 
     def n_scalars(self) -> int:
-        return sum(node.value.size for node in self._params.values())
+        return self.values.size
 
     def zero_adjoints(self) -> None:
         self.grads.fill(0.0)
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        if set(values) != set(self._params):
-            missing = set(self._params) - set(values)
-            extra = set(values) - set(self._params)
-            raise ContractError(
-                f"parameter name mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for name, arr in values.items():
-            node = self._params[name]
-            arr = tensor2d(arr)
-            if arr.shape != node.value.shape:
-                raise ContractError(
-                    f"parameter {name!r}: shape {arr.shape} does not match {node.value.shape}")
-            # copy in place: values are views into the flat vector
-            node.value[...] = arr
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,9 @@ class TrainConfig:
             raise ConfigError("at least one seed is required")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
+        # each seed names a run: its checkpoint file and its rows in the metrics
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must not repeat, got {list(self.seeds)}")
 
 
 class Adam:
@@ -71,7 +74,7 @@ class Adam:
         self.params = params
         self.cfg = cfg
         self.t = 0
-        # a packed store keeps its two vectors for life
+        # a store keeps its two vectors for life
         self._values, self._grads = params.values, params.grads
         self._m = np.zeros_like(self._values)
         self._v = np.zeros_like(self._values)

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import json
+import pickle
 import re
 
 import numpy as np
@@ -110,6 +112,7 @@ LARGEST = np.iinfo(np.intp).max // 8
     (tr.TrainConfig(), {"batch_size": 0}, "batch_size must be >= 1, got 0"),
     (tr.TrainConfig(), {"seeds": ()}, "at least one seed is required"),
     (tr.TrainConfig(), {"seeds": (0, -1)}, "seeds must be >= 0, got [0, -1]"),
+    (tr.TrainConfig(), {"seeds": (3, 1, 3)}, "seeds must not repeat, got [3, 1, 3]"),
     (cli.SplitConfig(), {"seed": -1}, "split.seed must be >= 0, got -1"),
     (cli.ExperimentConfig(), {"sweep": cli.SweepConfig(corridor_dim=(2, 0))},
      "sweep.corridor_dim value 0: corridor_dim must be >= 1, got 0"),
@@ -129,6 +132,38 @@ def test_loss_config_keeps_its_own_dicts():
     cfg = ls.LossConfig(stage_weights=weights, gammas=gammas)
     weights["ar"], gammas["mob1"] = -1.0, -1.0
     assert cfg == ls.LossConfig()
+
+
+DICT_EDITS = {
+    "setitem": lambda d: d.__setitem__("mob1", -1.0),
+    "delitem": lambda d: d.__delitem__(next(iter(d))),
+    "update": lambda d: d.update(zz=2.0),
+    "ior": lambda d: d.__ior__({"zz": 2.0}),
+    "setdefault": lambda d: d.setdefault("zz", 2.0),
+    "pop": lambda d: d.pop(next(iter(d))),
+    "popitem": lambda d: d.popitem(),
+    "clear": lambda d: d.clear(),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(DICT_EDITS))
+@pytest.mark.parametrize("name", ["gammas", "stage_weights"])
+def test_a_built_loss_config_refuses_edits(name, edit):
+    cfg = ls.LossConfig()
+    with pytest.raises(TypeError, match="read-only"):
+        DICT_EDITS[edit](getattr(cfg, name))
+    assert cfg == ls.LossConfig()
+
+
+def test_a_read_only_loss_config_pickles_copies_and_hashes_as_before():
+    cfg = dataclasses.replace(ls.LossConfig(), gammas={"mob6": 0.01})
+    for twin in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+        assert twin == cfg and to_dict(twin) == to_dict(cfg)
+        with pytest.raises(TypeError, match="read-only"):
+            twin.gammas["mob6"] = -1.0
+    assert to_dict(cfg)["gammas"] == {"mob6": 0.01}
+    experiment = cli.ExperimentConfig()
+    assert pickle.loads(pickle.dumps(experiment)).sha256() == experiment.sha256()
 
 
 def test_array_sizes_past_numpy_are_config_errors():

@@ -109,6 +109,15 @@ class TestObserve:
         for t in ("mob1", "mob3", "mob6"):
             assert ex.labels[t] is None
 
+    def test_gb_labels_follow_the_populations_own_horizon(self):
+        population = fs.generate(fs.SimConfig(n=2000, seed=1, draw_horizons=(10, 40)))
+        labels = population.labels
+        # drawn past this population's longer horizon, within the default one
+        assert (labels["credit"] & ~labels["draw_90"] & (population.draw_day <= 90)).any()
+        observed = fs.observe(population)
+        for t in ("mob1", "mob3", "mob6"):
+            npt.assert_array_equal(observed.masks[t] == 1.0, labels["credit"] & labels["draw_90"])
+
     def test_observe_never_alters_values(self, population_10k):
         observed = fs.observe(population_10k)
         seen = observed.mask_matrix == 1.0

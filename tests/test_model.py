@@ -73,6 +73,14 @@ class TestInitParams:
         for (_, na), (_, nb) in zip(a.items(), b.items()):
             npt.assert_array_equal(na.value, nb.value)
 
+    def test_glorot_bounds_and_zero_bias(self, default_cfg):
+        params = M.init_params(default_cfg, seed=0)
+        for name, fan_in, fan_out in M.dense_layers(default_cfg):
+            limit = math.sqrt(6.0 / (fan_in + fan_out))
+            w = np.abs(params[f"{name}.w"].value)
+            assert w.max() <= limit and w.max() > 0.5 * limit, name
+            npt.assert_array_equal(params[f"{name}.b"].value, np.zeros((1, fan_out)))
+
     def test_corridor_dim_two(self):
         cfg = M.MsisConfig().with_corridor_dim(2)
         params = M.init_params(cfg, seed=0)
@@ -149,7 +157,7 @@ class TestParamLayout:
     def test_load_values_reaches_the_fused_path(self, default_cfg):
         params = M.init_params(default_cfg, seed=0)
         source = M.init_params(default_cfg, seed=1)
-        params.load_values({name: node.value for name, node in source.items()})
+        params.values[...] = source.values  # as training and the best-epoch restore write it
         assert params.values.tobytes() == source.values.tobytes()
         x = np.random.default_rng(4).normal(size=(50, 32))
         served = M.predict_probs(params, default_cfg, x)
@@ -277,7 +285,7 @@ class TestForward:
 def _twin(params, cfg):
     """A second store holding the same values, with an empty evaluator cache."""
     twin = M.init_params(cfg, params.seed)
-    twin.load_values({name: node.value for name, node in params.items()})
+    twin.values[...] = params.values
     return twin
 
 
@@ -336,8 +344,7 @@ class TestEvaluatorCache:
             adam.step()
         stepped = agrees()
         assert not np.array_equal(stepped, before)
-        source = M.init_params(default_cfg, seed=13)
-        params.load_values({name: node.value for name, node in source.items()})
+        params.values[...] = M.init_params(default_cfg, seed=13).values
         assert not np.array_equal(agrees(), stepped)
 
     def test_mixed_shapes_match_fresh_evaluators(self, default_cfg):
@@ -805,8 +812,8 @@ def _loads_or_names_the_file(load, path, raw: bytes) -> None:
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(mutation=MUTATIONS)
-# each raised an error that did not name the file: a 1-D parameter (from
-# load_values), a width of zero (from init_params), an unknown name
+# each once raised an error that did not name the file: a 1-D parameter, a
+# width of zero (from init_params), an unknown name
 @example(mutation=("delete", ("params", 1, 1, 0), None))
 @example(mutation=("set", ("config", "shared_widths", 0), 0))
 @example(mutation=("set", ("params", 0, 0), "no.such.tensor"))
@@ -840,6 +847,24 @@ def test_oversized_config_rejected_before_init_params(run_files):
         tracemalloc.stop()
     assert str(path) in str(err.value) and "shared.0.w" in str(err.value)
     assert peak < 1 << 20
+
+
+def test_load_checkpoint_builds_its_store_from_the_file_alone(run_files, monkeypatch):
+    path = run_files["path"]
+    path.write_bytes(run_files["checkpoint"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random values")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(M, "init_params", refuse)
+        patch.setattr(np.random, "default_rng", refuse)
+        params, cfg = M.load_checkpoint(path)
+    saved = M.init_params(TINY_CFG, seed=1)
+    assert cfg == TINY_CFG and params.seed == 1 and params.names() == saved.names()
+    assert params.values.tobytes() == saved.values.tobytes()
+    assert [(k, g.shape) for k, g in params.groups.items()] == \
+        [(k, g.shape) for k, g in saved.groups.items()]
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -200,62 +200,60 @@ class TestBackwardSweep:
         npt.assert_allclose(xn.adjoint, fd, atol=1e-8)
 
 
-class TestParamStore:
-    def test_glorot_bounds_and_zero_bias(self):
-        ps = nm.ParamStore(seed=0)
-        w, b = ps.add_dense("layer", 30, 10)
-        limit = math.sqrt(6.0 / 40.0)
-        assert np.all(np.abs(w.value) <= limit)
-        npt.assert_array_equal(b.value, np.zeros((1, 10)))
+def dense_tensors(seed: int, *layers: tuple[str, int, int]) -> dict[str, np.ndarray]:
+    """The `.w` and then the `.b` of each (name, d_in, d_out) layer, drawn
+    normal."""
+    rng = np.random.default_rng(seed)
+    return {f"{name}.{part}": rng.normal(size=shape) for name, d_in, d_out in layers
+            for part, shape in (("w", (d_in, d_out)), ("b", (1, d_out)))}
 
+
+class TestParamStore:
     def test_same_seed_identical(self):
         def build(seed):
-            ps = nm.ParamStore(seed)
-            ps.add_dense("a", 4, 3)
-            ps.add_dense("b", 3, 2)
-            return ps
+            return nm.ParamStore(seed, dense_tensors(seed, ("a", 4, 3), ("b", 3, 2)),
+                                 {"b": "b", "a": "a"})
 
         p1, p2 = build(5), build(5)
+        assert p1.seed == 5 and p1.values.tobytes() == p2.values.tobytes()
         for (n1, a), (n2, b) in zip(p1.items(), p2.items()):
             assert n1 == n2
             npt.assert_array_equal(a.value, b.value)
 
-    def test_duplicate_name_rejected(self):
-        ps = nm.ParamStore(0)
-        ps.add("x", np.zeros((1, 1)))
-        with pytest.raises(ContractError):
-            ps.add("x", np.zeros((1, 1)))
+    def test_groups_are_laid_out_first_then_the_rest(self):
+        tensors = {"x": np.array([[1.0, 2.0]]), **dense_tensors(0, ("a", 2, 1), ("b", 2, 1))}
+        ps = nm.ParamStore(0, tensors, {"g": ["b", "a"]})
+        assert ps.names() == ["x", "a.w", "a.b", "b.w", "b.b"]  # the tensors' order
+        layout = ("b.w", "b.b", "a.w", "a.b", "x")
+        npt.assert_array_equal(ps.values, np.concatenate([tensors[n].ravel() for n in layout]))
+        npt.assert_array_equal(ps.groups["g"].value[0], np.vstack([tensors["b.w"],
+                                                                   tensors["b.b"]]))
+        tensors["x"][...] = 0.0  # the store holds its own copies
+        npt.assert_array_equal(ps["x"].value, [[1.0, 2.0]])
+        assert ps.n_scalars() == 8 and "a.w" in ps and "a" not in ps
+        for name, node in ps.items():
+            assert np.shares_memory(node.value, ps.values)
+            npt.assert_array_equal(ps.as_named(ps.values)[name], node.value)
 
-    def test_load_values_shape_mismatch(self):
-        ps = nm.ParamStore(0)
-        ps.add("x", np.zeros((2, 2)))
-        with pytest.raises(ContractError):
-            ps.load_values({"x": np.zeros((2, 3))})
-        with pytest.raises(ContractError):
-            ps.load_values({"y": np.zeros((2, 2))})
-
-    def test_pack_rejects_mixed_groups_and_late_adds(self):
-        ps = nm.ParamStore(0)
-        ps.add_dense("a", 3, 3)
-        ps.add_dense("b", 3, 3)
-        ps.add_dense("c", 2, 3)
-        with pytest.raises(ContractError, match="mixes shapes"):
-            ps.pack({"g": ["a", "c"]})
-        with pytest.raises(ContractError, match="more than one group"):
-            ps.pack({"g": ["a", "b"], "h": ["b"]})
-        with pytest.raises(ContractError, match="not dense layers"):
-            ps.pack({"g": ["a.w", "b.w"]})
-        ps.pack({"g": ["a", "b"]})
+    def test_constructor_rejects_bad_groups(self):
+        tensors = dense_tensors(0, ("a", 3, 3), ("b", 3, 3), ("c", 2, 3))
+        tensors["d.w"], tensors["d.b"] = np.zeros((3, 3)), np.zeros((2, 3))
+        for groups, message in (({"g": ["a", "c"]}, "mixes shapes"),
+                                ({"g": ["a", "b"], "h": ["b"]}, "more than one group"),
+                                ({"g": ["a", "b"], "a": "a"}, "more than one group"),
+                                ({"g": ["a.w", "b.w"]}, "not dense layers"),
+                                ({"g": "e"}, "not dense layers"),
+                                ({"g": "d"}, "not dense layers")):  # a bias of two rows
+            with pytest.raises(ContractError, match=message):
+                nm.ParamStore(0, tensors, groups)
+        ps = nm.ParamStore(0, tensors, {"g": ["a", "b"], "c": "c"})
         assert ps.groups.keys() == {"g", "c"}
         assert ps.groups["g"].shape == (2, 4, 3)
-        assert ps.groups["c"].shape == (3, 3)  # an unstacked layer is a 0-lead block
-        with pytest.raises(ContractError, match="already packed"):
-            ps.add("d", np.zeros((1, 1)))
+        assert ps.groups["c"].shape == (3, 3)  # a plain layer name is a 0-lead block
 
     def test_sweep_writes_into_the_gradient_vector(self):
-        ps = nm.ParamStore(0)
-        w, b = ps.add_dense("l", 3, 2)
-        ps.pack()
+        ps = nm.ParamStore(0, dense_tensors(0, ("l", 3, 2)), {"l": "l"})
+        w, b = ps["l.w"], ps["l.b"]
         x = nm.constant(np.ones((4, 3)))
         for _ in range(2):  # the second sweep zeroes the views in place
             nm.backward_sweep(nm.sum_all(nm.dense_forward(x, ps.groups["l"])))
@@ -268,11 +266,8 @@ class TestParamStore:
         # each leaf's first contribution is written over its adjoint, so two
         # leaves whose adjoints overlap would clobber each other: a stacked
         # or a 0-lead block and one of its layer's tensors
-        ps = nm.ParamStore(0)
-        ps.add_dense("l0", 3, 2)
-        ps.add_dense("l1", 3, 2)
-        ps.add_dense("l2", 3, 2)
-        ps.pack({"l": ["l1", "l2"]})
+        ps = nm.ParamStore(0, dense_tensors(0, ("l0", 3, 2), ("l1", 3, 2), ("l2", 3, 2)),
+                           {"l": ["l1", "l2"], "l0": "l0"})
         x = nm.constant(np.ones((4, 3)))
         both = nm.add(nm.sum_all(nm.dense_forward(x, ps.groups["l"])),
                       nm.sum_all(nm.dense_forward(x, ps.groups["l0"])))
@@ -282,18 +277,22 @@ class TestParamStore:
                 nm.backward_sweep(nm.add(both, nm.sum_all(ps[member])))
 
 
+def scalar_store(name: str, value) -> tuple[nm.ParamStore, nm.Node]:
+    """A store of one ungrouped tensor, and the tensor's leaf."""
+    ps = nm.ParamStore(0, {name: np.array(value, dtype=np.float64)}, {})
+    return ps, ps[name]
+
+
 class TestFiniteDiffCheck:
     def test_square_function(self):
-        ps = nm.ParamStore(0)
-        x = ps.add("x", np.array([[3.0]]))
+        ps, x = scalar_store("x", [[3.0]])
         report = nm.finite_diff_check(ps, lambda: nm.mul(x, x), step=1e-3, tol=1e-4)
         assert report.passed
         nm.backward_sweep(nm.mul(x, x))
         npt.assert_allclose(x.adjoint, [[6.0]], rtol=1e-12)
 
     def test_entropy_stationary_at_half(self):
-        ps = nm.ParamStore(0)
-        p = ps.add("p", np.array([[0.5]]))
+        ps, p = scalar_store("p", [[0.5]])
 
         def loss():  # the binary entropy
             return nm.bernoulli_loglik(p, np.zeros((1, 1)), np.zeros((1, 1)), -np.ones((1, 1)))
@@ -306,8 +305,7 @@ class TestFiniteDiffCheck:
     def test_kink_inside_the_window_is_remeasured(self):
         # the pre-activation 1.18 * w + b, at w = 0.5, sits 1e-7 above the ReLU
         # kink: a default 1e-6 step in w or b crosses it, a 1e-8 step does not
-        ps = nm.ParamStore(0)
-        wb = ps.add("wb", np.array([[0.5], [-0.59 + 1e-7]]))
+        ps, wb = scalar_store("wb", [[0.5], [-0.59 + 1e-7]])
         x = nm.constant(np.array([[1.18]]))
         report = nm.finite_diff_check(ps, lambda: nm.relu(nm.dense_forward(x, wb)))
         assert report.passed, report
@@ -319,16 +317,14 @@ class TestFiniteDiffCheck:
         sweep = nm.backward_sweep
         monkeypatch.setattr(nm, "backward_sweep",
                             lambda root: sweep(nm.mul(root, nm.constant([[1.001]]))))
-        ps = nm.ParamStore(0)
-        x = ps.add("x", np.array([[3.0]]))
+        ps, x = scalar_store("x", [[3.0]])
         report = nm.finite_diff_check(ps, lambda: nm.mul(x, x))
         assert not report.passed
         assert report.n_remeasured == 1
         assert report.worst_rel_error == pytest.approx(1e-3, rel=1e-2)
 
     def test_nondeterministic_loss_rejected(self):
-        ps = nm.ParamStore(0)
-        x = ps.add("x", np.array([[1.0]]))
+        ps, x = scalar_store("x", [[1.0]])
         state = {"calls": 0}
 
         def loss():
@@ -341,10 +337,8 @@ class TestFiniteDiffCheck:
     def test_random_mlps_pass_over_seeds(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            ps = nm.ParamStore(seed)
-            ps.add_dense("l0", 4, 6)
-            ps.add_dense("l1", 6, 1)
-            ps.pack()
+            ps = nm.ParamStore(seed, dense_tensors(seed, ("l0", 4, 6), ("l1", 6, 1)),
+                               {"l0": "l0", "l1": "l1"})
             x = rng.normal(size=(5, 4))
             y = rng.integers(0, 2, size=(5, 1)).astype(float)
 
@@ -375,12 +369,10 @@ BROADCAST_CASES = {
 @pytest.mark.parametrize("case", sorted(BROADCAST_CASES))
 def test_broadcast_ops_pass_finite_differences(case):
     rng = np.random.default_rng(5)
-    ps = nm.ParamStore(0)
-    for name, shape in (("x", (4, 3)), ("s", (1, 5)), ("c", (4, 1))):
-        ps.add(name, np.zeros(shape))
-    ps.add_dense("l0", 3, 5)
-    ps.add_dense("l1", 3, 5)
-    ps.pack({"l": ["l0", "l1"]})
+    tensors = {name: np.zeros(shape) for name, shape in (("x", (4, 3)), ("s", (1, 5)),
+                                                         ("c", (4, 1)))}
+    ps = nm.ParamStore(0, tensors | dense_tensors(0, ("l0", 3, 5), ("l1", 3, 5)),
+                       {"l": ["l0", "l1"]})
     ps.values[...] = rng.normal(size=ps.values.size)
     t = types.SimpleNamespace(s=ps["s"], c=ps["c"])
 
@@ -461,13 +453,13 @@ def _store_view(node: nm.Node, shape: tuple[int, ...]) -> nm.Node:
     return view
 
 
-def _leaves(ps: nm.ParamStore, shapes: dict[str, tuple[int, ...]]) -> list[nm.Node]:
-    """Packs ps with one stored tensor per name and returns leaves of the
-    given shapes over them, their adjoints views of the tensors'."""
-    for name, shape in shapes.items():
-        ps.add(name, np.zeros((1, math.prod(shape))))
-    ps.pack()
-    return [_store_view(ps[name], shape) for name, shape in shapes.items()]
+def _leaves(seed: int, shapes: dict[str, tuple[int, ...]]
+            ) -> tuple[nm.ParamStore, list[nm.Node]]:
+    """A store of one tensor per name, and leaves of the given shapes over
+    them, their adjoints views of the tensors'."""
+    ps = nm.ParamStore(seed, {name: np.zeros((1, math.prod(shape)))
+                              for name, shape in shapes.items()}, {})
+    return ps, [_store_view(ps[name], shape) for name, shape in shapes.items()]
 
 
 def _refill(ps: nm.ParamStore, rng: np.random.Generator, scale: float = 1.0):
@@ -486,14 +478,13 @@ def _refill(ps: nm.ParamStore, rng: np.random.Generator, scale: float = 1.0):
 def test_dense_forward_on_random_broadcasting_shapes(case):
     x_lead, wb_lead, rows, d_in, d_out, uses, seed = case
     rng = np.random.default_rng(seed)
-    ps = nm.ParamStore(seed)
-    x_node = ps.add("x", np.zeros((math.prod(x_lead) * rows, d_in)))
     layers = np.array([f"l{i}" for i in range(math.prod(wb_lead))]).reshape(wb_lead)
-    for name in layers.flat:
-        ps.add_dense(name, d_in, d_out)
-    ps.pack({"wb": layers.tolist()} if wb_lead else {})
-    wb = ps.groups["wb" if wb_lead else "l0"]
-    x = _store_view(x_node, x_lead + (rows, d_in))
+    tensors = {"x": np.zeros((math.prod(x_lead) * rows, d_in))}
+    ps = nm.ParamStore(seed, tensors | dense_tensors(seed, *((name, d_in, d_out)
+                                                           for name in layers.flat)),
+                       {"wb": layers.tolist()})  # a 0-d array's list is its one name
+    wb = ps.groups["wb"]
+    x = _store_view(ps["x"], x_lead + (rows, d_in))
     out_shape = np.broadcast_shapes(x_lead, wb_lead) + (rows, d_out)
     weights = [rng.normal(size=out_shape) for _ in range(uses)]
 
@@ -531,10 +522,9 @@ ELEMENTWISE_OPS = {
 def test_elementwise_ops_on_random_shapes(case):
     op, lead, rows, d, uses, swap, zeros, seed = case
     rng = np.random.default_rng(seed)
-    ps = nm.ParamStore(seed)
     a_shape = lead + (rows, 1 if op == "mul" else d)
     b_shape = lead + (rows, d)
-    a, b = _leaves(ps, {"a": a_shape, "b": b_shape})
+    ps, (a, b) = _leaves(seed, {"a": a_shape, "b": b_shape})
 
     def draw_values():
         values = rng.normal(size=ps.values.size)
@@ -577,8 +567,7 @@ ADD_SIGMOID_SUM_OPS = {
 def test_add_sigmoid_and_sum_all_on_random_shapes(case):
     op, a_shape, b_shape, uses, same, seed = case
     rng = np.random.default_rng(seed)
-    ps = nm.ParamStore(seed)
-    a, b = _leaves(ps, {"a": a_shape, "b": b_shape})
+    ps, (a, b) = _leaves(seed, {"a": a_shape, "b": b_shape})
     draw_values = _refill(ps, rng)
     draw_values()
     out_shape = ADD_SIGMOID_SUM_OPS[op](a, b, same).shape
@@ -611,8 +600,7 @@ def index_cases(draw):
 def test_index_reads_on_random_shapes(case):
     shape, axis, parts, seed = case
     rng = np.random.default_rng(seed)
-    ps = nm.ParamStore(seed)
-    (x,) = _leaves(ps, {"x": shape})
+    ps, (x,) = _leaves(seed, {"x": shape})
     keys = [(slice(None),) * axis + (part,) for part in parts]
     draw_values = _refill(ps, rng)
     draw_values()
@@ -642,8 +630,7 @@ def concat_cases(draw):
 def test_concat_on_random_shapes(case):
     shapes, axis, order, seed = case
     rng = np.random.default_rng(seed)
-    ps = nm.ParamStore(seed)
-    leaves = _leaves(ps, {f"p{i}": shape for i, shape in enumerate(shapes)})
+    ps, leaves = _leaves(seed, {f"p{i}": shape for i, shape in enumerate(shapes)})
     draw_values = _refill(ps, rng)
     draw_values()
     parts = [leaves[i] for i in order]
@@ -672,8 +659,7 @@ AXIS_OPS = {"softmax": nm.softmax, "sum_axis": nm.sum_axis}
 def test_axis_ops_on_random_shapes(case):
     op, shape, axis, uses, scale, seed = case
     rng = np.random.default_rng(seed)
-    ps = nm.ParamStore(seed)
-    (x,) = _leaves(ps, {"x": shape})
+    ps, (x,) = _leaves(seed, {"x": shape})
     draw_values = _refill(ps, rng, scale)
     draw_values()
     out_shape = AXIS_OPS[op](x, axis=axis).shape
@@ -695,11 +681,11 @@ def bernoulli_cases(draw):
 def test_bernoulli_loglik_value_gradient_and_replay(case):
     rows, cols, uses, seed = case
     rng = np.random.default_rng(seed)
-    ps = nm.ParamStore(seed)
     # more than a difference step away from 0 and 1, with the clamp's extremes
     p_arr = rng.uniform(0.01, 0.99, size=(rows, cols))
     p_arr.flat[0] = 0.01
-    p = ps.add("p", p_arr)
+    ps = nm.ParamStore(seed, {"p": p_arr}, {})
+    p = ps["p"]
     ws = [rng.normal(size=(rows, cols)) for _ in range(3)]
     scale = nm.constant(rng.normal(size=(rows, cols)))
 
