@@ -212,7 +212,7 @@ def param_groups(config: MsisConfig) -> dict[str, str | list]:
             for side, parts in (("in", FUSE_IN_PARTS), ("self", FUSE_SELF_PARTS)):
                 groups[f"fuse_{side}.{sname}"] = [
                     [f"fuse.{t}.{part}" for t in stargets] for part in parts]
-    stacked = {str(m) for members in groups.values() for m in np.ravel(members)}
+    stacked = {m for members in groups.values() for m in np.asarray(members, dtype=object).flat}
     groups.update((name, name) for name, _, _ in dense_layers(config) if name not in stacked)
     return groups
 

@@ -606,13 +606,13 @@ class ParamStore:
         blocks: dict[str, tuple[str, tuple[int, ...]]] = {}  # first tensor, block shape
         for group, members in groups.items():
             layers = np.asarray(members, dtype=object)
-            unknown = sorted(m for m in layers.flat if block_shape(m) is None)
+            shapes = [block_shape(m) for m in layers.flat]
+            unknown = sorted(m for m, shape in zip(layers.flat, shapes) if shape is None)
             if unknown:
                 raise ContractError(f"group {group!r} lists {unknown}, which are not dense layers")
-            shapes = {block_shape(m) for m in layers.flat}
-            if len(shapes) != 1:
-                raise ContractError(f"group {group!r} mixes shapes {sorted(shapes)}")
-            blocks[group] = (f"{layers.flat[0]}.w", layers.shape + shapes.pop())
+            if len(set(shapes)) != 1:
+                raise ContractError(f"group {group!r} mixes shapes {sorted(set(shapes))}")
+            blocks[group] = (f"{layers.flat[0]}.w", layers.shape + shapes[0])
             order.extend(f"{m}.{p}" for m in layers.flat for p in "wb")
         grouped = set(order)
         if len(grouped) != len(order):
