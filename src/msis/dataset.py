@@ -13,7 +13,11 @@ row, and the unit to build a Batch from by hand.
 The CSV interchange schema is
 ``id,timestamp,f0..f{d-1},label_credit,label_draw_30,label_draw_90,label_mob1,label_mob3,label_mob6``
 with finite features and labels in {0, 1, empty}; an empty field means
-the label was never observed for that application.
+the label was never observed for that application. `label_draw_30` and
+`label_draw_90` mean "drew within `SimConfig.draw_horizons[0]` days" and
+"within `draw_horizons[1]` days": the names keep the default horizons,
+(30, 90). The horizons are part of the resolved config that a run's
+manifest hashes (`config_sha256`).
 """
 
 from __future__ import annotations

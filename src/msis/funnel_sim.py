@@ -15,6 +15,13 @@ all the features: both gates see only the features and their own noise,
 and the quality noise that drives default is unseen by either, so it is
 missing-not-at-random only for a model that does not see every feature.
 
+The draw labels are named for the default horizons: `draw_30` means
+"drew within `draw_horizons[0]` days" and `draw_90` "within
+`draw_horizons[1]` days", in `Population.labels` and in the
+`label_draw_30` and `label_draw_90` columns of `dataset.csv` alike. The
+horizons are part of the resolved config that a run's manifest hashes
+(`config_sha256`).
+
 A population is stored column-wise (`Population`, one array per field);
 `observe` returns the `dataset.Batch` a platform would see, and
 `Counterfactuals` holds every record's labels by id, with a vectorized

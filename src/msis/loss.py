@@ -87,13 +87,16 @@ class LossConfig:
 @dataclass
 class LossBreakdown:
     """A batch's loss: the tape's (1, 1) root, the arrays its
-    bernoulli_loglik node reads (`weights`), and the stacked probabilities
-    `probs`. A replay of the tape on another batch of the same rows copies
-    that batch's folded weights into `weights`."""
+    bernoulli_loglik node reads (`weights`), the stacked probabilities
+    `probs`, and 1 - p, log p and log(1 - p) of them (`logs`), which the
+    node writes on every run and its backward reads. A replay of the tape
+    on another batch of the same rows copies that batch's folded weights
+    into `weights` and rewrites `logs`."""
 
     total: Node
     weights: tuple[np.ndarray, np.ndarray, np.ndarray]
     probs: Node
+    logs: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +179,16 @@ def total_loss(result, batch: Batch, config: LossConfig,
     result's stacked (n_targets, batch) probabilities."""
     weights = loss_weights([batch], config, stages)[0].folded()
     p = result.stacked
-    total = nm.sum_all(nm.bernoulli_loglik(p, *weights))
-    return LossBreakdown(total, weights, p)
+    loglik, logs = nm.bernoulli_loglik(p, *weights)
+    return LossBreakdown(nm.sum_all(loglik), weights, p, logs)
 
 
-def target_terms(w: LossWeights, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def target_terms(w: LossWeights, loss: LossBreakdown) -> tuple[np.ndarray, np.ndarray]:
     """Per target, the supervised loss and the entropy term of one batch,
-    as (n_targets,) arrays, from the stacked probabilities, outside the
-    tape."""
-    q = 1.0 - p
-    log_p, log_q = np.log(p), np.log(q)
+    as (n_targets,) arrays, outside the tape: from the loss's stacked
+    probabilities and the logs its node kept on its last run."""
+    p = loss.probs.value
+    q, log_p, log_q = loss.logs
     supervised = -(w.pos * log_p + w.neg * log_q).sum(axis=1) / np.maximum(w.labeled, 1)
     entropy = -(w.unl * (p * log_p + q * log_q)).sum(axis=1) / w.ent_div
     return supervised, entropy

@@ -13,7 +13,11 @@ parameter store, a stage's three intra-stage projections are one more,
 and one head over every target feeds one clamped sigmoid. Each dense
 layer's weight rows and bias row sit next to each other in the store, one
 (d_in + 1, d_out) block. `forward` records that on the tape
-(training, attention inspection); `make_fused_forward` compiles the same
+(training, attention inspection), each attention, intra-stage and
+inter-stage alike, one `numerics.attention` op over a part-major
+(3 parts, n_candidates, ...) node of keys, queries and values, laid out
+as the fused evaluator lays out a fusion's candidates: a step of the
+default model is 54 tape nodes. `make_fused_forward` compiles the same
 math, with no tape, into one list of in-place steps, each writing a
 buffer allocated where the step is built, because a value-only
 evaluation costs a fraction of building tape nodes. There every buffer a
@@ -110,8 +114,8 @@ class CorridorState:
     tape nodes. alpha has one column per source-stage target; betas holds
     one (rows, 2) simplex per destination target, column 0 weighting the
     incoming corridor vector and column 1 the target's own tower. alpha
-    and betas are batch-major views of the stacked attention weights on
-    the tape, for reading only, so a replay of the tape updates them."""
+    and betas are batch-major views of the weights buffers of the tape's
+    attention ops, for reading only, so a replay of the tape updates them."""
 
     src: str
     dst: str
@@ -127,19 +131,6 @@ class ForwardResult:
     corridor: dict[tuple[str, str], CorridorState]
     stacked: object            # (n_targets, rows) node, targets in stage order
     features: object = None    # the (rows, input_dim) constant the tape reads
-
-
-def attend(keys, queries, values, dim: int):
-    """Attention over the leading axis of stacked candidates.
-
-    Candidate i scores each row by <keys_i, queries_i> / sqrt(dim); the
-    softmax of the scores over the candidates weights the values_i. Returns
-    the weighted sum and the (n_candidates, ..., 1) weights. Intra-stage
-    attention runs it over a stage's targets, inter-stage fusion over the
-    pair (incoming corridor vector, own tower) of every destination target
-    at once."""
-    weights = nm.softmax(nm.row_dot(keys, queries, 1.0 / math.sqrt(dim)), axis=0)
-    return nm.sum_axis(nm.mul(weights, values), axis=0), weights
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +263,13 @@ def forward(params: ParamStore, config: MsisConfig,
     count.
 
     Every target's tower, head and fusion runs in one op over the store's
-    groups, as (n_targets, batch, d) tensors."""
+    groups, as (n_targets, batch, d) tensors. A fusion's two sides join on
+    axis 1 of its (part: value, key, query) x (candidate: incoming, own)
+    node, and a stage's intra-stage projections are (part: key, query,
+    value) x (target); one `numerics.attention` op reads each."""
     check_features(config, features)
     G = params.groups
-    d = config.corridor_dim
+    scale = 1.0 / math.sqrt(config.corridor_dim)
 
     def projection(name: str, v):
         # corridor projections rectify leakily: an exact-zero output row
@@ -303,24 +297,23 @@ def forward(params: ParamStore, config: MsisConfig,
             if si > 0:
                 prev = config.stages[si - 1][0]
                 e_in = projection(f"corridor.{prev}-{sname}.f", e_ou)
-                # (candidate: incoming, own) x (part: value, key, query)
-                sides = [nm.index(nm.dense_forward(v, G[f"fuse_{side}.{sname}"]), None)
+                # (part: value, key, query) x (candidate: incoming, own)
+                sides = [nm.index(nm.dense_forward(v, G[f"fuse_{side}.{sname}"]),
+                                  (slice(None), None))
                          for v, side in ((e_in, "in"), (own, "self"))]
-                cand = nm.leaky_relu(nm.concat(sides, axis=0))
-                value, key, query = (nm.index(cand, (slice(None), k)) for k in range(3))
-                out, beta = attend(key, query, value, d)
+                cand = nm.leaky_relu(nm.concat(sides, axis=1))
+                out, beta = nm.attention(cand, scale, "vkq")
                 corridor[(prev, sname)] = CorridorState(
                     prev, sname, e_ou, e_in, alpha,
-                    {t: nm.Node(beta.value[:, j, :, 0].T) for j, t in enumerate(targets)})
+                    {t: nm.Node(beta[:, j, :, 0].T) for j, t in enumerate(targets)})
             outs.append(out)
             if si < len(config.stages) - 1:
                 if len(targets) == 1:  # nothing to attend over: alpha is exactly [1]
                     e_ou = nm.index(projection(f"intra.{sname}.g3", out), 0)
                     alpha = nm.constant(np.ones((features.shape[0], 1)))
                 else:  # (part: key g1, query g2, value g3) x (target)
-                    g = projection(f"intra.{sname}", out)
-                    e_ou, weights = attend(*(nm.index(g, k) for k in range(3)), d)
-                    alpha = nm.Node(weights.value[:, :, 0].T)
+                    e_ou, weights = nm.attention(projection(f"intra.{sname}", out), scale)
+                    alpha = nm.Node(weights[:, :, 0].T)
         top = nm.concat(outs, axis=0)
 
     probs = nm.sigmoid(nm.dense_forward(top, G["head"]))

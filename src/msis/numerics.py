@@ -3,24 +3,27 @@
 Tape values are arrays of any rank. The model stacks per-target tensors
 on a leading axis, (n_targets, batch, d) activations against
 (n_targets, d_in + 1, d_out) weight/bias blocks, so one op runs every
-target: `dense_forward`, `add` and `mul` broadcast like NumPy, and their backward
+target: `dense_forward` and `add` broadcast like NumPy, and their backward
 passes sum each adjoint back to its operand's shape (`unbroadcast`).
 As in the fused evaluator, a dense layer multiplies its own copy of the
 input, which carries a ones column, by the whole block: one matmul
 forward, bias included, and one for the block's adjoint, bias row
-included. Sums along the last axis (`row_dot`, and `mul`'s adjoint for a
-(..., 1) operand) are matmuls by ones too.
-`index`, `row_dot`, `softmax`, `sum_axis` and `concat` work along an axis.
-`bernoulli_loglik`, weighted log-likelihoods of probabilities, is the loss's one op.
+included. `attention` runs a whole attention as one op over one
+part-major (3, n_cand, ..., d) node of keys, queries and values; its sums
+along the last axis are matmuls by ones too. `index` and `concat` work
+along an axis. `bernoulli_loglik`, weighted log-likelihoods of
+probabilities, is the loss's one op.
 Calling the ops builds the tape (a dynamic graph). `record` fixes its
 topological order once; `replay` then re-runs the same ops in place on new
 contents of the leaves, so a training loop builds one tape per batch
 shape and replays it on every later batch of that shape. `backward_sweep`
-walks the order in reverse from a (1, 1) root, writing each adjoint's
-first contribution into the buffer it already holds. Value-only
-evaluation of the model skips the tape and runs the model's fused
-forward (`model.make_fused_forward`); the gradient check's loss value is
-`bernoulli_loglik_value` over that forward's output, with no tape at all.
+walks the order in reverse from a (1, 1) root, writing the first
+contribution to each part of an adjoint into the buffer it already
+holds, so no adjoint is zero-filled but where some of its entries get no
+contribution. Value-only evaluation of the model skips the tape and runs
+the model's fused forward (`model.make_fused_forward`); the gradient
+check's loss value is `bernoulli_loglik_value` over that forward's
+output, with no tape at all.
 
 Trainable tensors live in a `ParamStore`, which lays all of them out,
 when it is built, in one contiguous parameter vector and one gradient
@@ -44,6 +47,9 @@ from .errors import ContractError, DimensionError, DomainError
 
 CLAMP_EPS = 1e-12
 LEAKY_SLOPE = 0.01
+# a `Node.first` flag of an `index` read: write its part after zero-filling
+# the parent's adjoint (see `record`); truthy, as every first write is
+CLEAR = 2
 
 
 def tensor2d(data) -> np.ndarray:
@@ -59,9 +65,12 @@ class Node:
 
     forward_fn recomputes the value in place (`replay`); backward_fn adds
     the node's adjoint into its parents' adjoints, `first[i]` telling it
-    that parent i gets its first contribution of the sweep (`record`)."""
+    that its contribution is the first of the sweep to reach its part of
+    parent i's adjoint, which it writes instead (`record`). An `index`
+    node's `key` is the part of its parent it reads; every other node reads
+    the whole of each parent, its key None."""
 
-    __slots__ = ("value", "adjoint", "parents", "backward_fn", "forward_fn", "first")
+    __slots__ = ("value", "adjoint", "parents", "backward_fn", "forward_fn", "first", "key")
 
     def __init__(self, value: np.ndarray, parents: tuple["Node", ...] = (),
                  backward_fn: Callable[[np.ndarray, tuple[bool, ...]], None] | None = None,
@@ -72,6 +81,7 @@ class Node:
         self.backward_fn = backward_fn
         self.forward_fn = forward_fn
         self.first: tuple[bool, ...] = ()
+        self.key = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -273,24 +283,17 @@ def sigmoid(x: Node) -> Node:
     return Node(s, (x,), backward, compute)
 
 
-def _broadcast(ufunc, a: Node, b: Node) -> tuple[np.ndarray, Callable]:
-    """The value and compute function of an elementwise binary op over
-    operands that broadcast against each other."""
+def add(a: Node, b: Node) -> Node:
+    """Elementwise sum of operands that broadcast against each other."""
     av, bv = a.value, b.value
 
     def compute(out=None):
-        return ufunc(av, bv, out=out)
+        return np.add(av, bv, out=out)
 
     try:
-        return np.asarray(compute()), compute  # a 0-d result too, as in _op
+        value = np.asarray(compute())  # a 0-d result too, as in _op
     except ValueError as exc:
-        raise DimensionError(
-            f"{ufunc.__name__}: shapes {a.shape} and {b.shape} do not broadcast") from exc
-
-
-def add(a: Node, b: Node) -> Node:
-    """Elementwise sum of operands that broadcast against each other."""
-    value, compute = _broadcast(np.add, a, b)
+        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from exc
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
         _give(a, unbroadcast(g, a.shape), first[0])
@@ -299,68 +302,98 @@ def add(a: Node, b: Node) -> Node:
     return Node(value, (a, b), backward, compute)
 
 
-def mul(a: Node, b: Node) -> Node:
-    """Elementwise product of operands that broadcast against each other,
-    such as (n, batch, 1) weights against (n, batch, d) vectors. Such a
-    weight's adjoint, the row sums of g times the vectors, is a matmul by
-    ones."""
-    value, compute = _broadcast(np.multiply, a, b)
-    av, bv = a.value, b.value
-    ones = np.ones((value.shape[-1], 1)) if value.ndim else None
+def attention(x: Node, scale: float, parts: str = "kqv") -> tuple[Node, np.ndarray]:
+    """Attention over candidates, read from one part-major (3, n_cand, ...,
+    d) node: `parts` names what each entry of axis 0 holds, k(eys),
+    q(ueries) and v(alues), in any order. Candidate i scores each row by
+    scale * <key_i, query_i>; the softmax of the scores over the candidates
+    weights the values, and the node's value is their weighted sum,
+    (..., d). Returns the node and its (n_cand, ..., 1) weights, a buffer
+    of its own that every run rewrites.
 
-    def give(node: Node, other: np.ndarray, g: np.ndarray, first: bool) -> None:
-        if node.shape == value.shape:
-            _give_product(node, g, other, first)
-        elif node.shape == value.shape[:-1] + (1,):
-            sums = np.matmul(g * other, ones, out=node.adjoint if first else None)
-            if not first:
-                node.adjoint += sums
-        else:
-            _give(node, unbroadcast(g * other, node.shape), first)
+    Its run is one closure over two buffers: the products, summed over d
+    by a matmul by ones as in the fused evaluator, the max-subtracted
+    softmax over axis 0 in place, then the weighted values and their sum.
+    Its backward writes the three parts of x's adjoint, which tile it, and
+    uses the values' part as scratch before it writes it."""
+    if sorted(parts) != ["k", "q", "v"]:
+        raise ContractError(f"attention: parts must order k, q and v, got {parts!r}")
+    if x.value.ndim < 3 or x.shape[0] != 3:
+        raise DimensionError(f"attention: expected a (3, n_cand, ..., d) tensor, got {x.shape}")
+    if x.shape[1] == 0:
+        raise DomainError(f"attention over no candidates: a {x.shape} tensor")
+    xv = x.value
+    ki, qi, vi = (parts.index(part) for part in "kqv")
+    k, q, v = xv[ki], xv[qi], xv[vi]
+    prod = np.empty(k.shape)
+    weights = np.empty(k.shape[:-1] + (1,))
+    ones = np.ones((k.shape[-1], 1))
+
+    def compute(out=None):
+        np.multiply(k, q, out=prod)
+        np.matmul(prod, ones, out=weights)
+        np.multiply(weights, scale, out=weights)
+        np.subtract(weights, weights.max(axis=0, keepdims=True), out=weights)
+        np.exp(weights, out=weights)
+        np.divide(weights, weights.sum(axis=0, keepdims=True), out=weights)
+        np.multiply(weights, v, out=prod)
+        return np.sum(prod, axis=0, out=out)
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
-        give(a, bv, g, first[0])
-        give(b, av, g, first[1])
+        adj = x.adjoint if first[0] else np.empty_like(xv)
+        g_v = adj[vi]
+        g_w = np.matmul(np.multiply(g, v, out=g_v), ones)  # the weights'
+        np.multiply(g, weights, out=g_v)
+        g_s = weights * (g_w - (g_w * weights).sum(axis=0, keepdims=True))  # the scores'
+        g_s *= scale
+        np.multiply(g_s, q, out=adj[ki])
+        np.multiply(g_s, k, out=adj[qi])
+        if not first[0]:
+            x.adjoint += adj
 
-    return Node(value, (a, b), backward, compute)
+    return _op(compute, (x,), backward), weights
 
 
 def bernoulli_loglik_value(p: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray,
-                           w_ent: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+                           w_ent: np.ndarray, out: np.ndarray | None = None,
+                           logs=(None, None, None)) -> np.ndarray:
     """w_pos log p + w_neg log(1-p) + w_ent (p log p + (1-p) log(1-p)),
     elementwise: the log-likelihood of a label, of its complement, and the
     expected one under p itself (the negative binary entropy), each under
-    its own weight. p must lie inside (0, 1)."""
-    q = 1.0 - p
-    log_p, log_q = np.log(p), np.log(q)
+    its own weight. p must lie inside (0, 1). 1 - p, log p and log(1 - p)
+    are written into the three arrays of `logs` when given."""
+    q = np.subtract(1.0, p, out=logs[0])
+    log_p, log_q = np.log(p, out=logs[1]), np.log(q, out=logs[2])
     out = np.multiply(log_p, w_pos, out=out)
     out += log_q * w_neg
     out += (p * log_p + q * log_q) * w_ent
     return out
 
 
-def bernoulli_loglik(p: Node, w_pos: np.ndarray, w_neg: np.ndarray,
-                     w_ent: np.ndarray) -> Node:
+def bernoulli_loglik(p: Node, w_pos: np.ndarray, w_neg: np.ndarray, w_ent: np.ndarray
+                     ) -> tuple[Node, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """`bernoulli_loglik_value` on the tape, its weights constant arrays of
     p's shape. The node reads them in place, so whoever owns them can
-    refill them between replays."""
+    refill them between replays. Returns the node and its 1 - p, log p and
+    log(1 - p), buffers of its own that every run rewrites and its backward
+    reads."""
     shapes = [w.shape for w in (w_pos, w_neg, w_ent)]
     if any(shape != p.shape for shape in shapes):
         raise DimensionError(
             f"bernoulli_loglik: weights {shapes} and probabilities {p.shape} differ")
     pv = p.value
+    logs = q, log_p, log_q = tuple(np.empty(p.shape) for _ in range(3))
 
     def compute(out=None):
-        return bernoulli_loglik_value(pv, w_pos, w_neg, w_ent, out)
+        return bernoulli_loglik_value(pv, w_pos, w_neg, w_ent, out, logs)
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
         # d/dp: w_ent log p + (w_pos + w_ent p) / p, less the same in 1 - p
-        q = 1.0 - pv
-        d = (w_pos + w_ent * pv) / pv + w_ent * np.log(pv)
-        d -= (w_neg + w_ent * q) / q + w_ent * np.log(q)
+        d = (w_pos + w_ent * pv) / pv + w_ent * log_p
+        d -= (w_neg + w_ent * q) / q + w_ent * log_q
         _give_product(p, g, d, first[0])
 
-    return _op(compute, (p,), backward)
+    return _op(compute, (p,), backward), logs
 
 
 def sum_all(x: Node) -> Node:
@@ -379,82 +412,32 @@ def sum_all(x: Node) -> Node:
     return _op(compute, (x,), backward)
 
 
-def sum_axis(x: Node, axis: int) -> Node:
-    """Sum over one axis, which the result drops."""
-    xv = x.value
-
-    def compute(out=None):
-        return np.sum(xv, axis=axis, out=out)
-
-    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
-        _give(x, np.expand_dims(g, axis), first[0])
-
-    return _op(compute, (x,), backward)
-
-
 def index(x: Node, key) -> Node:
     """Basic indexing: integers, slices (strided too), None and Ellipsis.
     The value is a view, so it follows x through every replay and needs no
     forward_fn; each entry of x appears at most once in it. An integer for
-    every axis reads a 0-d view, not NumPy's scalar copy."""
+    every axis reads a 0-d view, not NumPy's scalar copy.
+
+    The one op that can write part of its operand's adjoint: `record`
+    flags a read `CLEAR` where the reads of x leave some of its entries
+    without a contribution, and that read zero-fills the adjoint before
+    it writes its part."""
     value = x.value[key]
     if not isinstance(value, np.ndarray):
         key = (key if isinstance(key, tuple) else (key,)) + (Ellipsis,)
         value = x.value[key]
-    whole = value.size == x.value.size
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
         if not first[0]:
             x.adjoint[key] += g
             return
-        # the one op that can write part of its operand's adjoint: the
-        # first contribution zero-fills the rest
-        if not whole:
+        if first[0] == CLEAR:
             x.adjoint.fill(0.0)
         x.adjoint[key] = g
 
-    return Node(value, (x,), backward)
-
-
-def row_dot(a: Node, b: Node, scale: float) -> Node:
-    """scale * <a, b> along the last axis, which is kept with size 1; the
-    sum is a matmul by ones, as in the fused evaluator."""
-    if a.shape != b.shape:
-        raise DimensionError(f"row_dot: shapes {a.shape} and {b.shape} differ")
-    av, bv = a.value, b.value
-    prod = av * bv
-    ones = np.ones((a.shape[-1], 1))
-
-    def compute(out=None):
-        np.multiply(av, bv, out=prod)
-        out = np.matmul(prod, ones, out=out)
-        return np.multiply(out, scale, out=out)
-
-    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
-        gs = g * scale
-        _give_product(a, gs, bv, first[0])
-        _give_product(b, gs, av, first[1])
-
-    return _op(compute, (a, b), backward)
-
-
-def softmax(x: Node, axis: int) -> Node:
-    """Softmax along one axis, computed with max-subtraction."""
-    if x.shape[axis] == 0:
-        raise DomainError(f"softmax over an empty axis of a {x.shape} tensor")
-    xv = x.value
-
-    def compute(out=None):
-        out = np.subtract(xv, xv.max(axis=axis, keepdims=True), out=out)
-        np.exp(out, out=out)
-        return np.divide(out, out.sum(axis=axis, keepdims=True), out=out)
-
-    s = compute()
-
-    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
-        _give_product(x, s, g - (g * s).sum(axis=axis, keepdims=True), first[0])
-
-    return Node(s, (x,), backward, compute)
+    node = Node(value, (x,), backward)
+    node.key = key
+    return node
 
 
 def concat(parts: Sequence[Node], axis: int) -> Node:
@@ -497,32 +480,61 @@ def _toposort(root: Node) -> list[Node]:
     return order
 
 
+def _first_writes(node: Node, readers: list[Node]) -> list:
+    """The first-write flag of each read of node, the readers in the order
+    a reverse sweep reaches them. A read whose part of node no earlier read
+    touched writes it, one inside the parts already touched adds to them.
+    Where that leaves entries without a contribution, or a read overlaps
+    the touched parts only partly, the first read writes (an `index` read
+    zero-filling the rest first, `CLEAR`) and every later one adds."""
+    if any(reader.key is not None for reader in readers):
+        touched = np.zeros(node.shape, dtype=bool)
+        flags = []
+        for reader in readers:
+            part = touched if reader.key is None else touched[reader.key]
+            if part.any() and not part.all():
+                break
+            flags.append(not part.any())
+            part[...] = True
+        else:
+            if touched.all():
+                return flags
+    return [True if readers[0].key is None else CLEAR] + [False] * (len(readers) - 1)
+
+
 def record(root: Node) -> list[Node]:
     """The topological order of root's graph, for `replay` and
     `backward_sweep`.
 
     Recording also readies the graph for sweeps: every node without an
     adjoint gets an (unfilled) buffer, and every node learns which of its
-    parents it reaches first in a reverse sweep, so that contribution
-    writes the parent's adjoint instead of adding to it. The flags belong
-    to this root: record a graph again before sweeping it from another.
-    Raises ContractError when two leaves share adjoint memory (a store's
-    group and one of its members): each one's first write would clobber
-    the other's."""
+    reads of its parents reach their part first in a reverse sweep, so
+    that contribution writes the parent's adjoint instead of adding to it
+    (`_first_writes`): `index` reads that tile their operand, such as the
+    model's per-stage slices of the towers, each write their own part,
+    with no zero-fill. The flags belong to this root: record a graph again
+    before sweeping it from another. Raises ContractError when two leaves
+    share adjoint memory (a store's group and one of its members): each
+    one's first write would clobber the other's."""
     order = _toposort(root)
     leaves = [node.adjoint for node in order if not node.parents and node.adjoint is not None]
     for i, adjoint in enumerate(leaves):
         if any(np.may_share_memory(adjoint, other) for other in leaves[i + 1:]):
             raise ContractError("two leaves of one graph share adjoint memory")
-    reached: set[int] = set()
+    reads: dict[int, list[tuple[Node, int]]] = {}  # by parent, in sweep order
     for node in reversed(order):
         if node.adjoint is None:
             node.adjoint = np.empty_like(node.value)
-        first = []
-        for parent in node.parents:
-            first.append(id(parent) not in reached)
-            reached.add(id(parent))
-        node.first = tuple(first)
+        node.first = [False] * len(node.parents)
+        for i, parent in enumerate(node.parents):
+            reads.setdefault(id(parent), []).append((node, i))
+    for node in order:
+        readers = reads.get(id(node))
+        if readers:
+            for (reader, i), flag in zip(readers, _first_writes(node, [r for r, _ in readers])):
+                reader.first[i] = flag
+    for node in order:
+        node.first = tuple(node.first)
     return order
 
 
@@ -540,8 +552,8 @@ def backward_sweep(root: Node, order: Sequence[Node] | None = None) -> None:
 
     order is root's `record`; without one the graph is recorded here. The
     sweep walks it in reverse, and each node's first contribution to a
-    parent's adjoint is written over the buffer (`index` zero-fills it
-    first), the rest added, so after the sweep each node holds exactly
+    part of a parent's adjoint is written over the buffer, the rest added,
+    so after the sweep each node holds exactly
     d(root)/d(node) for this graph whatever its buffer held before. The
     buffers stay in place: a parameter's adjoint is a view into its
     store's gradient vector and must stay one, and a replayed tape reuses

@@ -189,7 +189,7 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
                 nm.backward_sweep(breakdown.total, step.order)
                 optimizer.step()
                 loss_sum += value
-                supervised, entropy = target_terms(weights, breakdown.probs.value)
+                supervised, entropy = target_terms(weights, breakdown)
                 sup_sums += supervised
                 ent_sums += entropy
 

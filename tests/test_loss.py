@@ -38,8 +38,8 @@ def one_target_loss(probs, labels, mask, reduction="mean", gamma=0.0):
 
 def mob1_terms(probs, labels, mask, **kwargs):
     """one_target_loss's supervised loss and entropy term."""
-    _, p, w = one_target_loss(probs, labels, mask, **kwargs)
-    supervised, entropy = ls.target_terms(w, p.value)
+    out, _, w = one_target_loss(probs, labels, mask, **kwargs)
+    supervised, entropy = ls.target_terms(w, out)
     return supervised[0], entropy[0]
 
 
@@ -50,12 +50,12 @@ class TestMaskedBce:
 
     def test_half_everywhere_is_ln2(self):
         out, p, w = one_target_loss([0.5, 0.5, 0.5], [1.0, 0.0, 1.0], np.ones(3))
-        npt.assert_allclose(ls.target_terms(w, p.value)[0][0], LN2, rtol=1e-15)
+        npt.assert_allclose(ls.target_terms(w, out)[0][0], LN2, rtol=1e-15)
         npt.assert_allclose(out.total.value, [[LN2]], rtol=1e-15)
 
     def test_all_masked_returns_zero(self):
         out, p, w = one_target_loss([0.3, 0.9], [np.nan, np.nan], np.zeros(2))
-        assert ls.target_terms(w, p.value)[0][0] == 0.0
+        assert ls.target_terms(w, out)[0][0] == 0.0
         assert w.labeled[0] == 0
         # nothing labeled and gamma zero: no gradient reaches the probabilities
         nm.backward_sweep(out.total)
@@ -69,7 +69,7 @@ class TestMaskedBce:
     def test_hand_computed_mix(self):
         out, p, w = one_target_loss([0.8, 0.1, 0.6], [1.0, 0.0, np.nan], [1.0, 1.0, 0.0])
         expected = -(math.log(0.8) + math.log(0.9)) / 2.0
-        npt.assert_allclose(ls.target_terms(w, p.value)[0][0], expected, rtol=1e-14)
+        npt.assert_allclose(ls.target_terms(w, out)[0][0], expected, rtol=1e-14)
         assert np.isfinite(out.total.value[0, 0])
 
 
@@ -86,7 +86,7 @@ class TestEntropyRegularizer:
     def test_sum_mode_three_halves(self):
         out, p, w = one_target_loss([0.5, 0.5, 0.5], np.full(3, np.nan), np.zeros(3),
                                     reduction="sum", gamma=0.5)
-        npt.assert_allclose(ls.target_terms(w, p.value)[1][0], 3.0 * LN2, rtol=1e-15)
+        npt.assert_allclose(ls.target_terms(w, out)[1][0], 3.0 * LN2, rtol=1e-15)
         npt.assert_allclose(out.total.value, [[0.5 * 3.0 * LN2]], rtol=1e-15)
 
     def test_no_unlabeled_returns_zero(self):
@@ -151,7 +151,7 @@ class TestTotalLoss:
         result = M.forward(params, cfg, batch.features)
         breakdown = ls.total_loss(result, batch, lcfg, cfg.stages)
         w = ls.loss_weights([batch], lcfg, cfg.stages)[0]
-        supervised, entropy = ls.target_terms(w, breakdown.probs.value)
+        supervised, entropy = ls.target_terms(w, breakdown)
         manual = 0.0
         for sname, targets in cfg.stages:
             stage = 0.0
@@ -172,7 +172,7 @@ class TestTotalLoss:
                                 cfg.stages)
         w = ls.loss_weights([batch], ls.LossConfig(), cfg.stages)[0]
         supervised = dict(zip(cfg.all_targets(),
-                              ls.target_terms(w, with_ent.probs.value)[0]))
+                              ls.target_terms(w, with_ent)[0]))
         sup_only = sum(
             sum(supervised[t] for t in targets) / len(targets)
             for _, targets in cfg.stages)
@@ -203,7 +203,7 @@ class TestTotalLoss:
         breakdown = ls.total_loss(M.forward(params, cfg, batch.features), batch,
                                   ls.LossConfig(), cfg.stages)
         w = ls.loss_weights([batch], ls.LossConfig(), cfg.stages)[0]
-        supervised, entropy = ls.target_terms(w, breakdown.probs.value)
+        supervised, entropy = ls.target_terms(w, breakdown)
         unlabeled = w.unl.sum(axis=1)
         for i, t in enumerate(cfg.all_targets()):
             if t != "credit":
@@ -289,7 +289,8 @@ class TestGradients:
         assert nm.finite_diff_check(params, loss_fn, value_fn=value_fn).passed
         sweep = nm.backward_sweep
         monkeypatch.setattr(nm, "backward_sweep",
-                            lambda root: sweep(nm.mul(root, nm.constant([[1.001]]))))
+                            lambda root: sweep(nm.dense_forward(  # 1.001 * root
+                                root, nm.constant([[1.001], [0.0]]))))
         report = nm.finite_diff_check(params, loss_fn, value_fn=value_fn)
         assert not report.passed, report
         assert report.n_remeasured > 0

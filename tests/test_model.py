@@ -184,6 +184,24 @@ class TestForward:
                 assert np.all(bv >= 0.0)
                 npt.assert_allclose(bv.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_attention_weights_follow_a_replay(self, default_cfg, batch_64):
+        # alpha and betas are views of the attention ops' weights buffers
+        params = M.init_params(default_cfg, seed=1)
+        result = M.forward(params, default_cfg, batch_64.features)
+        order = nm.record(nm.sum_all(result.stacked))
+        new_rows = np.random.default_rng(8).normal(size=batch_64.features.shape)
+        result.features.value[...] = new_rows
+        nm.replay(order)
+        fresh = M.forward(params, default_cfg, new_rows)
+        assert result.corridor.keys() == fresh.corridor.keys() == {("ar", "ws"), ("ws", "gb")}
+        for pair, state in result.corridor.items():
+            npt.assert_array_equal(state.alpha.value, fresh.corridor[pair].alpha.value)
+            assert state.betas.keys() == fresh.corridor[pair].betas.keys()
+            for t, beta in state.betas.items():
+                npt.assert_array_equal(beta.value, fresh.corridor[pair].betas[t].value)
+        alpha = result.corridor[("ws", "gb")].alpha.value
+        assert alpha.shape == (64, 2) and not np.array_equal(alpha[:, 0], alpha[:, 1])
+
     def test_single_target_stage_alpha_exactly_one(self, default_cfg, batch_64):
         params = M.init_params(default_cfg, seed=1)
         result = M.forward(params, default_cfg, batch_64.features)
@@ -547,16 +565,22 @@ class TestInformationFlow:
         assert np.any(params["head.credit.w"].adjoint != 0.0)
 
 
+def attend(keys, queries, values, dim: int):
+    """numerics.attention over the parts stacked in one constant, scaled by
+    1 / sqrt(dim)."""
+    return nm.attention(nm.constant(np.stack([keys, queries, values])), 1.0 / math.sqrt(dim))
+
+
 class TestAttentionPrimitives:
-    """M.attend: candidates on the leading axis, as the stacked forward
-    calls it for intra-stage attention (n_targets, rows, d) and for fusion
-    (2, n_targets, rows, d)."""
+    """nm.attention: candidates on axis 1 of the parts, as the stacked
+    forward calls it for intra-stage attention (3, n_targets, rows, d) and
+    for fusion (3, 2, n_targets, rows, d)."""
 
     def test_single_input_is_projection_only(self, default_cfg):
-        h = nm.constant(np.random.default_rng(0).normal(size=(1, 3, 4)))
-        e_ou, alpha = M.attend(h, h, nm.add(h, h), dim=4)
-        npt.assert_array_equal(alpha.value, np.ones((1, 3, 1)))
-        npt.assert_array_equal(e_ou.value, 2.0 * h.value[0])
+        h = np.random.default_rng(0).normal(size=(1, 3, 4))
+        e_ou, alpha = attend(h, h, h + h, dim=4)
+        npt.assert_array_equal(alpha, np.ones((1, 3, 1)))
+        npt.assert_array_equal(e_ou.value, 2.0 * h[0])
         # in the model, a one-target stage's corridor vector is its g3 projection
         params = M.init_params(default_cfg, seed=0)
         x = np.random.default_rng(1).normal(size=(5, 32))
@@ -574,32 +598,31 @@ class TestAttentionPrimitives:
 
     def test_two_identical_inputs_split_evenly(self):
         h = np.random.default_rng(1).normal(size=(5, 4))
-        stacked = nm.constant(np.stack([h, h]))
-        e_ou, alpha = M.attend(stacked, stacked, stacked, dim=4)
-        npt.assert_allclose(alpha.value, np.full((2, 5, 1), 0.5), atol=1e-15)
+        stacked = np.stack([h, h])
+        e_ou, alpha = attend(stacked, stacked, stacked, dim=4)
+        npt.assert_allclose(alpha, np.full((2, 5, 1), 0.5), atol=1e-15)
         npt.assert_allclose(e_ou.value, h, atol=1e-12)
 
     def test_hand_computed_weights(self):
         # dim=1, identities: norms ln2 and 0 give scores (ln2, 0) -> (2/3, 1/3)
-        h = nm.constant([[[math.sqrt(math.log(2.0))]], [[0.0]]])
-        _, alpha = M.attend(h, h, h, dim=1)
-        npt.assert_allclose(alpha.value.ravel(), [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
+        h = np.array([[[math.sqrt(math.log(2.0))]], [[0.0]]])
+        _, alpha = attend(h, h, h, dim=1)
+        npt.assert_allclose(alpha.ravel(), [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
 
     def test_fusion_symmetric_candidates(self):
         v = np.random.default_rng(3).normal(size=(3, 6, 5))
-        both = nm.constant(np.stack([v, v]))  # (incoming, own) per target
-        fused, beta = M.attend(both, both, both, dim=5)
-        npt.assert_allclose(beta.value, np.full((2, 3, 6, 1), 0.5), atol=1e-15)
+        both = np.stack([v, v])  # (incoming, own) per target
+        fused, beta = attend(both, both, both, dim=5)
+        npt.assert_allclose(beta, np.full((2, 3, 6, 1), 0.5), atol=1e-15)
         npt.assert_allclose(fused.value, v, atol=1e-12)
 
     def test_fusion_beta_on_simplex(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            k, q, v = (nm.constant(rng.normal(scale=3.0, size=(2, 3, 7, 4)))
-                       for _ in range(3))
-            _, beta = M.attend(k, q, v, dim=4)
-            assert np.all(beta.value >= 0.0)
-            npt.assert_allclose(beta.value.sum(axis=0), 1.0, atol=1e-12)
+            k, q, v = (rng.normal(scale=3.0, size=(2, 3, 7, 4)) for _ in range(3))
+            _, beta = attend(k, q, v, dim=4)
+            assert np.all(beta >= 0.0)
+            npt.assert_allclose(beta.sum(axis=0), 1.0, atol=1e-12)
 
 
 class TestCheckpoint:

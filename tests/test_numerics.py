@@ -29,12 +29,43 @@ def central_diff(value_fn, arr, step=1e-3):
 
 def bce_terms(p, y):
     """The per-row terms of the mean binary cross-entropy of labels y."""
-    return nm.bernoulli_loglik(p, -y / len(y), -(1.0 - y) / len(y), np.zeros_like(y))
+    return nm.bernoulli_loglik(p, -y / len(y), -(1.0 - y) / len(y), np.zeros_like(y))[0]
 
 
 def block(w, b):
     """A dense layer's weight/bias block: w's rows, then b's row."""
     return nm.constant(np.concatenate([w, b], axis=-2))
+
+
+def square(x: nm.Node) -> nm.Node:
+    """x * x of a (1, 1) node: x times a dense layer whose weight is x."""
+    return nm.dense_forward(x, nm.concat([x, nm.constant([[0.0]])], axis=0))
+
+
+def scaled(x: nm.Node, factor: float) -> nm.Node:
+    """factor * x of a (..., 1) node, as a dense layer."""
+    return nm.dense_forward(x, nm.constant([[factor], [0.0]]))
+
+
+def weighted_sum(x: nm.Node, w: np.ndarray) -> nm.Node:
+    """sum(x * w) as a (1, 1) node, for a constant w of x's shape: the
+    tests' fixed linear read-out of a graph's output."""
+    xv = x.value
+
+    def compute(out=None):
+        total = np.sum(xv * w)
+        if out is None:
+            return np.array([[total]])
+        out[0, 0] = total
+        return out
+
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        if first[0]:
+            np.multiply(w, g[0, 0], out=x.adjoint)
+        else:
+            x.adjoint += w * g[0, 0]
+
+    return nm.Node(compute(), (x,), backward, compute)
 
 
 class TestDenseForward:
@@ -78,11 +109,15 @@ class TestSigmoid:
 
 
 class TestSoftmaxVec:
-    """softmax over the only axis of a vector"""
+    """attention's weights over candidates that score a vector of scores:
+    keys the scores, queries one, scale one, so the weights are their
+    softmax"""
 
     @staticmethod
     def softmax(scores):
-        return nm.softmax(nm.constant(scores), axis=0).value
+        scores = np.asarray(scores, dtype=np.float64).reshape(-1, 1)
+        parts = np.stack([scores, np.ones_like(scores), np.zeros_like(scores)])
+        return nm.attention(nm.constant(parts), 1.0)[1].ravel()
 
     def test_symmetry(self):
         npt.assert_array_equal(self.softmax([0.0, 0.0]), [0.5, 0.5])
@@ -127,7 +162,7 @@ class TestBackwardSweep:
 
     def test_fanout_accumulates(self):
         x = nm.constant([[3.0]])
-        root = nm.sum_all(nm.add(nm.mul(x, x), x))  # x^2 + x -> 2x + 1 = 7
+        root = nm.sum_all(nm.add(square(x), x))  # x^2 + x -> 2x + 1 = 7
         nm.backward_sweep(root)
         npt.assert_allclose(x.adjoint, [[7.0]], rtol=1e-14)
 
@@ -156,33 +191,39 @@ class TestBackwardSweep:
             assert rel.max() < 1e-4
 
     def test_softmax_rows_gradient(self):
+        # attention over 3 candidates of 4 rows, each candidate i keyed by its
+        # column of scores (query 1, scale 1) and valued e_i: the output rows
+        # are the softmax of the score rows
         rng = np.random.default_rng(3)
         scores = rng.normal(size=(4, 3))
 
         def build():
-            s = nm.Node(scores)
-            sm = nm.softmax(s, axis=1)
-            return s, nm.sum_all(nm.mul(sm, nm.constant(weights)))
+            parts = np.zeros((3, 3, 4, 3))
+            parts[0, ..., 0] = scores.T
+            parts[1, ..., 0] = 1.0
+            parts[2] = np.eye(3)[:, None, :]
+            s = nm.Node(parts)
+            return s, weighted_sum(nm.attention(s, 1.0)[0], weights)
 
         weights = rng.normal(size=(4, 3))
         s, root = build()
         nm.backward_sweep(root)
         fd = central_diff(lambda: float(build()[1].value[0, 0]), scores, step=1e-5)
-        npt.assert_allclose(s.adjoint, fd, atol=1e-8)
+        npt.assert_allclose(s.adjoint[0, ..., 0].T, fd, atol=1e-8)
 
     @pytest.mark.parametrize("key", [(0, 1), (1, -1)])
     def test_index_of_one_entry_follows_a_refill(self, key):
         # an integer for every axis reads a 0-d view of x, not a copy of the entry
         x = nm.constant(np.arange(6.0).reshape(2, 3))
         entry = nm.index(x, key)
-        root = nm.sum_all(nm.mul(entry, entry))
+        root = nm.sum_all(nm.add(entry, entry))
         order = nm.record(root)
         x.value[...] = 10.0
         nm.replay(order)
-        assert entry.value.shape == () and root.value[0, 0] == 100.0
+        assert entry.value.shape == () and root.value[0, 0] == 20.0
         nm.backward_sweep(root, order)
         expected = np.zeros((2, 3))
-        expected[key] = 20.0
+        expected[key] = 2.0
         npt.assert_array_equal(x.adjoint, expected)
 
     def test_column_gradients(self):
@@ -192,7 +233,7 @@ class TestBackwardSweep:
         def build():
             xn = nm.Node(x_arr)
             c = nm.index(xn, (slice(None), slice(1, 2)))
-            return xn, nm.sum_all(nm.mul(c, c))
+            return xn, nm.sum_all(nm.sigmoid(c))
 
         xn, root = build()
         nm.backward_sweep(root)
@@ -286,16 +327,17 @@ def scalar_store(name: str, value) -> tuple[nm.ParamStore, nm.Node]:
 class TestFiniteDiffCheck:
     def test_square_function(self):
         ps, x = scalar_store("x", [[3.0]])
-        report = nm.finite_diff_check(ps, lambda: nm.mul(x, x), step=1e-3, tol=1e-4)
+        report = nm.finite_diff_check(ps, lambda: square(x), step=1e-3, tol=1e-4)
         assert report.passed
-        nm.backward_sweep(nm.mul(x, x))
+        nm.backward_sweep(square(x))
         npt.assert_allclose(x.adjoint, [[6.0]], rtol=1e-12)
 
     def test_entropy_stationary_at_half(self):
         ps, p = scalar_store("p", [[0.5]])
 
         def loss():  # the binary entropy
-            return nm.bernoulli_loglik(p, np.zeros((1, 1)), np.zeros((1, 1)), -np.ones((1, 1)))
+            return nm.bernoulli_loglik(p, np.zeros((1, 1)), np.zeros((1, 1)),
+                                       -np.ones((1, 1)))[0]
 
         report = nm.finite_diff_check(ps, loss, step=1e-4, tol=1e-4)
         assert report.passed
@@ -316,9 +358,9 @@ class TestFiniteDiffCheck:
         # every adjoint 0.1% too large: no step size rescues it
         sweep = nm.backward_sweep
         monkeypatch.setattr(nm, "backward_sweep",
-                            lambda root: sweep(nm.mul(root, nm.constant([[1.001]]))))
+                            lambda root: sweep(scaled(root, 1.001)))
         ps, x = scalar_store("x", [[3.0]])
-        report = nm.finite_diff_check(ps, lambda: nm.mul(x, x))
+        report = nm.finite_diff_check(ps, lambda: square(x))
         assert not report.passed
         assert report.n_remeasured == 1
         assert report.worst_rel_error == pytest.approx(1e-3, rel=1e-2)
@@ -329,7 +371,7 @@ class TestFiniteDiffCheck:
 
         def loss():
             state["calls"] += 1
-            return nm.mul(x, nm.constant([[float(state["calls"])]]))
+            return scaled(x, float(state["calls"]))
 
         with pytest.raises(ContractError):
             nm.finite_diff_check(ps, loss)
@@ -356,12 +398,8 @@ class TestFiniteDiffCheck:
 BROADCAST_CASES = {
     "dense_stacked": lambda t: t.h,
     "add_size1_axes": lambda t: nm.add(t.h, t.s),
-    "mul_size1_axes": lambda t: nm.mul(t.c, t.h),
     "index_none_strided": lambda t: nm.index(t.h, (slice(None), None, slice(0, 4, 2))),
     "index_ellipsis_none_int": lambda t: nm.index(t.h, (Ellipsis, None, 3)),
-    "row_dot": lambda t: nm.row_dot(t.h, nm.mul(t.h, t.c), 0.5),
-    "softmax_axis0": lambda t: nm.softmax(t.h, axis=0),
-    "sum_axis": lambda t: nm.sum_axis(t.h, axis=1),
     "concat": lambda t: nm.concat([t.h, nm.index(t.h, (slice(None), slice(1, 3)))], axis=1),
 }
 
@@ -369,12 +407,11 @@ BROADCAST_CASES = {
 @pytest.mark.parametrize("case", sorted(BROADCAST_CASES))
 def test_broadcast_ops_pass_finite_differences(case):
     rng = np.random.default_rng(5)
-    tensors = {name: np.zeros(shape) for name, shape in (("x", (4, 3)), ("s", (1, 5)),
-                                                         ("c", (4, 1)))}
+    tensors = {name: np.zeros(shape) for name, shape in (("x", (4, 3)), ("s", (1, 5)))}
     ps = nm.ParamStore(0, tensors | dense_tensors(0, ("l0", 3, 5), ("l1", 3, 5)),
                        {"l": ["l0", "l1"]})
     ps.values[...] = rng.normal(size=ps.values.size)
-    t = types.SimpleNamespace(s=ps["s"], c=ps["c"])
+    t = types.SimpleNamespace(s=ps["s"])
 
     def output():
         t.h = nm.dense_forward(ps["x"], ps.groups["l"])
@@ -382,7 +419,7 @@ def test_broadcast_ops_pass_finite_differences(case):
 
     weights = rng.normal(size=output().shape)
     report = nm.finite_diff_check(
-        ps, lambda: nm.sum_all(nm.mul(output(), nm.constant(weights))), tol=1e-6)
+        ps, lambda: weighted_sum(output(), weights), tol=1e-6)
     assert report.passed, report
     # every operand the case reads has a gradient, through the group views too
     for name in ("x", "l0.w", "l1.w", "l0.b", "l1.b"):
@@ -399,16 +436,25 @@ def test_forward_determinism():
     assert np.array_equal(out1.value, out2.value)
 
 
+def poison(order) -> None:
+    """Fill every non-leaf adjoint of a recorded tape with NaN: a sweep must
+    write each before it reads it."""
+    for node in order:
+        if node.parents:
+            node.adjoint.fill(np.nan)
+
+
 def _passes_and_replays(ps: nm.ParamStore, outputs, weights, refill) -> None:
     """outputs() builds the graph under test over ps's leaves and returns
     its output nodes; the loss weighs each by its fixed array of `weights`
     and sums. The loss passes finite differences at tol 1e-6, and a tape
     recorded on other leaf values, refilled by refill() and replayed, gives
-    the bytes of a fresh tape: values and every adjoint."""
+    the bytes of a fresh tape: values and every adjoint, though its
+    adjoints were NaN before the sweep."""
 
     def loss():
         outs = outputs()
-        terms = [nm.sum_all(nm.mul(out, nm.constant(w))) for out, w in zip(outs, weights)]
+        terms = [weighted_sum(out, w) for out, w in zip(outs, weights)]
         root = terms[0]
         for term in terms[1:]:
             root = nm.add(root, term)
@@ -421,6 +467,7 @@ def _passes_and_replays(ps: nm.ParamStore, outputs, weights, refill) -> None:
     order = nm.record(root)
     refill()
     nm.replay(order)
+    poison(order)
     nm.backward_sweep(root, order)
     replayed = [out.value.tobytes() for out in outs] + [root.value.tobytes(),
                                                         ps.grads.tobytes()]
@@ -496,35 +543,26 @@ def test_dense_forward_on_random_broadcasting_shapes(case):
 
 @st.composite
 def elementwise_cases(draw):
-    """(op, lead, rows, d, uses, swap, zeros, seed) for the ops whose
-    backward reduces rows or builds a rectifier's factor: `mul` of a
-    (lead, rows, 1) operand and a (lead, rows, d) one, in either order
-    (swap); `row_dot` of two operands, or of one with itself (swap); `relu`
-    and `leaky_relu`. A share `zeros` of the leaf values is exactly zero,
-    where a rectifier sits on its kink; the loss reads the op once, or
-    twice so that the operands' adjoints add up."""
-    return (draw(st.sampled_from(["mul", "row_dot", "relu", "leaky_relu"])),
+    """(op, lead, rows, d, uses, zeros, seed) for the ops whose backward
+    builds a rectifier's factor: `relu` and `leaky_relu` of a (lead, rows,
+    d) operand. A share `zeros` of the leaf values is exactly zero, where a
+    rectifier sits on its kink; the loss reads the op once, or twice so
+    that the operand's adjoint adds up."""
+    return (draw(st.sampled_from(["relu", "leaky_relu"])),
             draw(st.sampled_from([(), (3,), (2, 3)])), draw(st.integers(1, 16)),
-            draw(st.integers(1, 8)), draw(st.integers(1, 2)), draw(st.booleans()),
+            draw(st.integers(1, 8)), draw(st.integers(1, 2)),
             draw(st.sampled_from([0.0, 0.1, 0.5])), draw(st.integers(0, 2**16)))
 
 
-ELEMENTWISE_OPS = {
-    "mul": lambda a, b, swap: nm.mul(b, a) if swap else nm.mul(a, b),
-    "row_dot": lambda a, b, swap: nm.row_dot(a, a if swap else b, 0.7),
-    "relu": lambda a, b, swap: nm.relu(b),
-    "leaky_relu": lambda a, b, swap: nm.leaky_relu(b),
-}
+ELEMENTWISE_OPS = {"relu": nm.relu, "leaky_relu": nm.leaky_relu}
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(case=elementwise_cases())
 def test_elementwise_ops_on_random_shapes(case):
-    op, lead, rows, d, uses, swap, zeros, seed = case
+    op, lead, rows, d, uses, zeros, seed = case
     rng = np.random.default_rng(seed)
-    a_shape = lead + (rows, 1 if op == "mul" else d)
-    b_shape = lead + (rows, d)
-    ps, (a, b) = _leaves(seed, {"a": a_shape, "b": b_shape})
+    ps, (x,) = _leaves(seed, {"x": lead + (rows, d)})
 
     def draw_values():
         values = rng.normal(size=ps.values.size)
@@ -532,9 +570,8 @@ def test_elementwise_ops_on_random_shapes(case):
         ps.values[...] = values
 
     draw_values()
-    out_shape = ELEMENTWISE_OPS[op](a, b, swap).shape
-    weights = [rng.normal(size=out_shape) for _ in range(uses)]
-    _passes_and_replays(ps, lambda: [ELEMENTWISE_OPS[op](a, b, swap) for _ in weights],
+    weights = [rng.normal(size=x.shape) for _ in range(uses)]
+    _passes_and_replays(ps, lambda: [ELEMENTWISE_OPS[op](x) for _ in weights],
                         weights, draw_values)
 
 
@@ -640,32 +677,46 @@ def test_concat_on_random_shapes(case):
 
 
 @st.composite
-def axis_cases(draw):
-    """(op, shape, axis, uses, scale, seed): `softmax` or `sum_axis` over
-    any axis (negative too) of a tensor of 1 to 4 axes, its values drawn at
-    a scale that leaves the softmax soft or nearly one-hot; the loss reads
-    the op once, or twice so that the adjoint adds up."""
-    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
-    return (draw(st.sampled_from(["softmax", "sum_axis"])), shape,
-            draw(st.integers(-len(shape), len(shape) - 1)), draw(st.integers(1, 2)),
-            draw(st.sampled_from([0.1, 1.0, 10.0])), draw(st.integers(0, 2**16)))
-
-
-AXIS_OPS = {"softmax": nm.softmax, "sum_axis": nm.sum_axis}
+def attention_cases(draw):
+    """(parts, n_cand, lead, rows, d, uses, scale, seed): attention over
+    one to four candidates of a (3, n_cand, *lead, rows, d) tensor, its
+    parts in any order, its values drawn at a scale that leaves the
+    softmax soft or nearly one-hot; the loss reads the op once, or twice so
+    that the operand's adjoint adds up."""
+    return ("".join(draw(st.permutations("kqv"))), draw(st.integers(1, 4)),
+            draw(st.sampled_from([(), (2,), (2, 3)])), draw(st.integers(1, 8)),
+            draw(st.integers(1, 5)), draw(st.integers(1, 2)),
+            draw(st.sampled_from([0.3, 1.0, 3.0])), draw(st.integers(0, 2**16)))
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
-@given(case=axis_cases())
-def test_axis_ops_on_random_shapes(case):
-    op, shape, axis, uses, scale, seed = case
+@given(case=attention_cases())
+def test_attention_on_random_shapes(case):
+    parts, n_cand, lead, rows, d, uses, scale, seed = case
     rng = np.random.default_rng(seed)
-    ps, (x,) = _leaves(seed, {"x": shape})
+    ps, (x,) = _leaves(seed, {"x": (3, n_cand) + lead + (rows, d)})
     draw_values = _refill(ps, rng, scale)
     draw_values()
-    out_shape = AXIS_OPS[op](x, axis=axis).shape
-    weights = [rng.normal(size=out_shape) for _ in range(uses)]
-    _passes_and_replays(ps, lambda: [AXIS_OPS[op](x, axis=axis) for _ in weights],
-                        weights, draw_values)
+
+    out, weights = nm.attention(x, 1.0 / math.sqrt(d), parts)
+    k, q, v = (x.value[parts.index(part)] for part in "kqv")
+    scores = (k * q).sum(axis=-1, keepdims=True) / math.sqrt(d)
+    e = np.exp(scores - scores.max(axis=0))
+    npt.assert_allclose(weights, e / e.sum(axis=0), rtol=1e-12, atol=1e-300)
+    npt.assert_allclose(out.value, (weights * v).sum(axis=0), rtol=1e-12, atol=1e-12)
+
+    read_out = [rng.normal(size=out.shape) for _ in range(uses)]
+    _passes_and_replays(ps, lambda: [nm.attention(x, 1.0 / math.sqrt(d), parts)[0]
+                                     for _ in read_out], read_out, draw_values)
+
+
+def test_attention_checks_its_operand():
+    for shape, error in (((2, 2, 3), DimensionError), ((3, 4), DimensionError),
+                         ((3, 0, 2, 4), DomainError)):
+        with pytest.raises(error):
+            nm.attention(nm.constant(np.zeros(shape)), 1.0)
+    with pytest.raises(ContractError, match="k, q and v"):
+        nm.attention(nm.constant(np.zeros((3, 2, 4))), 1.0, "kqq")
 
 
 @st.composite
@@ -687,18 +738,21 @@ def test_bernoulli_loglik_value_gradient_and_replay(case):
     ps = nm.ParamStore(seed, {"p": p_arr}, {})
     p = ps["p"]
     ws = [rng.normal(size=(rows, cols)) for _ in range(3)]
-    scale = nm.constant(rng.normal(size=(rows, cols)))
+    scale = rng.normal(size=(rows, cols))
 
     pv, (w_pos, w_neg, w_ent) = p.value, ws
     q = 1.0 - pv
     reference = (w_pos * np.log(pv) + w_neg * np.log(q)
                  + w_ent * (pv * np.log(pv) + q * np.log(q)))
-    npt.assert_allclose(nm.bernoulli_loglik(p, *ws).value, reference, rtol=1e-13, atol=1e-15)
+    loglik, logs = nm.bernoulli_loglik(p, *ws)
+    npt.assert_allclose(loglik.value, reference, rtol=1e-13, atol=1e-15)
+    for kept, expected in zip(logs, (q, np.log(pv), np.log(q))):
+        npt.assert_array_equal(kept, expected)
 
     def loss():
         # an upstream adjoint other than one, and a second read when uses is 2
-        terms = [nm.mul(nm.bernoulli_loglik(p, *ws), scale) for _ in range(uses)]
-        return nm.sum_all(terms[0] if uses == 1 else nm.add(*terms))
+        terms = [weighted_sum(nm.bernoulli_loglik(p, *ws)[0], scale) for _ in range(uses)]
+        return terms[0] if uses == 1 else nm.add(*terms)
 
     report = nm.finite_diff_check(ps, loss, tol=1e-6)
     assert report.passed, report

@@ -273,9 +273,28 @@ class TestReplayedStep:
             got, got_grads = self.sweep(params, step)
             want, want_grads = self.fresh(params, batch, lcfg)
             npt.assert_array_equal(got.total.value, want.total.value, err_msg=name)
-            npt.assert_array_equal(L.target_terms(weights, got.probs.value),
-                                   L.target_terms(weights, want.probs.value), err_msg=name)
+            npt.assert_array_equal(L.target_terms(weights, got), L.target_terms(weights, want),
+                                   err_msg=name)
             npt.assert_array_equal(got_grads, want_grads, err_msg=name)
+
+    def test_a_64_row_step_records_54_nodes(self, step_batches):
+        # each attention is one op, the loss two
+        step = T._Step(M.init_params(self.CFG, seed=3), self.CFG, L.LossConfig(),
+                       step_batches["a"])
+        assert len(step.order) == 54
+
+    @pytest.mark.parametrize("lcfg", [L.LossConfig(), L.LossConfig().supervised_only()],
+                             ids=["entropy", "supervised"])
+    def test_a_sweep_writes_every_adjoint_before_reading_it(self, step_batches, lcfg):
+        params = M.init_params(self.CFG, seed=3)
+        step = T._Step(params, self.CFG, lcfg, step_batches["a"])
+        _, clean = self.sweep(params, step)
+        for node in step.order:
+            if node.parents:
+                node.adjoint.fill(np.nan)
+        _, poisoned = self.sweep(params, step)
+        assert np.isfinite(clean).all()
+        assert poisoned.tobytes() == clean.tobytes()
 
     def test_each_row_count_records_one_tape(self, monkeypatch):
         examples = random_label_examples(150, seed=5)  # batches of 64, 64 and 22
