@@ -7,8 +7,8 @@ schema. ``--config`` (a JSON file) and then each ``--set section.key=value``
 are merged over the defaults (flags > file > defaults) and read back with
 each field's annotated type by `msis.config`, so ``split.cutoff_day=2.5``
 or ``model.corridor_enabled=False`` (not JSON ``false``) is a ConfigError.
-Every command writes a manifest with the hash of the canonical resolved
-config, the seed list, and a checksum per artifact, so any result can be
+Every command writes a manifest with the canonical resolved config and
+its hash, the seed list, and a checksum per artifact, so any result can be
 re-derived. An `msis.errors` error exits 1 with one line on stderr.
 """
 
@@ -165,8 +165,12 @@ def _sha256_file(path: Path) -> str:
 
 def write_manifest(out: Path, command: str, cfg: ExperimentConfig,
                    artifacts: list[Path]) -> None:
+    """manifest.json: the command, the resolved config and its hash (the
+    config, written back as canonical JSON, hashes to `config_sha256`), the
+    seeds, and a checksum per artifact."""
     manifest = {
         "command": command,
+        "config": to_dict(cfg),
         "config_sha256": cfg.sha256(),
         "seeds": list(cfg.train.seeds),
         "artifacts": {p.name: _sha256_file(p) for p in artifacts},

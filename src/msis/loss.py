@@ -12,9 +12,10 @@ batch size alone, never on its label pattern. Labels are zeroed
 wherever their mask is not set: the NaN poison behind a zero mask never
 reaches a product, so it cannot leak into a gradient, while a NaN under
 a set mask raises ContractError. On the tape, for every config,
-the sum is one `numerics.bernoulli_loglik` node and its `sum_all`; the
-gradient check's value-only loss (`make_fast_loss_value_fn`) sums that
-op's value function over the fused forward's probabilities.
+the sum is one `numerics.bernoulli_loglik` node, which sums its own
+terms into the (1, 1) root; the gradient check's value-only loss
+(`make_fast_loss_value_fn`) sums that op's value function over the fused
+forward's probabilities, as the node does.
 
 The entropy term reads probabilities alone: pushing unlabeled predictions
 away from 0.5 is what lets the selection-censored stages say something
@@ -86,12 +87,12 @@ class LossConfig:
 
 @dataclass
 class LossBreakdown:
-    """A batch's loss: the tape's (1, 1) root, the arrays its
-    bernoulli_loglik node reads (`weights`), the stacked probabilities
-    `probs`, and 1 - p, log p and log(1 - p) of them (`logs`), which the
-    node writes on every run and its backward reads. A replay of the tape
-    on another batch of the same rows copies that batch's folded weights
-    into `weights` and rewrites `logs`."""
+    """A batch's loss: the tape's (1, 1) root, which is its one
+    bernoulli_loglik node (`total`), the arrays that node reads
+    (`weights`), the stacked probabilities `probs`, and 1 - p, log p and
+    log(1 - p) of them (`logs`), which the node writes on every run and its
+    backward reads. A replay of the tape on another batch of the same rows
+    copies that batch's folded weights into `weights` and rewrites `logs`."""
 
     total: Node
     weights: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -179,8 +180,8 @@ def total_loss(result, batch: Batch, config: LossConfig,
     result's stacked (n_targets, batch) probabilities."""
     weights = loss_weights([batch], config, stages)[0].folded()
     p = result.stacked
-    loglik, logs = nm.bernoulli_loglik(p, *weights)
-    return LossBreakdown(nm.sum_all(loglik), weights, p, logs)
+    total, logs = nm.bernoulli_loglik(p, *weights)
+    return LossBreakdown(total, weights, p, logs)
 
 
 def target_terms(w: LossWeights, loss: LossBreakdown) -> tuple[np.ndarray, np.ndarray]:
@@ -202,8 +203,8 @@ def make_fast_loss_value_fn(params, model_cfg: MsisConfig, loss_cfg: LossConfig,
                             batch: Batch):
     """Build a scalar evaluator of the total loss at the current parameter
     values: the store's fused evaluator for the batch (make_fused_forward),
-    then the value of total_loss's one op over its output, summed as
-    sum_all sums it.
+    then the value function of total_loss's one op over its output, summed
+    as that op sums it.
 
     Each call copies the batch's features in again and reruns the forward,
     because the evaluator is the store's one for the batch's row count,

@@ -16,8 +16,11 @@ layer's weight rows and bias row sit next to each other in the store, one
 (training, attention inspection), each attention, intra-stage and
 inter-stage alike, one `numerics.attention` op over a part-major
 (3 parts, n_candidates, ...) node of keys, queries and values, laid out
-as the fused evaluator lays out a fusion's candidates: a step of the
-default model is 54 tape nodes. `make_fused_forward` compiles the same
+as the fused evaluator lays out a fusion's candidates: there, too, both
+fusion sides' dense layers write their halves of one candidate buffer in
+place (`dense_forward`'s `out`), which one `numerics.join` node presents
+to the attention with no copy. A step of the default model, loss
+included, is 49 tape nodes. `make_fused_forward` compiles the same
 math, with no tape, into one list of in-place steps, each writing a
 buffer allocated where the step is built, because a value-only
 evaluation costs a fraction of building tape nodes. There every buffer a
@@ -263,10 +266,11 @@ def forward(params: ParamStore, config: MsisConfig,
     count.
 
     Every target's tower, head and fusion runs in one op over the store's
-    groups, as (n_targets, batch, d) tensors. A fusion's two sides join on
-    axis 1 of its (part: value, key, query) x (candidate: incoming, own)
-    node, and a stage's intra-stage projections are (part: key, query,
-    value) x (target); one `numerics.attention` op reads each."""
+    groups, as (n_targets, batch, d) tensors. A fusion's two sides write
+    their halves, along axis 1, of one (part: value, key, query) x
+    (candidate: incoming, own) buffer, joined with no copy, and a stage's
+    intra-stage projections are (part: key, query, value) x (target); one
+    `numerics.attention` op reads each."""
     check_features(config, features)
     G = params.groups
     scale = 1.0 / math.sqrt(config.corridor_dim)
@@ -297,12 +301,13 @@ def forward(params: ParamStore, config: MsisConfig,
             if si > 0:
                 prev = config.stages[si - 1][0]
                 e_in = projection(f"corridor.{prev}-{sname}.f", e_ou)
-                # (part: value, key, query) x (candidate: incoming, own)
-                sides = [nm.index(nm.dense_forward(v, G[f"fuse_{side}.{sname}"]),
-                                  (slice(None), None))
-                         for v, side in ((e_in, "in"), (own, "self"))]
-                cand = nm.leaky_relu(nm.concat(sides, axis=1))
-                out, beta = nm.attention(cand, scale, "vkq")
+                # (part: value, key, query) x (candidate: incoming, own), each
+                # side's dense writing its candidate in place
+                cand = np.empty((3, 2) + own.shape)
+                keys = [(slice(None), 0), (slice(None), 1)]
+                sides = [nm.dense_forward(v, G[f"fuse_{side}.{sname}"], out=cand[key])
+                         for v, side, key in zip((e_in, own), ("in", "self"), keys)]
+                out, beta = nm.attention(nm.leaky_relu(nm.join(sides, cand, keys)), scale, "vkq")
                 corridor[(prev, sname)] = CorridorState(
                     prev, sname, e_ou, e_in, alpha,
                     {t: nm.Node(beta[:, j, :, 0].T) for j, t in enumerate(targets)})

@@ -3,16 +3,19 @@
 Tape values are arrays of any rank. The model stacks per-target tensors
 on a leading axis, (n_targets, batch, d) activations against
 (n_targets, d_in + 1, d_out) weight/bias blocks, so one op runs every
-target: `dense_forward` and `add` broadcast like NumPy, and their backward
-passes sum each adjoint back to its operand's shape (`unbroadcast`).
-As in the fused evaluator, a dense layer multiplies its own copy of the
-input, which carries a ones column, by the whole block: one matmul
-forward, bias included, and one for the block's adjoint, bias row
-included. `attention` runs a whole attention as one op over one
-part-major (3, n_cand, ..., d) node of keys, queries and values; its sums
-along the last axis are matmuls by ones too. `index` and `concat` work
-along an axis. `bernoulli_loglik`, weighted log-likelihoods of
-probabilities, is the loss's one op.
+target: `dense_forward` broadcasts like NumPy, and its backward sums each
+adjoint back to its operand's shape (`unbroadcast`). As in the fused
+evaluator, a dense layer multiplies its own copy of the input, which
+carries a ones column, by the whole block: one matmul forward, bias
+included, and one for the block's adjoint, bias row included; given
+`out`, it writes its product into a view of a buffer that other layers
+share, and `join` makes that buffer one node with no copy, its parts'
+adjoints views of its own. `attention` runs a whole attention as one op
+over one part-major (3, n_cand, ..., d) node of keys, queries and values;
+its sums along the last axis are matmuls by ones too. `index` and
+`concat` work along an axis. `bernoulli_loglik`, the sum of weighted
+log-likelihoods of probabilities, is the loss's one op, and a (1, 1)
+root itself.
 Calling the ops builds the tape (a dynamic graph). `record` fixes its
 topological order once; `replay` then re-runs the same ops in place on new
 contents of the leaves, so a training loop builds one tape per batch
@@ -68,9 +71,11 @@ class Node:
     that its contribution is the first of the sweep to reach its part of
     parent i's adjoint, which it writes instead (`record`). An `index`
     node's `key` is the part of its parent it reads; every other node reads
-    the whole of each parent, its key None."""
+    the whole of each parent, its key None. A `join` node's `keys` are the
+    parts of its value that its parents are; every other node's are None."""
 
-    __slots__ = ("value", "adjoint", "parents", "backward_fn", "forward_fn", "first", "key")
+    __slots__ = ("value", "adjoint", "parents", "backward_fn", "forward_fn", "first", "key",
+                 "keys")
 
     def __init__(self, value: np.ndarray, parents: tuple["Node", ...] = (),
                  backward_fn: Callable[[np.ndarray, tuple[bool, ...]], None] | None = None,
@@ -82,6 +87,7 @@ class Node:
         self.forward_fn = forward_fn
         self.first: tuple[bool, ...] = ()
         self.key = None
+        self.keys = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -144,11 +150,13 @@ def _op(compute: Callable, parents: tuple[Node, ...], backward: Callable) -> Nod
 # own closure is a reference cycle that keeps the whole tape alive until
 # the cyclic garbage collector runs.
 
-def dense_forward(x: Node, wb: Node) -> Node:
-    """out = x @ w + b over the last two axes, wb being a dense layer's
+def dense_forward(x: Node, wb: Node, out: np.ndarray | None = None) -> Node:
+    """x @ w + b over the last two axes, wb being a dense layer's
     (..., d_in + 1, d_out) block: the rows of w, then b's one row. Leading
     axes broadcast, so a (batch, d_in) input against a stacked
-    (n, d_in + 1, d_out) block runs n layers in one op.
+    (n, d_in + 1, d_out) block runs n layers in one op. Given `out`, a view
+    of the product's shape, every run writes the product there and the
+    node's value is that view, as a `join`'s parts are.
 
     As in the fused evaluator, the bias rides inside the matmul: the node
     keeps its own copy of x with a trailing ones column, set once here, and
@@ -159,7 +167,9 @@ def dense_forward(x: Node, wb: Node) -> Node:
     stacked (the model's (3, 1, d + 1, d) intra-stage projections over a
     stage's (n, rows, d) rows), folds its lead axes into the rows: one
     product per layer, x1 laid out as (lead·rows, d_in + 1). x's adjoint
-    is g @ w^T."""
+    is g @ w^T; a stacked block's w^T is a contiguous copy, refreshed at the
+    start of each backward, which multiplies faster than a strided view of
+    the block and gives the same bytes."""
     d_in = x.shape[-1]
     if len(wb.shape) < 2 or d_in + 1 != wb.shape[-2]:
         raise DimensionError(f"dense: input {x.shape} and weight/bias block {wb.shape} "
@@ -173,11 +183,14 @@ def dense_forward(x: Node, wb: Node) -> Node:
         return np.matmul(x1, wbv, out=out)
 
     try:
-        value = compute()
+        value = compute(out)
     except ValueError as exc:
+        into = "" if out is None else f" into {out.shape}"
         raise DimensionError(f"dense: lead axes of input {x.shape} and weight/bias block "
-                             f"{wb.shape} do not broadcast") from exc
-    w_t = np.swapaxes(wbv[..., :-1, :], -1, -2)
+                             f"{wb.shape} do not broadcast{into}") from exc
+    w_t_view = np.swapaxes(wbv[..., :-1, :], -1, -2)
+    stacked = wbv.ndim > 2
+    w_t = np.empty(w_t_view.shape) if stacked else w_t_view
     # an input the product does not broadcast gets g @ w^T written straight
     # into its adjoint on the first contribution
     x_direct = value.shape[:-1] + (d_in,) == x.shape and xv.flags.c_contiguous
@@ -204,6 +217,8 @@ def dense_forward(x: Node, wb: Node) -> Node:
             return grad if out is None else np.copyto(out, grad)
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        if stacked:
+            np.copyto(w_t, w_t_view)
         if x_direct and first[0]:
             np.matmul(g, w_t, out=x.adjoint)
         else:
@@ -271,9 +286,10 @@ def sigmoid(x: Node) -> Node:
     """Stable logistic, clamped to [eps, 1-eps] so downstream logs are safe."""
     xv = x.value
 
-    def compute(out=None):
+    def compute(out=None):  # np.clip's bytes, without its dispatch
         out = expit(xv, out=out)
-        return np.clip(out, CLAMP_EPS, 1.0 - CLAMP_EPS, out=out)
+        np.maximum(out, CLAMP_EPS, out=out)
+        return np.minimum(out, 1.0 - CLAMP_EPS, out=out)
 
     s = compute(np.empty(xv.shape))  # a 0-d result too stays an array, as in _op
 
@@ -281,25 +297,6 @@ def sigmoid(x: Node) -> Node:
         _give_product(x, g, s * (1.0 - s), first[0])
 
     return Node(s, (x,), backward, compute)
-
-
-def add(a: Node, b: Node) -> Node:
-    """Elementwise sum of operands that broadcast against each other."""
-    av, bv = a.value, b.value
-
-    def compute(out=None):
-        return np.add(av, bv, out=out)
-
-    try:
-        value = np.asarray(compute())  # a 0-d result too, as in _op
-    except ValueError as exc:
-        raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from exc
-
-    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
-        _give(a, unbroadcast(g, a.shape), first[0])
-        _give(b, unbroadcast(g, b.shape), first[1])
-
-    return Node(value, (a, b), backward, compute)
 
 
 def attention(x: Node, scale: float, parts: str = "kqv") -> tuple[Node, np.ndarray]:
@@ -311,11 +308,12 @@ def attention(x: Node, scale: float, parts: str = "kqv") -> tuple[Node, np.ndarr
     (..., d). Returns the node and its (n_cand, ..., 1) weights, a buffer
     of its own that every run rewrites.
 
-    Its run is one closure over two buffers: the products, summed over d
-    by a matmul by ones as in the fused evaluator, the max-subtracted
-    softmax over axis 0 in place, then the weighted values and their sum.
-    Its backward writes the three parts of x's adjoint, which tile it, and
-    uses the values' part as scratch before it writes it."""
+    Its run is one closure over buffers of its own: the products, summed
+    over d by a matmul by ones as in the fused evaluator, the max-subtracted
+    softmax over axis 0 in place, then the weighted values and their sum;
+    its reductions over the candidates write a buffer it owns too. Its
+    backward writes the three parts of x's adjoint, which tile it, and uses
+    the values' part as scratch before it writes it."""
     if sorted(parts) != ["k", "q", "v"]:
         raise ContractError(f"attention: parts must order k, q and v, got {parts!r}")
     if x.value.ndim < 3 or x.shape[0] != 3:
@@ -327,25 +325,33 @@ def attention(x: Node, scale: float, parts: str = "kqv") -> tuple[Node, np.ndarr
     k, q, v = xv[ki], xv[qi], xv[vi]
     prod = np.empty(k.shape)
     weights = np.empty(k.shape[:-1] + (1,))
+    g_w, g_s = np.empty(weights.shape), np.empty(weights.shape)  # the backward's
+    across = np.empty((1,) + weights.shape[1:])  # a reduction over the candidates
     ones = np.ones((k.shape[-1], 1))
 
     def compute(out=None):
         np.multiply(k, q, out=prod)
         np.matmul(prod, ones, out=weights)
         np.multiply(weights, scale, out=weights)
-        np.subtract(weights, weights.max(axis=0, keepdims=True), out=weights)
+        np.maximum.reduce(weights, axis=0, keepdims=True, out=across)
+        np.subtract(weights, across, out=weights)
         np.exp(weights, out=weights)
-        np.divide(weights, weights.sum(axis=0, keepdims=True), out=weights)
+        np.add.reduce(weights, axis=0, keepdims=True, out=across)
+        np.divide(weights, across, out=weights)
         np.multiply(weights, v, out=prod)
-        return np.sum(prod, axis=0, out=out)
+        return np.add.reduce(prod, axis=0, out=out)
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
         adj = x.adjoint if first[0] else np.empty_like(xv)
         g_v = adj[vi]
-        g_w = np.matmul(np.multiply(g, v, out=g_v), ones)  # the weights'
+        np.matmul(np.multiply(g, v, out=g_v), ones, out=g_w)  # the weights'
         np.multiply(g, weights, out=g_v)
-        g_s = weights * (g_w - (g_w * weights).sum(axis=0, keepdims=True))  # the scores'
-        g_s *= scale
+        # the scores': weights * (g_w - sum over the candidates of g_w * weights)
+        np.multiply(g_w, weights, out=g_s)
+        np.add.reduce(g_s, axis=0, keepdims=True, out=across)
+        np.subtract(g_w, across, out=g_w)
+        np.multiply(weights, g_w, out=g_s)
+        np.multiply(g_s, scale, out=g_s)
         np.multiply(g_s, q, out=adj[ki])
         np.multiply(g_s, k, out=adj[qi])
         if not first[0]:
@@ -372,44 +378,35 @@ def bernoulli_loglik_value(p: np.ndarray, w_pos: np.ndarray, w_neg: np.ndarray,
 
 def bernoulli_loglik(p: Node, w_pos: np.ndarray, w_neg: np.ndarray, w_ent: np.ndarray
                      ) -> tuple[Node, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """`bernoulli_loglik_value` on the tape, its weights constant arrays of
-    p's shape. The node reads them in place, so whoever owns them can
-    refill them between replays. Returns the node and its 1 - p, log p and
-    log(1 - p), buffers of its own that every run rewrites and its backward
-    reads."""
+    """The sum of `bernoulli_loglik_value` over every entry, on the tape, as
+    a (1, 1) node, its weights constant arrays of p's shape. The node reads
+    them in place, so whoever owns them can refill them between replays,
+    and sums the terms in a buffer of its own, so its total is
+    `bernoulli_loglik_value(...).sum()` bit for bit. Returns the node and
+    its 1 - p, log p and log(1 - p), buffers of its own that every run
+    rewrites and its backward reads."""
     shapes = [w.shape for w in (w_pos, w_neg, w_ent)]
     if any(shape != p.shape for shape in shapes):
         raise DimensionError(
             f"bernoulli_loglik: weights {shapes} and probabilities {p.shape} differ")
     pv = p.value
+    terms = np.empty(p.shape)
     logs = q, log_p, log_q = tuple(np.empty(p.shape) for _ in range(3))
 
     def compute(out=None):
-        return bernoulli_loglik_value(pv, w_pos, w_neg, w_ent, out, logs)
+        total = bernoulli_loglik_value(pv, w_pos, w_neg, w_ent, terms, logs).sum()
+        if out is None:
+            return np.array([[total]])
+        out[0, 0] = total
+        return out
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
         # d/dp: w_ent log p + (w_pos + w_ent p) / p, less the same in 1 - p
         d = (w_pos + w_ent * pv) / pv + w_ent * log_p
         d -= (w_neg + w_ent * q) / q + w_ent * log_q
-        _give_product(p, g, d, first[0])
+        _give_product(p, d, g[0, 0], first[0])
 
     return _op(compute, (p,), backward), logs
-
-
-def sum_all(x: Node) -> Node:
-    """The sum of every entry, as a (1, 1) scalar."""
-    xv = x.value
-
-    def compute(out=None):
-        if out is None:
-            return np.array([[xv.sum()]])
-        out[0, 0] = xv.sum()
-        return out
-
-    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
-        _give(x, g[0, 0], first[0])
-
-    return _op(compute, (x,), backward)
 
 
 def index(x: Node, key) -> Node:
@@ -437,6 +434,33 @@ def index(x: Node, key) -> Node:
 
     node = Node(value, (x,), backward)
     node.key = key
+    return node
+
+
+def join(parts: Sequence[Node], buffer: np.ndarray, keys: Sequence) -> Node:
+    """The node whose value is `buffer`, which its parts write in place:
+    each part's value is the view `buffer[key]` of its key (a `dense_forward`
+    given `out`), and the keys tile the buffer. A join copies nothing, on a
+    run or in the backward: `record` makes each part's adjoint the view of
+    the join's adjoint at its key, so whatever writes the join's adjoint
+    writes the parts'. That holds only while the join is a part's one
+    reader; `record` raises ContractError where a part has another."""
+    if len(parts) != len(keys):
+        raise ContractError(f"join: {len(parts)} parts and {len(keys)} keys")
+    touched = np.zeros(buffer.shape, dtype=bool)
+    for part, key in zip(parts, keys):
+        view = buffer[key]
+        if (not isinstance(view, np.ndarray) or view.shape != part.shape
+                or view.strides != part.value.strides
+                or view.ctypes.data != part.value.ctypes.data):
+            raise ContractError(f"join: a {part.shape} part is not the buffer's view at {key!r}")
+        if touched[key].any():
+            raise ContractError(f"join: the part at {key!r} overlaps another")
+        touched[key] = True
+    if not touched.all():
+        raise ContractError("join: the parts leave some of the buffer unwritten")
+    node = Node(buffer, tuple(parts))
+    node.keys = tuple(keys)
     return node
 
 
@@ -512,10 +536,12 @@ def record(root: Node) -> list[Node]:
     that contribution writes the parent's adjoint instead of adding to it
     (`_first_writes`): `index` reads that tile their operand, such as the
     model's per-stage slices of the towers, each write their own part,
-    with no zero-fill. The flags belong to this root: record a graph again
-    before sweeping it from another. Raises ContractError when two leaves
-    share adjoint memory (a store's group and one of its members): each
-    one's first write would clobber the other's."""
+    with no zero-fill. A `join`'s parts get views of its adjoint. The flags
+    belong to this root: record a graph again before sweeping it from
+    another. Raises ContractError when two leaves share adjoint memory (a
+    store's group and one of its members), as each one's first write would
+    clobber the other's, and when a joined part has a reader besides its
+    join, whose contribution the join's would overwrite."""
     order = _toposort(root)
     leaves = [node.adjoint for node in order if not node.parents and node.adjoint is not None]
     for i, adjoint in enumerate(leaves):
@@ -523,11 +549,18 @@ def record(root: Node) -> list[Node]:
             raise ContractError("two leaves of one graph share adjoint memory")
     reads: dict[int, list[tuple[Node, int]]] = {}  # by parent, in sweep order
     for node in reversed(order):
-        if node.adjoint is None:
-            node.adjoint = np.empty_like(node.value)
         node.first = [False] * len(node.parents)
         for i, parent in enumerate(node.parents):
             reads.setdefault(id(parent), []).append((node, i))
+    joins = [node for node in order if node.keys is not None]
+    if any(len(reads[id(part)]) > 1 for node in joins for part in node.parents):
+        raise ContractError("a joined part has a reader besides its join")
+    for node in reversed(order):  # a join before its parts
+        if node.adjoint is None:
+            node.adjoint = np.empty_like(node.value)
+        if node.keys is not None:
+            for part, key in zip(node.parents, node.keys):
+                part.adjoint = node.adjoint[key]
     for node in order:
         readers = reads.get(id(node))
         if readers:

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -106,6 +107,16 @@ class TestCommands:
         manifest = json.loads((a / "manifest.json").read_text())
         assert manifest["artifacts"] == \
             json.loads((b / "manifest.json").read_text())["artifacts"]
+
+    def test_simulate_manifest_holds_the_resolved_config(self, tiny_config, tmp_path):
+        # the run directory says which horizons made label_draw_30 and label_draw_90
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", tiny_config,
+                         "--set", "sim.draw_horizons=[10,40]", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["sim"]["draw_horizons"] == [10, 40]
+        canonical = json.dumps(manifest["config"], sort_keys=True).encode()
+        assert hashlib.sha256(canonical).hexdigest() == manifest["config_sha256"]
 
     def test_train_then_evaluate(self, tiny_config, data_dir, tmp_path):
         run = tmp_path / "run"

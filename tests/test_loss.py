@@ -225,11 +225,12 @@ class TestTotalLoss:
         for batch in batches:
             patterns.add(tuple(int(batch.masks[t].sum()) for t in ds.TARGETS))
             # one loss graph, with or without the entropy term: the
-            # bernoulli_loglik node and its sum over the forward's probabilities
+            # bernoulli_loglik node, which sums itself, over the forward's
+            # probabilities
             for lcfg in (ls.LossConfig(), ls.LossConfig().supervised_only()):
                 result = M.forward(params, cfg, batch.features)
                 root = ls.total_loss(result, batch, lcfg, cfg.stages).total
-                assert tape_size(root) == tape_size(result.stacked) + 2
+                assert tape_size(root) == tape_size(result.stacked) + 1
                 sizes.add(tape_size(root))
         assert len(patterns) == len(batches)
         assert len(sizes) == 1 and sizes.pop() <= 100

@@ -188,7 +188,8 @@ class TestForward:
         # alpha and betas are views of the attention ops' weights buffers
         params = M.init_params(default_cfg, seed=1)
         result = M.forward(params, default_cfg, batch_64.features)
-        order = nm.record(nm.sum_all(result.stacked))
+        order = nm.record(ls.total_loss(result, batch_64, ls.LossConfig(),
+                                        default_cfg.stages).total)
         new_rows = np.random.default_rng(8).normal(size=batch_64.features.shape)
         result.features.value[...] = new_rows
         nm.replay(order)
@@ -201,6 +202,39 @@ class TestForward:
                 npt.assert_array_equal(beta.value, fresh.corridor[pair].betas[t].value)
         alpha = result.corridor[("ws", "gb")].alpha.value
         assert alpha.shape == (64, 2) and not np.array_equal(alpha[:, 0], alpha[:, 1])
+
+    def test_attention_weights_follow_a_replay_after_a_sweep(self, default_cfg, batch_64):
+        # each fusion's two dense sides write one candidate buffer, joined
+        # with no copy, and a sweep writes their adjoints through views of the
+        # join's: replayed on new rows and swept again, the step moves alpha,
+        # beta and the gradients as a fresh tape does
+        params = M.init_params(default_cfg, seed=1)
+        lcfg = ls.LossConfig()
+        result = M.forward(params, default_cfg, batch_64.features)
+        total = ls.total_loss(result, batch_64, lcfg, default_cfg.stages).total
+        order = nm.record(total)
+        joins = [node for node in order if node.keys is not None]
+        assert len(joins) == len(result.corridor) == 2
+        for join in joins:
+            assert all(np.shares_memory(part.adjoint, join.adjoint) for part in join.parents)
+        nm.backward_sweep(total, order)
+        before = {(pair, t): beta.value.copy() for pair, state in result.corridor.items()
+                  for t, beta in state.betas.items()}
+        new_rows = np.random.default_rng(9).normal(size=batch_64.features.shape)
+        result.features.value[...] = new_rows
+        nm.replay(order)
+        params.zero_adjoints()
+        nm.backward_sweep(total, order)
+        replayed = params.grads.copy()
+        fresh = M.forward(params, default_cfg, new_rows)
+        params.zero_adjoints()
+        nm.backward_sweep(ls.total_loss(fresh, batch_64, lcfg, default_cfg.stages).total)
+        assert replayed.tobytes() == params.grads.tobytes()
+        for pair, state in result.corridor.items():
+            npt.assert_array_equal(state.alpha.value, fresh.corridor[pair].alpha.value)
+            for t, beta in state.betas.items():
+                npt.assert_array_equal(beta.value, fresh.corridor[pair].betas[t].value)
+                assert not np.array_equal(beta.value, before[(pair, t)])
 
     def test_single_target_stage_alpha_exactly_one(self, default_cfg, batch_64):
         params = M.init_params(default_cfg, seed=1)

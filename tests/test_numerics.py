@@ -27,8 +27,8 @@ def central_diff(value_fn, arr, step=1e-3):
     return grad
 
 
-def bce_terms(p, y):
-    """The per-row terms of the mean binary cross-entropy of labels y."""
+def bce(p, y):
+    """The mean binary cross-entropy of labels y, as a (1, 1) node."""
     return nm.bernoulli_loglik(p, -y / len(y), -(1.0 - y) / len(y), np.zeros_like(y))[0]
 
 
@@ -68,6 +68,44 @@ def weighted_sum(x: nm.Node, w: np.ndarray) -> nm.Node:
     return nm.Node(compute(), (x,), backward, compute)
 
 
+def sum_all(x: nm.Node) -> nm.Node:
+    """The sum of every entry of x, as a (1, 1) node."""
+    xv = x.value
+
+    def compute(out=None):
+        if out is None:
+            return np.array([[xv.sum()]])
+        out[0, 0] = xv.sum()
+        return out
+
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        if first[0]:
+            np.copyto(x.adjoint, g[0, 0])
+        else:
+            x.adjoint += g[0, 0]
+
+    return nm.Node(compute(), (x,), backward, compute)
+
+
+def add(a: nm.Node, b: nm.Node) -> nm.Node:
+    """The elementwise sum of two nodes whose shapes broadcast against each
+    other; a 0-d sum stays an array, so a replay can write it."""
+    av, bv = a.value, b.value
+
+    def compute(out=None):
+        return np.add(av, bv, out=out)
+
+    def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+        for node, f in zip((a, b), first):
+            contribution = nm.unbroadcast(g, node.shape)
+            if f:
+                np.copyto(node.adjoint, contribution)
+            else:
+                node.adjoint += contribution
+
+    return nm.Node(np.asarray(compute()), (a, b), backward, compute)
+
+
 class TestDenseForward:
     def test_one_by_one(self):
         out = nm.dense_forward(nm.constant([[3.0]]), block([[2.0]], [[1.0]]))
@@ -88,6 +126,11 @@ class TestDenseForward:
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(5, 5\)"):
             nm.dense_forward(nm.constant(np.zeros((2, 3))),
                              block(np.zeros((4, 5)), np.zeros((1, 5))))
+
+    def test_out_of_another_shape_names_it(self):
+        with pytest.raises(DimensionError, match=r"into \(2, 4\)"):
+            nm.dense_forward(nm.constant(np.zeros((2, 3))),
+                             block(np.zeros((3, 5)), np.zeros((1, 5))), out=np.empty((2, 4)))
 
 
 class TestSigmoid:
@@ -153,7 +196,7 @@ class TestBackwardSweep:
 
     def test_sum_of_vector_is_ones(self):
         v = nm.constant(np.arange(5.0).reshape(1, 5))
-        nm.backward_sweep(nm.sum_all(v))
+        nm.backward_sweep(sum_all(v))
         npt.assert_array_equal(v.adjoint, np.ones((1, 5)))
 
     def test_non_scalar_root_rejected(self):
@@ -162,7 +205,7 @@ class TestBackwardSweep:
 
     def test_fanout_accumulates(self):
         x = nm.constant([[3.0]])
-        root = nm.sum_all(nm.add(square(x), x))  # x^2 + x -> 2x + 1 = 7
+        root = sum_all(add(square(x), x))  # x^2 + x -> 2x + 1 = 7
         nm.backward_sweep(root)
         npt.assert_allclose(x.adjoint, [[7.0]], rtol=1e-14)
 
@@ -181,7 +224,7 @@ class TestBackwardSweep:
             nodes = [nm.Node(p) for p in params]
             h = nm.relu(nm.dense_forward(nm.constant(x), nodes[0]))
             p = nm.sigmoid(nm.dense_forward(h, nodes[1]))
-            return nodes, nm.sum_all(bce_terms(p, y))
+            return nodes, bce(p, y)
 
         nodes, root = build()
         nm.backward_sweep(root)
@@ -216,7 +259,7 @@ class TestBackwardSweep:
         # an integer for every axis reads a 0-d view of x, not a copy of the entry
         x = nm.constant(np.arange(6.0).reshape(2, 3))
         entry = nm.index(x, key)
-        root = nm.sum_all(nm.add(entry, entry))
+        root = sum_all(add(entry, entry))
         order = nm.record(root)
         x.value[...] = 10.0
         nm.replay(order)
@@ -233,7 +276,7 @@ class TestBackwardSweep:
         def build():
             xn = nm.Node(x_arr)
             c = nm.index(xn, (slice(None), slice(1, 2)))
-            return xn, nm.sum_all(nm.sigmoid(c))
+            return xn, sum_all(nm.sigmoid(c))
 
         xn, root = build()
         nm.backward_sweep(root)
@@ -297,7 +340,7 @@ class TestParamStore:
         w, b = ps["l.w"], ps["l.b"]
         x = nm.constant(np.ones((4, 3)))
         for _ in range(2):  # the second sweep zeroes the views in place
-            nm.backward_sweep(nm.sum_all(nm.dense_forward(x, ps.groups["l"])))
+            nm.backward_sweep(sum_all(nm.dense_forward(x, ps.groups["l"])))
         assert np.shares_memory(w.adjoint, ps.grads)
         assert np.shares_memory(b.adjoint, ps.grads)
         npt.assert_array_equal(ps.as_named(ps.grads)["l.b"], [[4.0, 4.0]])
@@ -310,12 +353,12 @@ class TestParamStore:
         ps = nm.ParamStore(0, dense_tensors(0, ("l0", 3, 2), ("l1", 3, 2), ("l2", 3, 2)),
                            {"l": ["l1", "l2"], "l0": "l0"})
         x = nm.constant(np.ones((4, 3)))
-        both = nm.add(nm.sum_all(nm.dense_forward(x, ps.groups["l"])),
-                      nm.sum_all(nm.dense_forward(x, ps.groups["l0"])))
+        both = add(sum_all(nm.dense_forward(x, ps.groups["l"])),
+                   sum_all(nm.dense_forward(x, ps.groups["l0"])))
         nm.backward_sweep(both)  # the blocks alone are fine
         for member in ("l1.b", "l0.w"):
             with pytest.raises(ContractError, match="share adjoint memory"):
-                nm.backward_sweep(nm.add(both, nm.sum_all(ps[member])))
+                nm.backward_sweep(add(both, sum_all(ps[member])))
 
 
 def scalar_store(name: str, value) -> tuple[nm.ParamStore, nm.Node]:
@@ -387,7 +430,7 @@ class TestFiniteDiffCheck:
             def loss():
                 h = nm.relu(nm.dense_forward(nm.constant(x), ps.groups["l0"]))
                 p = nm.sigmoid(nm.dense_forward(h, ps.groups["l1"]))
-                return nm.sum_all(bce_terms(p, y))
+                return bce(p, y)
 
             report = nm.finite_diff_check(ps, loss, tol=1e-4)
             assert report.passed, f"seed {seed}: {report}"
@@ -397,7 +440,7 @@ class TestFiniteDiffCheck:
 # random weights; h is (2, 4, 5): a stacked lead axis over a 2-D input
 BROADCAST_CASES = {
     "dense_stacked": lambda t: t.h,
-    "add_size1_axes": lambda t: nm.add(t.h, t.s),
+    "add_size1_axes": lambda t: add(t.h, t.s),
     "index_none_strided": lambda t: nm.index(t.h, (slice(None), None, slice(0, 4, 2))),
     "index_ellipsis_none_int": lambda t: nm.index(t.h, (Ellipsis, None, 3)),
     "concat": lambda t: nm.concat([t.h, nm.index(t.h, (slice(None), slice(1, 3)))], axis=1),
@@ -457,7 +500,7 @@ def _passes_and_replays(ps: nm.ParamStore, outputs, weights, refill) -> None:
         terms = [weighted_sum(out, w) for out, w in zip(outs, weights)]
         root = terms[0]
         for term in terms[1:]:
-            root = nm.add(root, term)
+            root = add(root, term)
         return outs, root
 
     report = nm.finite_diff_check(ps, lambda: loss()[1], tol=1e-6)
@@ -593,9 +636,9 @@ def add_sigmoid_sum_cases(draw):
 
 
 ADD_SIGMOID_SUM_OPS = {
-    "add": lambda a, b, same: nm.add(b, b) if same else nm.add(a, b),
+    "add": lambda a, b, same: add(b, b) if same else add(a, b),
     "sigmoid": lambda a, b, same: nm.sigmoid(b),
-    "sum_all": lambda a, b, same: nm.sum_all(b),
+    "sum_all": lambda a, b, same: sum_all(b),
 }
 
 
@@ -676,6 +719,91 @@ def test_concat_on_random_shapes(case):
     _passes_and_replays(ps, lambda: [nm.concat(parts, axis=axis)], weights, draw_values)
 
 
+class TestJoin:
+    @staticmethod
+    def sides(buffer):
+        """Two dense layers over one input, writing buffer[0] and buffer[1]."""
+        x = nm.constant(np.arange(8.0).reshape(4, 2))
+        return [nm.dense_forward(x, block(np.full((2, 3), i + 1.0), np.zeros((1, 3))),
+                                 out=buffer[i]) for i in range(2)]
+
+    def test_parts_write_the_buffer_and_read_views_of_its_adjoint(self):
+        buffer = np.empty((2, 4, 3))
+        parts = self.sides(buffer)
+        joined = nm.join(parts, buffer, [0, 1])
+        assert joined.value is buffer and joined.backward_fn is None
+        npt.assert_array_equal(buffer[1], 2.0 * buffer[0])
+        weights = np.arange(24.0).reshape(2, 4, 3)
+        root = weighted_sum(joined, weights)
+        nm.backward_sweep(root, nm.record(root))
+        for i, part in enumerate(parts):
+            assert np.shares_memory(part.adjoint, joined.adjoint)
+            npt.assert_array_equal(part.adjoint, weights[i])
+
+    def test_a_part_read_besides_its_join_is_rejected(self):
+        buffer = np.empty((2, 4, 3))
+        parts = self.sides(buffer)
+        joined = nm.join(parts, buffer, [0, 1])
+        for other in (sum_all(parts[1]), nm.relu(parts[0])):
+            with pytest.raises(ContractError, match="besides its join"):
+                nm.record(add(sum_all(joined), sum_all(other)))
+
+    def test_parts_must_tile_the_buffer_as_its_views(self):
+        buffer = np.empty((2, 4, 3))
+        parts = self.sides(buffer)
+        copy = nm.dense_forward(parts[0].parents[0], parts[0].parents[1])
+        for joined, keys, message in ((parts, [0], "2 parts and 1 keys"),
+                                      (parts, [1, 0], "not the buffer's view"),
+                                      ([copy, parts[1]], [0, 1], "not the buffer's view"),
+                                      ([parts[0]], [0], "unwritten"),
+                                      ([parts[0], parts[0]], [0, 0], "overlaps")):
+            with pytest.raises(ContractError, match=message):
+                nm.join(joined, buffer, keys)
+
+
+@st.composite
+def join_cases(draw):
+    """(lead, axis, sides, rows, d_in, d_out, uses, seed): one to three
+    dense layers, each writing its (*lead, rows, d_out) product in place
+    into its part of one buffer stacked on a new axis `axis`, as a fusion's
+    two sides write its candidates. Each side's input and block are 2-D or
+    stacked on lead, at least one of them stacked where lead is. The loss
+    reads the join once, or twice so that its adjoint adds up."""
+    lead = draw(st.sampled_from([(), (2,), (3, 2)]))
+    sides = draw(st.lists(st.sampled_from([(lead, ()), ((), lead), (lead, lead)]),
+                          min_size=1, max_size=3))
+    return (lead, draw(st.integers(0, len(lead))), sides, draw(st.integers(1, 6)),
+            draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 2)),
+            draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=join_cases())
+def test_dense_out_and_join_on_random_shapes(case):
+    lead, axis, sides, rows, d_in, d_out, uses, seed = case
+    rng = np.random.default_rng(seed)
+    ps, leaves = _leaves(seed, {f"{kind}{i}": shape for i, (x_lead, wb_lead) in enumerate(sides)
+                                for kind, shape in (("x", x_lead + (rows, d_in)),
+                                                    ("wb", wb_lead + (d_in + 1, d_out)))})
+    layers = list(zip(leaves[::2], leaves[1::2]))
+    shape = lead[:axis] + (len(sides),) + lead[axis:] + (rows, d_out)
+    keys = [(slice(None),) * axis + (i,) for i in range(len(sides))]
+    draw_values = _refill(ps, rng)
+    draw_values()
+
+    def joined():
+        buffer = np.empty(shape)
+        parts = [nm.dense_forward(x, wb, out=buffer[key]) for (x, wb), key in zip(layers, keys)]
+        return nm.join(parts, buffer, keys)
+
+    # each part's product, written in place, is the bytes of one of its own
+    node = joined()
+    for (x, wb), key in zip(layers, keys):
+        npt.assert_array_equal(node.value[key], nm.dense_forward(x, wb).value)
+    weights = [rng.normal(size=shape) for _ in range(uses)]
+    _passes_and_replays(ps, lambda: [joined()] * uses, weights, draw_values)
+
+
 @st.composite
 def attention_cases(draw):
     """(parts, n_cand, lead, rows, d, uses, scale, seed): attention over
@@ -738,21 +866,24 @@ def test_bernoulli_loglik_value_gradient_and_replay(case):
     ps = nm.ParamStore(seed, {"p": p_arr}, {})
     p = ps["p"]
     ws = [rng.normal(size=(rows, cols)) for _ in range(3)]
-    scale = rng.normal(size=(rows, cols))
+    scale = float(rng.normal())
 
     pv, (w_pos, w_neg, w_ent) = p.value, ws
     q = 1.0 - pv
     reference = (w_pos * np.log(pv) + w_neg * np.log(q)
                  + w_ent * (pv * np.log(pv) + q * np.log(q)))
-    loglik, logs = nm.bernoulli_loglik(p, *ws)
-    npt.assert_allclose(loglik.value, reference, rtol=1e-13, atol=1e-15)
+    values = nm.bernoulli_loglik_value(pv, *ws)
+    npt.assert_allclose(values, reference, rtol=1e-13, atol=1e-15)
+    total, logs = nm.bernoulli_loglik(p, *ws)
+    # the op sums its own terms: the value function's sum, bit for bit
+    assert total.shape == (1, 1) and total.value[0, 0] == values.sum()
     for kept, expected in zip(logs, (q, np.log(pv), np.log(q))):
         npt.assert_array_equal(kept, expected)
 
     def loss():
         # an upstream adjoint other than one, and a second read when uses is 2
-        terms = [weighted_sum(nm.bernoulli_loglik(p, *ws)[0], scale) for _ in range(uses)]
-        return terms[0] if uses == 1 else nm.add(*terms)
+        terms = [scaled(nm.bernoulli_loglik(p, *ws)[0], scale) for _ in range(uses)]
+        return terms[0] if uses == 1 else add(*terms)
 
     report = nm.finite_diff_check(ps, loss, tol=1e-6)
     assert report.passed, report

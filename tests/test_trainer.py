@@ -277,11 +277,12 @@ class TestReplayedStep:
                                    err_msg=name)
             npt.assert_array_equal(got_grads, want_grads, err_msg=name)
 
-    def test_a_64_row_step_records_54_nodes(self, step_batches):
-        # each attention is one op, the loss two
+    def test_a_64_row_step_records_49_nodes(self, step_batches):
+        # each attention is one op, each fusion's candidates one join of its
+        # two dense sides, the loss one op
         step = T._Step(M.init_params(self.CFG, seed=3), self.CFG, L.LossConfig(),
                        step_batches["a"])
-        assert len(step.order) == 54
+        assert len(step.order) == 49
 
     @pytest.mark.parametrize("lcfg", [L.LossConfig(), L.LossConfig().supervised_only()],
                              ids=["entropy", "supervised"])
