@@ -35,7 +35,8 @@ def auc(scores, labels) -> float:
     """Mann-Whitney AUC via average ranks, ties counted half.
 
     Equivalent to the O(n^2) pairwise comparison count; this form is
-    O(n log n)."""
+    O(n log n). The positives' ranks are summed in sorted order: ranks are
+    half-integers, so the sum is exact in any order."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if scores.shape != labels.shape or scores.ndim != 1:
@@ -49,11 +50,14 @@ def auc(scores, labels) -> float:
             f"need both classes, got {n_pos} positives and {n_neg} negatives")
     order = np.argsort(scores, kind="stable")
     s = scores[order]
-    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    ends = np.r_[starts[1:], scores.size]
-    ranks = np.empty(scores.size)
-    ranks[order] = np.repeat((starts + ends - 1) / 2.0 + 1.0, ends - starts)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    n = s.size
+    ends = np.flatnonzero(s[1:] != s[:-1])  # the last position of each tie group but the last
+    ranks = np.arange(1.0, n + 1.0)  # with no ties, each rank is its position
+    if ends.size < n - 1:  # a tie group of positions [i, j) has average rank (i + j + 1) / 2
+        bounds = np.empty(ends.size + 2, dtype=np.intp)
+        bounds[0], bounds[1:-1], bounds[-1] = 0, ends + 1, n
+        ranks = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
+    return float((ranks[pos[order]].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def try_auc(scores, labels) -> float | None:

@@ -10,7 +10,8 @@ way around.
 Both passes compute on stacked tensors, (n_targets, batch, d): every
 target's tower and fusion is one batched matmul over a group of the flat
 parameter store, a stage's three intra-stage projections are one more,
-and one head over every target feeds one clamped sigmoid. Each dense
+and one head over every target feeds one clamped logistic, which both
+passes run with the same kernel (`numerics.logistic`). Each dense
 layer's weight rows and bias row sit next to each other in the store, one
 (d_in + 1, d_out) block. `forward` records that on the tape
 (training, attention inspection), each attention, intra-stage and
@@ -45,7 +46,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import numerics as nm
 from .config import check_array_entries, from_dict, to_dict
@@ -353,13 +353,13 @@ def make_fused_forward(params: ParamStore, config: MsisConfig, features: np.ndar
     on the first call of that shape; the store keeps the EVALUATORS_KEPT
     most recently used. The compile looks every parameter block up once
     and builds one list of in-place steps in the order of the tape
-    forward, one head and the clamped sigmoid over every target last.
+    forward, one head and the clamped logistic over every target last.
     Each dense layer is one matmul: every buffer a dense layer reads, the
     input included, carries a trailing ones column that meets the bias
     row of the layer's (d_in + 1, d_out) block. Each stacked block is one
     matmul too: a stage's intra-stage projections, and each fusion side,
     whose output is its half of the stage's candidate buffer. The default
-    model runs 34 steps at every row count. Each step writes a buffer of
+    model runs 48 steps at every row count. Each step writes a buffer of
     the evaluator's own, allocated as the step is built, and its input and
     the returned array are its own too: a run overwrites only what the
     same evaluator returned before, and evaluators of one store share no
@@ -399,22 +399,28 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int):
     in-place steps that fill it to `steps`, which the evaluator runs. A
     step is a ufunc call with its arguments bound (`out` positional, which
     spares the call a keyword, where NumPy allows it) or a closure of
-    several. As on the tape, the stacked tower buffer, each stage's fused
-    rows written over its slice, is the concat that one head and the
-    clamped sigmoid read. Every buffer that a dense layer reads is
-    allocated with a ones column, set here once, so `x @ w + b` is one
-    matmul by the layer's block; no step writes those columns but `relu`
-    and `leaky`, which leave them at 1. A fusion allocates value, key and
-    query of both its candidates as one (3, 2, n_stage_targets, b, d)
-    buffer, part-major so that each part of a candidate stays one
-    contiguous block: the two fusion sides' matmuls write its halves, and
-    one `leaky` and one closure of eight ufunc calls finish it. Every view
-    a closure reads is bound where it is built. The temporaries of `leaky`
-    and of the closures, none of which outlives its step, share one spare
-    buffer."""
+    several; every operand a step binds is an array, since a Python float
+    costs each call a conversion. As on the tape, the stacked tower
+    buffer, each stage's fused rows written over its slice, is the concat
+    that one head and the clamped logistic (`nm.logistic`'s seven calls)
+    read. Every buffer that a dense layer reads is allocated with a ones
+    column, set here once, so `x @ w + b` is one matmul by the layer's
+    block; no step writes those columns but `relu` and `leaky`, which
+    leave them at 1. A fusion allocates value, key and query of both its
+    candidates as one (3, 2, n_stage_targets, b, d) buffer, part-major so
+    that each part of a candidate stays one contiguous block: the two
+    fusion sides' matmuls write its halves, and one `leaky`, a closure of
+    four ufunc calls (the negated scaled score difference), the
+    logistic's four unclamped calls and a closure of three (the weighted
+    sum) finish it. Every view a closure reads is bound where it is
+    built. The temporaries of `leaky` and of the closures, none of which
+    outlives its step, share one spare buffer."""
     G = lambda name: params.groups[name].value
     mm, add, mul, sub = np.matmul, np.add, np.multiply, np.subtract
-    d, scale = config.corridor_dim, 1.0 / math.sqrt(config.corridor_dim)
+    d = config.corridor_dim
+    # operands as arrays: a Python float costs every call a conversion (`nm.scalar`)
+    zero, one, slope = nm.scalar(0.0), nm.scalar(1.0), nm.scalar(nm.LEAKY_SLOPE)
+    scale, neg_scale = nm.scalar(1.0 / math.sqrt(d)), nm.scalar(-1.0 / math.sqrt(d))
     ones_d = np.ones(d)  # row sums over d as matmuls: axis-2 .sum() is several times slower
     steps = []
 
@@ -445,13 +451,12 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int):
         return out
 
     def relu(buf):
-        steps.append(lambda: np.maximum(buf, 0.0, out=buf))
+        steps.append(partial(np.maximum, buf, zero, out=buf))
         return buf
 
     def leaky(buf):
         tmp = spare[:buf.size].reshape(buf.shape)
-        steps.extend((partial(mul, buf, nm.LEAKY_SLOPE, tmp),
-                      lambda: np.maximum(buf, tmp, out=buf)))
+        steps.extend((partial(mul, buf, slope, tmp), partial(np.maximum, buf, tmp, out=buf)))
         return buf
 
     def projection(name: str, src, ones=False):
@@ -470,14 +475,19 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int):
         s_in, s_self, beta = score[0], score[1], score[..., None]
         v_in, v_self, fused = value[0], value[1], own[..., :d]
 
+        # a two-candidate softmax is the logistic of the score difference
         @steps.append
-        def _():  # a two-candidate softmax is the logistic of the score difference
+        def _():  # the negated scaled difference, which `nm.logistic` reads in place
             mul(key, query, out=prod)
             mm(prod, ones_d, out=score)
             sub(s_in, s_self, out=s_in)
-            mul(s_in, scale, out=s_in)
-            expit(s_in, out=s_in)
-            sub(1.0, s_in, out=s_self)
+            mul(s_in, neg_scale, out=s_in)
+
+        steps.extend(nm.logistic(s_in, clamp=False))
+
+        @steps.append
+        def _():
+            sub(one, s_in, out=s_self)
             # both candidates weighed in place, so only the sum writes the towers' strided rows
             mul(beta, value, out=value)
             add(v_in, v_self, out=fused)
@@ -523,8 +533,7 @@ def _compile_fused(params: ParamStore, config: MsisConfig, b: int):
                 e_ou = attend(out, sname)
 
     probs = dense(top, G("head"))[:, :, 0]
-    steps.extend((partial(expit, probs, probs),
-                  partial(np.clip, probs, nm.CLAMP_EPS, 1.0 - nm.CLAMP_EPS, probs)))
+    steps.extend(nm.logistic(probs, probs))
 
     def run() -> np.ndarray:
         for step in steps:

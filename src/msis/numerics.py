@@ -44,12 +44,15 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ContractError, DimensionError, DomainError
 
 CLAMP_EPS = 1e-12
 LEAKY_SLOPE = 0.01
+# `logistic` caps its exponent here: exp(700) ~ 1e304 is finite, so no
+# overflow flag is raised, and 1 / (1 + exp(700)) ~ 1e-304 is far below
+# CLAMP_EPS, so the cap changes no clamped value
+EXP_CAP = 700.0
 # a `Node.first` flag of an `index` read: write its part after zero-filling
 # the parent's adjoint (see `record`); truthy, as every first write is
 CLEAR = 2
@@ -282,16 +285,53 @@ def leaky_relu(x: Node, slope: float = LEAKY_SLOPE) -> Node:
     return _op(compute, (x,), backward)
 
 
+def scalar(value: float) -> np.ndarray:
+    """A 0-d float64 operand for a bound ufunc call: a Python float operand
+    is converted to an array on every call, which costs about 0.4 us, a
+    large share of a 1-row call."""
+    return np.array(value, dtype=np.float64)
+
+
+_EXP_CAP, _ONE, _LOW, _HIGH = map(scalar, (EXP_CAP, 1.0, CLAMP_EPS, 1.0 - CLAMP_EPS))
+
+
+def logistic(out: np.ndarray, x: np.ndarray | None = None,
+             clamp: bool = True) -> tuple[Callable[[], np.ndarray], ...]:
+    """The bound, in-place ufunc calls that write 1 / (1 + exp(-x)) into
+    `out`: the model's one logistic. They negate x into out (with x None,
+    out already holds -x, as where a caller folds the sign into a scale,
+    which is exact), cap the exponent at EXP_CAP, exp, add one, take the
+    reciprocal and, with clamp, clamp to [CLAMP_EPS, 1 - CLAMP_EPS] so
+    downstream logs are safe. The cap keeps exp finite, so no overflow or
+    invalid flag is raised (the trainer's diagnostics run with both
+    raising); a capped entry's logistic, below 1e-304, clamps to CLAMP_EPS
+    as the exact one does. NumPy's SIMD exp is not libm's, so an entry may
+    differ from a libm-based 1 / (1 + exp(-x)) in its last bit;
+    `funnel_sim`, whose populations are pinned byte for byte, keeps
+    libm's. Every operand is an array (`scalar`), and the calls are
+    returned rather than run, so the fused evaluator appends them to its
+    steps."""
+    calls = [] if x is None else [partial(np.negative, x, out)]
+    calls += [partial(np.minimum, out, _EXP_CAP, out=out), partial(np.exp, out, out),
+              partial(np.add, out, _ONE, out), partial(np.reciprocal, out, out)]
+    if clamp:
+        calls += [partial(np.maximum, out, _LOW, out=out), partial(np.minimum, out, _HIGH, out=out)]
+    return tuple(calls)
+
+
 def sigmoid(x: Node) -> Node:
-    """Stable logistic, clamped to [eps, 1-eps] so downstream logs are safe."""
+    """The clamped logistic of x: `logistic`'s NumPy calls, the ones the
+    fused evaluator runs, rerun in place on every replay."""
     xv = x.value
+    s = np.empty(xv.shape)  # a 0-d result too stays an array, as in _op
+    calls = logistic(s, xv)
 
-    def compute(out=None):  # np.clip's bytes, without its dispatch
-        out = expit(xv, out=out)
-        np.maximum(out, CLAMP_EPS, out=out)
-        return np.minimum(out, 1.0 - CLAMP_EPS, out=out)
+    def compute(out=None):  # every run writes s, the node's value
+        for call in calls:
+            call()
+        return s
 
-    s = compute(np.empty(xv.shape))  # a 0-d result too stays an array, as in _op
+    compute()
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
         _give_product(x, g, s * (1.0 - s), first[0])

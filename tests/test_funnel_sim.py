@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -37,6 +38,35 @@ def test_same_seed_identical():
     for f in dataclasses.fields(fs.Population):
         x, y = getattr(a, f.name), getattr(b, f.name)
         assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+
+
+def libm_logistic(v: float) -> float:
+    """The per-element reference: 1 / (1 + exp(-v)) with libm's exp, 0.0
+    where that exp overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
+def test_logistic_at_the_edges_raises_no_flag():
+    v = np.array([-800.0, -745.0, -709.5, 0.0, 800.0,
+                  -fs.EXP_MAX, -np.nextafter(fs.EXP_MAX, np.inf)])  # the overflow boundary
+    with np.errstate(over="raise", invalid="raise"):
+        out = fs.logistic(v)
+    expected = np.array([libm_logistic(x) for x in v])
+    assert out.tobytes() == expected.tobytes()
+    assert out[0] == out[1] == out[-1] == 0.0 and out[-2] > 0.0
+    assert out[3] == 0.5 and out[4] == 1.0
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(v=st.lists(st.floats(allow_nan=False) | st.floats(-800.0, 800.0), max_size=50))
+def test_logistic_is_libms_per_element(v):
+    v = np.array(v, dtype=np.float64)
+    with np.errstate(over="raise", invalid="raise"):
+        out = fs.logistic(v)
+    assert out.tobytes() == np.array([libm_logistic(x) for x in v], dtype=np.float64).tobytes()
 
 
 def test_selection_is_mnar_across_seeds():

@@ -299,6 +299,41 @@ class TestForward:
                 ref = tape.probs[t].value.ravel()
                 assert np.abs(fused[i] - ref).max() < 1e-12, (cfg, t)
 
+    def test_fused_head_at_the_edges_clamps_and_raises_no_flag(self, default_cfg, batch_64):
+        # zero head weights, so each target's logit is its bias; the expected
+        # values are the exact logistic's, clamped
+        params = M.init_params(default_cfg, seed=7)
+        head = params.groups["head"].value
+        head[:, :-1] = 0.0
+        head[:, -1, 0] = [-800.0, -745.0, -709.5, 0.0, 800.0, 800.0]
+        eps = nm.CLAMP_EPS
+        with np.errstate(over="raise", invalid="raise"):
+            fused = M.make_fused_forward(params, default_cfg, batch_64.features)()
+            tape = M.forward(params, default_cfg, batch_64.features)
+        npt.assert_array_equal(fused, np.repeat([[eps], [eps], [eps], [0.5], [1.0 - eps],
+                                                 [1.0 - eps]], len(batch_64), axis=1))
+        for i, t in enumerate(default_cfg.all_targets()):
+            npt.assert_array_equal(tape.probs[t].value.ravel(), fused[i])
+
+    def test_fused_fusion_weights_past_the_exponent_cap_raise_no_flag(self, default_cfg,
+                                                                     batch_64):
+        # fusion blocks scaled by 1e3 push some score differences past the
+        # exponent cap: the fused logistic caps them, the tape's softmax
+        # subtracts the max, and both agree
+        params = M.init_params(default_cfg, seed=7)
+        for name, group in params.groups.items():
+            if name.startswith("fuse_"):
+                group.value *= 1e3
+        with np.errstate(over="raise", invalid="raise"):
+            fused = M.make_fused_forward(params, default_cfg, batch_64.features)()
+            tape = M.forward(params, default_cfg, batch_64.features)
+        betas = np.concatenate([b.value.ravel() for state in tape.corridor.values()
+                                for b in state.betas.values()])
+        assert betas.min() < 1e-300  # some weights are past the cap
+        for i, t in enumerate(default_cfg.all_targets()):
+            ref = tape.probs[t].value.ravel()
+            assert (np.abs(fused[i] - ref) / ref).max() < 1e-12, t
+
     def test_tape_is_freed_without_cycle_collection(self, default_cfg, batch_64):
         # a reference cycle through a backward closure keeps a whole tape's
         # arrays alive until the cyclic collector runs, which lets memory

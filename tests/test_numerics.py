@@ -150,6 +150,20 @@ class TestSigmoid:
         out = nm.sigmoid(nm.constant([[1e4]]))
         assert out.value[0, 0] == 1.0 - nm.CLAMP_EPS
 
+    def test_edges_clamp_and_raise_no_flag(self):
+        # the exact logistic, clamped; no flag at +-800, where a bare np.exp(800)
+        # overflows, since the trainer's diagnostics raise on overflow and invalid
+        v = np.array([[-800.0, -745.0, -709.5, 0.0, 800.0]])
+        expected = [[nm.CLAMP_EPS, nm.CLAMP_EPS, nm.CLAMP_EPS, 0.5, 1.0 - nm.CLAMP_EPS]]
+        with np.errstate(over="raise", invalid="raise"):
+            x = nm.constant(np.zeros_like(v))
+            out = nm.sigmoid(x)
+            x.value[...] = v
+            nm.replay([out])
+            npt.assert_array_equal(out.value, expected)
+            fresh = nm.sigmoid(nm.constant(v))
+        npt.assert_array_equal(fresh.value, expected)
+
 
 class TestSoftmaxVec:
     """attention's weights over candidates that score a vector of scores:
