@@ -51,12 +51,12 @@ def auc(scores, labels) -> float:
     order = np.argsort(scores, kind="stable")
     s = scores[order]
     n = s.size
-    ends = np.flatnonzero(s[1:] != s[:-1])  # the last position of each tie group but the last
-    ranks = np.arange(1.0, n + 1.0)  # with no ties, each rank is its position
-    if ends.size < n - 1:  # a tie group of positions [i, j) has average rank (i + j + 1) / 2
-        bounds = np.empty(ends.size + 2, dtype=np.intp)
-        bounds[0], bounds[1:-1], bounds[-1] = 0, ends + 1, n
-        ranks = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
+    starts = np.empty(n + 1, dtype=bool)  # a tie group starts at k; k = n closes the last
+    starts[0] = starts[n] = True
+    np.not_equal(s[1:], s[:-1], out=starts[1:n])
+    bounds = np.flatnonzero(starts)
+    # a tie group of positions [i, j) has average rank (i + j + 1) / 2
+    ranks = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
     return float((ranks[pos[order]].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -1,5 +1,6 @@
-"""The package's runtime dependencies: what `src/msis` imports is what
-`pyproject.toml` declares, and the CLI loads no SciPy."""
+"""The package's dependencies: what `src/msis` imports is what
+`pyproject.toml` declares, what the suite imports installs with the `test`
+extra, and the CLI loads no SciPy."""
 
 import ast
 import os
@@ -14,11 +15,15 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "msis"
 
 
-def declared_dependencies() -> set[str]:
-    """The importable names of `[project].dependencies`."""
+def declared_dependencies(*extras: str) -> set[str]:
+    """The importable names of `[project].dependencies` and of the named
+    optional extras."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(ROOT / "pyproject.toml", "rb") as fh:
-        requirements = tomllib.load(fh)["project"]["dependencies"]
+        project = tomllib.load(fh)["project"]
+    requirements = list(project["dependencies"])
+    for extra in extras:
+        requirements += project["optional-dependencies"][extra]
     return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
             for req in requirements}
 
@@ -46,6 +51,17 @@ def test_every_third_party_import_is_declared():
     undeclared = {f"{path.name}: {name}" for path in sources
                   for name in third_party_imports(path) - declared}
     assert not undeclared, f"imports not in [project].dependencies: {sorted(undeclared)}"
+
+
+def test_the_suite_imports_only_what_the_test_extra_declares():
+    """The suite collects `tests/` and `bench/` (the smoke test runs the
+    benchmark), so what they import must install with `.[test]`."""
+    declared = declared_dependencies("test")
+    sources = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    local = {"msis"} | {path.stem for path in sources}
+    undeclared = {f"{path.parent.name}/{path.name}: {name}" for path in sources
+                  for name in third_party_imports(path) - declared - local}
+    assert not undeclared, f"imports not in the test extra: {sorted(undeclared)}"
 
 
 def test_the_cli_loads_no_scipy():
