@@ -20,9 +20,13 @@ inter-stage alike, one `numerics.attention` op over a part-major
 as the fused evaluator lays out a fusion's candidates: there, too, both
 fusion sides' dense layers write their halves of one candidate buffer in
 place (`dense_forward`'s `out`), which one `numerics.join` node presents
-to the attention with no copy. A step of the default model, loss
-included, is 49 tape nodes. `make_fused_forward` compiles the same
-math, with no tape, into one list of in-place steps, each writing a
+to the attention with no copy. Every attention of the default model
+weighs two candidates, so on the tape each is the logistic of a score
+difference, as each fusion of the fused evaluator is. The tape's
+features are a constant with no adjoint, so the first layer's backward
+computes none for them. A step of the default model, loss included, is
+49 tape nodes. `make_fused_forward` compiles the same math, with no
+tape, into one list of in-place steps, each writing a
 buffer allocated where the step is built, because a value-only
 evaluation costs a fraction of building tape nodes. There every buffer a
 dense layer reads carries a ones column, set once at compile time, so
@@ -247,7 +251,12 @@ EVALUATORS_KEPT = 8
 
 def check_features(config: MsisConfig, features: np.ndarray) -> None:
     """Reject a feature matrix the model cannot score: it must be a
-    non-empty, finite (batch, input_dim) array."""
+    non-empty, finite (batch, input_dim) NumPy array of real numbers
+    (bool, integer or float)."""
+    if not isinstance(features, np.ndarray):
+        raise DimensionError(f"features must be a NumPy array, got {type(features).__name__}")
+    if features.dtype.kind not in "biuf":
+        raise DomainError(f"features must hold real numbers, got dtype {features.dtype}")
     if features.ndim != 2 or features.shape[1] != config.input_dim:
         raise DimensionError(
             f"features {features.shape} do not match input_dim {config.input_dim}")
@@ -280,7 +289,7 @@ def forward(params: ParamStore, config: MsisConfig,
         # would park every downstream pre-activation on its kink
         return nm.leaky_relu(nm.dense_forward(v, G[name]))
 
-    shared = inputs = nm.constant(features)
+    shared = inputs = nm.constant(features, adjoint=False)  # no one reads its adjoint
     for i in range(len(config.shared_widths)):
         shared = nm.relu(nm.dense_forward(shared, G[f"shared.{i}"]))
     towers = shared  # without tower layers, every head reads the shared rep
@@ -334,7 +343,7 @@ def predict_probs(params: ParamStore, config: MsisConfig,
     whose buffers two overlapping calls of that row count would share. Each
     chunk checks its own rows' width and values; a matrix with no rows has
     no chunk to check it."""
-    if features.ndim != 2 or features.shape[0] == 0:
+    if not isinstance(features, np.ndarray) or features.ndim != 2 or features.shape[0] == 0:
         check_features(config, features)  # raises
     probs = np.empty((len(config.all_targets()), len(features)))
     for start in range(0, len(features), PREDICT_CHUNK_ROWS):

@@ -4,15 +4,19 @@ Tape values are arrays of any rank. The model stacks per-target tensors
 on a leading axis, (n_targets, batch, d) activations against
 (n_targets, d_in + 1, d_out) weight/bias blocks, so one op runs every
 target: `dense_forward` broadcasts like NumPy, and its backward sums each
-adjoint back to its operand's shape (`unbroadcast`). As in the fused
-evaluator, a dense layer multiplies its own copy of the input, which
-carries a ones column, by the whole block: one matmul forward, bias
-included, and one for the block's adjoint, bias row included; given
+adjoint back to its operand's shape. As in the fused evaluator, a dense
+layer multiplies its own copy of the input, which carries a ones column,
+by the whole block: one matmul forward, bias included, one for the
+block's adjoint, bias row included, and one for the input's, which folds
+the stacked layers that a broadcast input meets into the product; given
 `out`, it writes its product into a view of a buffer that other layers
 share, and `join` makes that buffer one node with no copy, its parts'
 adjoints views of its own. `attention` runs a whole attention as one op
 over one part-major (3, n_cand, ..., d) node of keys, queries and values;
-its sums along the last axis are matmuls by ones too. `index` and
+its sums along the last axis are matmuls by ones too, and over two
+candidates it is the logistic of the score difference, with no reduction
+over the candidates. A `constant` may opt out of its adjoint, as the
+model's input features do. `index` and
 `concat` work along an axis. `bernoulli_loglik`, the sum of weighted
 log-likelihoods of probabilities, is the loss's one op, and a (1, 1)
 root itself.
@@ -23,7 +27,8 @@ shape and replays it on every later batch of that shape. `backward_sweep`
 walks the order in reverse from a (1, 1) root, writing the first
 contribution to each part of an adjoint into the buffer it already
 holds, so no adjoint is zero-filled but where some of its entries get no
-contribution. Value-only evaluation of the model skips the tape and runs
+contribution, and no adjoint-free constant gets one. Value-only
+evaluation of the model skips the tape and runs
 the model's fused forward (`model.make_fused_forward`); the gradient
 check's loss value is `bernoulli_loglik_value` over that forward's
 output, with no tape at all.
@@ -75,10 +80,12 @@ class Node:
     parent i's adjoint, which it writes instead (`record`). An `index`
     node's `key` is the part of its parent it reads; every other node reads
     the whole of each parent, its key None. A `join` node's `keys` are the
-    parts of its value that its parents are; every other node's are None."""
+    parts of its value that its parents are; every other node's are None.
+    `needs_adjoint` is False for a constant that opted out of its adjoint
+    (`constant`), which `record` then leaves None."""
 
     __slots__ = ("value", "adjoint", "parents", "backward_fn", "forward_fn", "first", "key",
-                 "keys")
+                 "keys", "needs_adjoint")
 
     def __init__(self, value: np.ndarray, parents: tuple["Node", ...] = (),
                  backward_fn: Callable[[np.ndarray, tuple[bool, ...]], None] | None = None,
@@ -91,16 +98,22 @@ class Node:
         self.first: tuple[bool, ...] = ()
         self.key = None
         self.keys = None
+        self.needs_adjoint = True
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
 
-def constant(data) -> Node:
+def constant(data, adjoint: bool = True) -> Node:
     """A leaf holding its own copy of data, which a replayed tape may
-    overwrite with new inputs."""
-    return Node(np.array(data, dtype=np.float64, order="C"))
+    overwrite with new inputs. With adjoint False, `record` gives it no
+    adjoint and a sweep computes none: only `dense_forward`, which then
+    skips its input's g @ w^T, may read such a leaf, as the model's
+    features are read."""
+    node = Node(np.array(data, dtype=np.float64, order="C"))
+    node.needs_adjoint = adjoint
+    return node
 
 
 def unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -170,9 +183,16 @@ def dense_forward(x: Node, wb: Node, out: np.ndarray | None = None) -> Node:
     stacked (the model's (3, 1, d + 1, d) intra-stage projections over a
     stage's (n, rows, d) rows), folds its lead axes into the rows: one
     product per layer, x1 laid out as (lead·rows, d_in + 1). x's adjoint
-    is g @ w^T; a stacked block's w^T is a contiguous copy, refreshed at the
-    start of each backward, which multiplies faster than a strided view of
-    the block and gives the same bytes."""
+    is g @ w^T, none if x is an adjoint-free `constant`; a stacked block's
+    w^T is a contiguous copy, refreshed at the start of each backward,
+    which multiplies faster than a strided view of the block. Where x lacks
+    leading axes of the product, as the model's (rows, d) input to its
+    (n_targets, d + 1, d_out) first tower layer, each fusion's incoming
+    corridor rows and own tower rows against its (3, n, d + 1, d) sides,
+    and a stage's rows against its intra-stage projections do, the sum of
+    g @ w^T over those S layers is one matmul: g is copied once, its S
+    slices side by side, into a (..., rows, S·d_out) buffer, and the w^T
+    copy is laid out as the matching (..., S·d_out, d_in) stack."""
     d_in = x.shape[-1]
     if len(wb.shape) < 2 or d_in + 1 != wb.shape[-2]:
         raise DimensionError(f"dense: input {x.shape} and weight/bias block {wb.shape} "
@@ -191,12 +211,33 @@ def dense_forward(x: Node, wb: Node, out: np.ndarray | None = None) -> Node:
         into = "" if out is None else f" into {out.shape}"
         raise DimensionError(f"dense: lead axes of input {x.shape} and weight/bias block "
                              f"{wb.shape} do not broadcast{into}") from exc
-    w_t_view = np.swapaxes(wbv[..., :-1, :], -1, -2)
-    stacked = wbv.ndim > 2
-    w_t = np.empty(w_t_view.shape) if stacked else w_t_view
-    # an input the product does not broadcast gets g @ w^T written straight
-    # into its adjoint on the first contribution
-    x_direct = value.shape[:-1] + (d_in,) == x.shape and xv.flags.c_contiguous
+    w, d_out = wbv[..., :-1, :], value.shape[-1]
+    lead_v, lead_x = value.shape[:-2], x.shape[:-2]
+    n_sum = len(lead_v) - len(lead_x)  # the leading axes x lacks
+    g_cat = g_in = None
+    if n_sum > 0 and lead_x == lead_v[n_sum:]:
+        # x's adjoint sums g @ w^T over the axes x lacks: one product of g's
+        # slices side by side, (*lead_x, rows, S * d_out), by the w^T of
+        # their S layers stacked, (*lead_w, S * d_out, d_in); g_in and w_in
+        # are the views that g and w are copied into
+        summed, lead_w, k = lead_v[:n_sum], wb.shape[n_sum:-2], len(lead_x)
+        rows = x.shape[-2]
+        g_cat = np.empty(lead_x + (rows, math.prod(summed) * d_out))
+        g_in = np.moveaxis(g_cat.reshape(lead_x + (rows,) + summed + (d_out,)),
+                           range(k + 1, k + 1 + n_sum), range(n_sum))
+        w_t = np.empty(lead_w + (g_cat.shape[-1], d_in))
+        w_in = np.swapaxes(np.moveaxis(w_t.reshape(lead_w + summed + (d_out, d_in)),
+                                       range(k, k + n_sum), range(n_sum)), -1, -2)
+    elif wbv.ndim > 2:
+        w_t = np.empty(w.shape[:-2] + (d_out, d_in))
+        w_in = np.swapaxes(w_t, -1, -2)
+    else:
+        w_t, w_in = np.swapaxes(w, -1, -2), None
+    # an input the product does not broadcast, or whose lacking axes the
+    # product folds, gets g @ w^T written straight into its adjoint on the
+    # first contribution
+    x_direct = ((g_cat is not None or value.shape[:-1] + (d_in,) == x.shape)
+                and xv.flags.c_contiguous)
     x1_t = np.swapaxes(x1, -1, -2)
     lead = wb.shape[:-2]
     while lead and lead[-1] == 1:
@@ -207,7 +248,6 @@ def dense_forward(x: Node, wb: Node, out: np.ndarray | None = None) -> Node:
         # each layer over a stack, the block stacked only on size-1 axes
         # where the input is: all of a layer's rows in one product
         rows_t = x1.reshape(-1, d_in + 1).T
-        d_out = value.shape[-1]
 
         def block_grad(g, out=None):
             out = None if out is None else out.reshape(lead + (d_in + 1, d_out))
@@ -220,12 +260,17 @@ def dense_forward(x: Node, wb: Node, out: np.ndarray | None = None) -> Node:
             return grad if out is None else np.copyto(out, grad)
 
     def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
-        if stacked:
-            np.copyto(w_t, w_t_view)
-        if x_direct and first[0]:
-            np.matmul(g, w_t, out=x.adjoint)
-        else:
-            _give(x, unbroadcast(g @ w_t, x.shape), first[0])
+        if x.adjoint is not None:  # None: an adjoint-free constant
+            if w_in is not None:
+                np.copyto(w_in, w)
+            g_x = g
+            if g_cat is not None:
+                np.copyto(g_in, g)
+                g_x = g_cat
+            if x_direct and first[0]:
+                np.matmul(g_x, w_t, out=x.adjoint)
+            else:
+                _give(x, unbroadcast(g_x @ w_t, x.shape), first[0])
         if first[1]:
             block_grad(g, out=wb.adjoint)
         else:
@@ -353,7 +398,18 @@ def attention(x: Node, scale: float, parts: str = "kqv") -> tuple[Node, np.ndarr
     softmax over axis 0 in place, then the weighted values and their sum;
     its reductions over the candidates write a buffer it owns too. Its
     backward writes the three parts of x's adjoint, which tile it, and uses
-    the values' part as scratch before it writes it."""
+    the values' part as scratch before it writes it.
+
+    Two candidates, as each of the default model's attentions has, take a
+    form with no reduction over the candidates, as in the fused evaluator:
+    the softmax of two scores is the logistic of their difference,
+    t = exp(-(s0 - s1)) with its exponent capped at EXP_CAP as in
+    `logistic`, w0 = 1 / (1 + t) and w1 = t * w0 (not 1 - w0, which
+    rounds a small weight to exactly 0), and the value is
+    v1 + w0 * (v0 - v1). The backward reads v0 - v1, kept from the run:
+    the adjoints of the two products <key_i, query_i> are
+    +-<g, v0 - v1> * w0 * w1 * scale. The op keeps its (2, ..., 1) weights
+    buffer and its parts order."""
     if sorted(parts) != ["k", "q", "v"]:
         raise ContractError(f"attention: parts must order k, q and v, got {parts!r}")
     if x.value.ndim < 3 or x.shape[0] != 3:
@@ -365,9 +421,45 @@ def attention(x: Node, scale: float, parts: str = "kqv") -> tuple[Node, np.ndarr
     k, q, v = xv[ki], xv[qi], xv[vi]
     prod = np.empty(k.shape)
     weights = np.empty(k.shape[:-1] + (1,))
-    g_w, g_s = np.empty(weights.shape), np.empty(weights.shape)  # the backward's
-    across = np.empty((1,) + weights.shape[1:])  # a reduction over the candidates
+    g_s = np.empty(weights.shape)  # the scores' adjoint
     ones = np.ones((k.shape[-1], 1))
+    if x.shape[1] == 2:
+        (w0, w1), (v0, v1) = weights, v
+        diff = np.empty(v0.shape)  # v0 - v1, which the backward reads
+        neg_scale = scalar(-scale)
+
+        def compute(out=None):
+            np.multiply(k, q, out=prod)
+            np.matmul(prod, ones, out=weights)  # the scores
+            np.subtract(w0, w1, out=w1)  # w1 holds t until w0 is written
+            np.multiply(w1, neg_scale, out=w1)
+            np.minimum(w1, _EXP_CAP, out=w1)
+            np.exp(w1, out=w1)
+            np.add(w1, _ONE, out=w0)
+            np.reciprocal(w0, out=w0)
+            np.multiply(w1, w0, out=w1)
+            np.subtract(v0, v1, out=diff)
+            out = np.multiply(diff, w0, out=out)
+            return np.add(out, v1, out=out)
+
+        def backward(g: np.ndarray, first: tuple[bool, ...]) -> None:
+            adj = x.adjoint if first[0] else np.empty_like(xv)
+            g_v = adj[vi]
+            dz = g_s[0]
+            np.matmul(np.multiply(g, diff, out=g_v[0]), ones, out=dz)  # <g, v0 - v1>
+            np.multiply(dz, w0, out=dz)
+            np.multiply(dz, w1, out=dz)
+            np.multiply(dz, neg_scale, out=g_s[1])
+            np.negative(g_s[1], out=dz)
+            np.multiply(g, weights, out=g_v)
+            np.multiply(g_s, q, out=adj[ki])
+            np.multiply(g_s, k, out=adj[qi])
+            if not first[0]:
+                x.adjoint += adj
+
+        return _op(compute, (x,), backward), weights
+    g_w = np.empty(weights.shape)  # the weights' adjoint
+    across = np.empty((1,) + weights.shape[1:])  # a reduction over the candidates
 
     def compute(out=None):
         np.multiply(k, q, out=prod)
@@ -576,12 +668,13 @@ def record(root: Node) -> list[Node]:
     that contribution writes the parent's adjoint instead of adding to it
     (`_first_writes`): `index` reads that tile their operand, such as the
     model's per-stage slices of the towers, each write their own part,
-    with no zero-fill. A `join`'s parts get views of its adjoint. The flags
-    belong to this root: record a graph again before sweeping it from
-    another. Raises ContractError when two leaves share adjoint memory (a
-    store's group and one of its members), as each one's first write would
-    clobber the other's, and when a joined part has a reader besides its
-    join, whose contribution the join's would overwrite."""
+    with no zero-fill. A `join`'s parts get views of its adjoint, and an
+    adjoint-free `constant` gets none. The flags belong to this root:
+    record a graph again before sweeping it from another. Raises
+    ContractError when two leaves share adjoint memory (a store's group and
+    one of its members), as each one's first write would clobber the
+    other's, and when a joined part has a reader besides its join, whose
+    contribution the join's would overwrite."""
     order = _toposort(root)
     leaves = [node.adjoint for node in order if not node.parents and node.adjoint is not None]
     for i, adjoint in enumerate(leaves):
@@ -596,7 +689,7 @@ def record(root: Node) -> list[Node]:
     if any(len(reads[id(part)]) > 1 for node in joins for part in node.parents):
         raise ContractError("a joined part has a reader besides its join")
     for node in reversed(order):  # a join before its parts
-        if node.adjoint is None:
+        if node.adjoint is None and node.needs_adjoint:
             node.adjoint = np.empty_like(node.value)
         if node.keys is not None:
             for part, key in zip(node.parents, node.keys):

@@ -185,8 +185,7 @@ def train_run(model_cfg: MsisConfig, loss_cfg: LossConfig, train_cfg: TrainConfi
                 value = float(breakdown.total.value[0, 0])
                 if not math.isfinite(value):
                     raise TrainingDiverged(epoch, bi, value)
-                params.zero_adjoints()
-                nm.backward_sweep(breakdown.total, step.order)
+                nm.backward_sweep(breakdown.total, step.order)  # writes every adjoint
                 optimizer.step()
                 loss_sum += value
                 supervised, entropy = target_terms(weights, breakdown)

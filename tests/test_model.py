@@ -575,6 +575,33 @@ class TestFeatureChecks:
             with pytest.raises(DomainError):
                 call(x)
 
+    @pytest.mark.parametrize("entry", range(3), ids=["forward", "make_fused_forward",
+                                                     "predict_probs"])
+    @pytest.mark.parametrize("make,error", [
+        (lambda x: x.tolist(), DimensionError),
+        (lambda x: x.astype(object), DomainError),
+        (lambda x: x.astype(str), DomainError),
+        (lambda x: x + 1j, DomainError),
+    ], ids=["list", "object", "string", "complex"])
+    def test_non_real_arrays_are_typed_errors(self, default_cfg, entry, make, error):
+        params = M.init_params(default_cfg, seed=0)
+        call = self._entry_points(params, default_cfg)[entry]
+        with pytest.raises(error):
+            call(make(np.random.default_rng(2).normal(size=(4, 32))))
+
+    def test_bool_and_integer_arrays_score_as_floats(self, default_cfg):
+        params = M.init_params(default_cfg, seed=0)
+        x = np.random.default_rng(3).integers(-2, 3, size=(4, 32))
+        for features in (x, x > 0, x.astype(np.uint8)):
+            as_float = features.astype(np.float64)
+            npt.assert_array_equal(M.forward(params, default_cfg, features).stacked.value,
+                                   M.forward(params, default_cfg, as_float).stacked.value)
+            fused = M.make_fused_forward(params, default_cfg, features)().copy()
+            npt.assert_array_equal(fused, M.make_fused_forward(params, default_cfg, as_float)())
+            probs = M.predict_probs(params, default_cfg, features)
+            for t, p in M.predict_probs(params, default_cfg, as_float).items():
+                npt.assert_array_equal(probs[t], p)
+
 
 class TestInformationFlow:
     def _probs(self, params, cfg, x):

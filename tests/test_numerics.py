@@ -852,6 +852,44 @@ def test_attention_on_random_shapes(case):
                                      for _ in read_out], read_out, draw_values)
 
 
+@pytest.mark.parametrize("gap", [40.0, -40.0, 800.0, -800.0])
+def test_two_candidates_far_apart(gap):
+    # scaled score gaps of +-40 and +-800, the second past the exponent cap
+    # in one direction and past exp's underflow in the other
+    scale, rows, d = 0.25, 5, 3
+    rng = np.random.default_rng(11)
+    k = np.zeros((2, rows, d))
+    k[0, :, 0], k[1, :, 0] = gap / (2 * scale), -gap / (2 * scale)
+    q = np.zeros((2, rows, d))
+    q[..., 0] = 1.0
+    x = nm.constant(np.stack([k, q, rng.normal(size=(2, rows, d))]))
+    with np.errstate(over="raise", invalid="raise"):
+        out, weights = nm.attention(x, scale)
+        nm.backward_sweep(weighted_sum(out, rng.normal(size=out.shape)))
+    z = np.array([gap / 2, -gap / 2])[:, None, None] * np.ones((2, rows, 1))
+    e = np.exp(z - z.max(axis=0))
+    reference = e / e.sum(axis=0)
+    npt.assert_allclose(weights, reference, rtol=1e-12, atol=1e-12)
+    # a weight is above 0 wherever the exact softmax's is a float above 0;
+    # past exp's underflow both are exactly 0
+    assert (weights >= 0.0).all() and (weights[reference > 0.0] > 0.0).all()
+    npt.assert_allclose(out.value, (reference * x.value[2]).sum(axis=0), rtol=1e-12, atol=1e-12)
+    assert np.isfinite(x.adjoint).all()
+
+
+def test_an_adjoint_free_constant_gets_no_adjoint():
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(5, 3))
+    x, free = nm.constant(data), nm.constant(data, adjoint=False)
+    wb = nm.constant(rng.normal(size=(2, 4, 2)))
+    w = rng.normal(size=(2, 5, 2))
+    nm.backward_sweep(weighted_sum(nm.dense_forward(x, wb), w))
+    kept = wb.adjoint.copy()
+    nm.backward_sweep(weighted_sum(nm.dense_forward(free, wb), w))
+    assert x.adjoint is not None and free.adjoint is None
+    npt.assert_array_equal(wb.adjoint, kept)
+
+
 def test_attention_checks_its_operand():
     for shape, error in (((2, 2, 3), DimensionError), ((3, 4), DimensionError),
                          ((3, 0, 2, 4), DomainError)):

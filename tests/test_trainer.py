@@ -277,6 +277,31 @@ class TestReplayedStep:
                                    err_msg=name)
             npt.assert_array_equal(got_grads, want_grads, err_msg=name)
 
+    @pytest.mark.parametrize("cfg", [CFG, M.MsisConfig(corridor_enabled=False)],
+                             ids=["corridor", "no_corridor"])
+    def test_a_sweep_writes_every_gradient(self, step_batches, cfg):
+        # train_run zero-fills no gradient before a step's sweep
+        params = M.init_params(cfg, seed=3)
+        lcfg = L.LossConfig()
+        step = T._Step(params, cfg, lcfg, step_batches["a"])
+        batch = step_batches["b"]
+        step.replay(batch, L.loss_weights([batch], lcfg, cfg.stages)[0])
+        params.grads.fill(np.nan)
+        nm.backward_sweep(step.loss.total, step.order)
+        got = params.grads.copy()
+        params.zero_adjoints()
+        nm.backward_sweep(L.total_loss(M.forward(params, cfg, batch.features), batch, lcfg,
+                                       cfg.stages).total)
+        assert got.tobytes() == params.grads.tobytes()
+
+    def test_the_features_leaf_gets_no_adjoint(self, step_batches):
+        step = T._Step(M.init_params(self.CFG, seed=3), self.CFG, L.LossConfig(),
+                       step_batches["a"])
+        leaves = [node for node in step.order if not node.parents]
+        features = [node for node in leaves if node.value is step.features]
+        assert len(features) == 1 and features[0].adjoint is None
+        assert all(node.adjoint is not None for node in leaves if node is not features[0])
+
     def test_a_64_row_step_records_49_nodes(self, step_batches):
         # each attention is one op, each fusion's candidates one join of its
         # two dense sides, the loss one op
